@@ -69,7 +69,7 @@ class MetricsReport:
 
 
 @dataclass
-class _TraceIndex:
+class TraceIndex:
     honest: set[int] = field(default_factory=set)
     bodies: dict[str, AnyBlock] = field(default_factory=dict)
     qcs: list[QC] = field(default_factory=list)
@@ -104,8 +104,9 @@ def _certs_in(msg) -> list:
     return []
 
 
-def _index(trace: Trace) -> _TraceIndex:
-    idx = _TraceIndex()
+def index(trace: Trace) -> TraceIndex:
+    """One pass over the records, shared by check_safety and measure."""
+    idx = TraceIndex()
     spec = trace.adversary
     n = trace.protocol.n
     quorum = 2 * trace.protocol.f + 1
@@ -174,8 +175,8 @@ def _index(trace: Trace) -> _TraceIndex:
     return idx
 
 
-def check_safety(trace: Trace) -> SafetyReport:
-    idx = _index(trace)
+def check_safety(trace: Trace, idx: Optional[TraceIndex] = None) -> SafetyReport:
+    idx = idx or index(trace)
     violations: list[str] = []
     genesis_id = genesis_block().id
 
@@ -280,8 +281,8 @@ def check_safety(trace: Trace) -> SafetyReport:
                         certificates_checked=len(idx.qcs) + len(idx.fqcs))
 
 
-def measure(trace: Trace) -> MetricsReport:
-    idx = _index(trace)
+def measure(trace: Trace, idx: Optional[TraceIndex] = None) -> MetricsReport:
+    idx = idx or index(trace)
     delivered = 0
     units = 0
     sends = 0
@@ -333,7 +334,7 @@ def fallback_stats(traces: Union[Trace, Iterable[Trace]]) -> dict:
     entered = completed = committed_in_view = 0
     per_trace = []
     for trace in traces:
-        idx = _index(trace)
+        idx = index(trace)
         committed_fviews = set()
         for bid in idx.commit_tick:
             body = idx.bodies.get(bid)

@@ -22,8 +22,8 @@ from typing import Optional
 from . import analysis, simnet
 from .replica import ConfigError
 from .scenario import ScenarioConfig, parse_int_list, parse_scenario
-from .simnet import (Asynchronous, Crash, Equivocate, Honest, MuteLeader,
-                     PartialSynchrony, Synchronous, Trace)
+from .simnet import (Asynchronous, Crash, Honest, PartialSynchrony,
+                     Synchronous, Trace)
 
 
 def _timestamp_line() -> str:
@@ -45,19 +45,9 @@ def _render_model(model) -> str:
 
 
 def _render_faults(faults) -> str:
-    if not faults:
-        return "none"
-    parts = []
-    for rid, spec in faults:
-        if isinstance(spec, Crash):
-            parts.append(f"{rid}:crash@{spec.at}")
-        elif isinstance(spec, MuteLeader):
-            parts.append(f"{rid}:mute_leader")
-        elif isinstance(spec, Equivocate):
-            parts.append(f"{rid}:equivocate")
-        elif isinstance(spec, Honest):
-            parts.append(f"{rid}:honest")
-    return " ".join(parts)
+    return " ".join(f"{rid}:crash@{spec.at}" if isinstance(spec, Crash)
+                    else f"{rid}:{simnet.kind_name(spec, simnet.FAULT_KINDS)}"
+                    for rid, spec in faults) or "none"
 
 
 def _print(lines: list[str], quiet: bool) -> None:
@@ -66,7 +56,7 @@ def _print(lines: list[str], quiet: bool) -> None:
 
 
 def _run_report(scenario_path: str, cfg: ScenarioConfig, trace: Trace,
-                safety: analysis.SafetyReport,
+                digest: str, safety: analysis.SafetyReport,
                 metrics: analysis.MetricsReport) -> list[str]:
     p = cfg.protocol
     lines = [
@@ -84,7 +74,7 @@ def _run_report(scenario_path: str, cfg: ScenarioConfig, trace: Trace,
         f"genesis_id: {trace.meta['genesis_id']}",
         f"adversary: {_render_model(cfg.adversary.model)}",
         f"faults: {_render_faults(cfg.adversary.faults)}",
-        f"trace_digest: {trace.digest()}",
+        f"trace_digest: {digest}",
         f"undelivered_at_horizon: {trace.meta['undelivered']}",
     ]
     metric_dict = metrics.to_dict()
@@ -115,14 +105,18 @@ def cmd_run(args) -> int:
     trace = simnet.run(cfg.protocol, cfg.adversary, cfg.horizon)
     if cfg.inject_conflicting_commit:
         _inject_conflicting_commit(trace)
-    safety = analysis.check_safety(trace)
-    metrics = analysis.measure(trace)
-    lines = _run_report(args.config, cfg, trace, safety, metrics)
-    lines.append(_timestamp_line())
+    idx = analysis.index(trace)
+    safety = analysis.check_safety(trace, idx)
+    metrics = analysis.measure(trace, idx)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, f"run-seed{cfg.protocol.run_seed}")
-        trace.to_jsonl(base + ".trace.jsonl")
+        digest = trace.to_jsonl(base + ".trace.jsonl")
+    else:
+        digest = trace.digest()
+    lines = _run_report(args.config, cfg, trace, digest, safety, metrics)
+    lines.append(_timestamp_line())
+    if out_dir:
         with open(base + ".report.txt", "w") as fh:
             fh.write("\n".join(lines) + "\n")
     _print(lines, args.quiet)
@@ -152,8 +146,9 @@ def cmd_sweep(args) -> int:
         for seed in seeds:
             pconf = replace(protocol, run_seed=seed)
             trace = simnet.run(pconf, cfg.adversary, cfg.horizon)
-            safety = analysis.check_safety(trace)
-            metrics = analysis.measure(trace)
+            idx = analysis.index(trace)
+            safety = analysis.check_safety(trace, idx)
+            metrics = analysis.measure(trace, idx)
             all_ok = all_ok and safety.ok
             runs.append(metrics)
             if out_dir:
@@ -187,16 +182,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    trace = Trace.from_jsonl(args.trace)
-    embedded = trace.stored_digest or trace.digest()
-    recomputed = trace.digest()
-    replayed = simnet.run(trace.protocol, trace.adversary, trace.horizon)
-    got = replayed.digest()
-    # All three must agree: header digest, digest over the records as
-    # stored, and the digest of a fresh deterministic re-run.
-    match = got == embedded == recomputed
+    trace, recomputed = Trace.scan_jsonl(args.trace)
+    got = simnet.run(trace.protocol, trace.adversary, trace.horizon).digest()
+    # All three must agree: header digest, digest over the bytes as stored,
+    # and the digest of a fresh deterministic re-run.
+    match = got == trace.stored_digest == recomputed
     lines = [f"trace: {args.trace}",
-             f"embedded_digest: {embedded}",
+             f"embedded_digest: {trace.stored_digest}",
              f"recomputed_digest: {recomputed}",
              f"replayed_digest: {got}",
              f"replay: {'match' if match else 'MISMATCH'}"]
@@ -252,14 +244,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, simnet.HorizonTooSmall) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except FileNotFoundError as exc:
         sys.stderr.write(f"missing file: {exc}\n")
         return 2
-    except simnet.HorizonTooSmall as exc:
-        sys.stderr.write(f"config error: {exc}\n")
+    except simnet.TraceFormatError as exc:
+        sys.stderr.write(f"trace error: {exc}\n")
         return 2
 
 

@@ -65,16 +65,17 @@ def _parse_bool(section: str, key: str, raw: str) -> bool:
 def parse_int_list(raw: str) -> list[int]:
     """Accepts "1..30" ranges or comma lists like "4,10,22"."""
     raw = raw.strip()
-    if ".." in raw and "," not in raw:
-        lo, hi = raw.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError(f"empty range {raw!r}")
-        return list(range(lo, hi + 1))
     try:
-        return [int(part) for part in raw.split(",") if part.strip() != ""]
+        if ".." in raw and "," not in raw:
+            lo, hi = (int(part) for part in raw.split("..", 1))
+            values = list(range(lo, hi + 1))
+        else:
+            values = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"cannot parse integer list {raw!r}")
+    if not values:
+        raise ConfigError(f"empty integer list {raw!r}")
+    return values
 
 
 def _parse_delay_range(section: str, key: str, raw: str) -> tuple[int, int]:
@@ -104,7 +105,7 @@ def _parse_faults(raw: str) -> tuple[tuple[int, FaultSpec], ...]:
         kind = kind.strip()
         spec: FaultSpec
         if kind.startswith("crash@"):
-            spec = Crash(int(kind[len("crash@"):]))
+            spec = Crash(_parse_int("adversary", "faults", kind[len("crash@"):]))
         elif kind == "mute_leader":
             spec = MuteLeader()
         elif kind == "equivocate":

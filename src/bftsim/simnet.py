@@ -15,7 +15,7 @@ import heapq
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 from . import crypto
@@ -25,11 +25,16 @@ from .core import (FBProposal, Proposal, TxnBatch, WireMessage,
 from .replica import (CancelTimers, CommitNotice, Multicast, ConfigError,
                       OutputAction, Replica, ReplicaConfig, Send, SetTimer)
 
-TRACE_FORMAT = "bftsim-trace-v1"
+TRACE_FORMAT = "bftsim-trace-v2"
+_RECORD_KINDS = ("send", "deliver", "timer_fire", "commit")
 
 
 class HorizonTooSmall(ValueError):
     pass
+
+
+class TraceFormatError(ValueError):
+    """A trace file that cannot be read as a v2 trace."""
 
 
 # --- adversary models -------------------------------------------------------
@@ -139,101 +144,135 @@ class AdversarySpec:
 # --- trace -------------------------------------------------------------------
 
 
-def _encode_model(model: AdversaryModel) -> dict:
-    if isinstance(model, Synchronous):
-        return {"model": "synchronous", "delta": model.delta}
-    if isinstance(model, PartialSynchrony):
-        return {"model": "partial_synchrony", "gst": model.gst,
-                "delta": model.delta,
-                "pre_gst_delay_bound": model.pre_gst_delay_bound}
-    return {"model": "asynchronous", "base_delay": list(model.base_delay),
-            "per_variant": {k: list(v) for k, v in model.per_variant}}
+MODEL_KINDS = {"synchronous": Synchronous,
+               "partial_synchrony": PartialSynchrony,
+               "asynchronous": Asynchronous}
+FAULT_KINDS = {"honest": Honest, "crash": Crash, "mute_leader": MuteLeader,
+               "equivocate": Equivocate}
 
 
-def _decode_model(d: dict) -> AdversaryModel:
-    kind = d["model"]
-    if kind == "synchronous":
-        return Synchronous(d["delta"])
-    if kind == "partial_synchrony":
-        return PartialSynchrony(d["gst"], d["delta"], d["pre_gst_delay_bound"])
-    if kind == "asynchronous":
-        per = tuple(sorted((k, (v[0], v[1]))
-                           for k, v in d["per_variant"].items()))
-        return Asynchronous((d["base_delay"][0], d["base_delay"][1]), per)
-    raise ValueError(f"unknown adversary model: {kind}")
+def kind_name(spec, kinds: dict) -> str:
+    return next(name for name, cls in kinds.items() if type(spec) is cls)
 
 
-def _encode_fault(spec: FaultSpec) -> dict:
-    if isinstance(spec, Honest):
-        return {"fault": "honest"}
-    if isinstance(spec, Crash):
-        return {"fault": "crash", "at": spec.at}
-    if isinstance(spec, MuteLeader):
-        return {"fault": "mute_leader"}
-    return {"fault": "equivocate"}
+def _encode_spec(spec, kinds: dict, tag: str) -> dict:
+    """A delay model or fault as its kind name under ``tag``, plus fields."""
+    return {tag: kind_name(spec, kinds), **asdict(spec)}
 
 
-def _decode_fault(d: dict) -> FaultSpec:
-    kind = d["fault"]
-    if kind == "honest":
-        return Honest()
-    if kind == "crash":
-        return Crash(d["at"])
-    if kind == "mute_leader":
-        return MuteLeader()
-    if kind == "equivocate":
-        return Equivocate()
-    raise ValueError(f"unknown fault: {kind}")
+def _decode_spec(d: dict, kinds: dict, tag: str):
+    def tuples(v):
+        return tuple(map(tuples, v)) if isinstance(v, list) else v
+    return kinds[d[tag]](**{k: tuples(v) for k, v in d.items() if k != tag})
+
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _line(obj) -> bytes:
+    """Canonical compact JSON: sorted keys, no spaces, one line."""
+    return _CANONICAL.encode(obj).encode() + b"\n"
 
 
 @dataclass
 class Trace:
     """Run log: config snapshot plus one record per send/deliver/timer/commit.
 
-    Records keep live message objects in memory; they are encoded to JSON
-    only when hashing or writing the trace out.
+    Records keep live message objects in memory; ``lines`` encodes each one
+    once, to the exact bytes the trace file stores and the digest covers.
     """
 
     meta: dict
     records: list[dict] = field(default_factory=list)
     stored_digest: Optional[str] = None  # from a trace file header, if loaded
 
-    def record_dicts(self):
+    def lines(self):
+        """One canonical line per record.  A deliver with an ``sq`` omits
+        ``m``: the send record it names carries the message."""
+        last_msg = last_enc = None
         for rec in self.records:
-            if "m" in rec:
-                rec = dict(rec, m=encode_message(rec["m"]))
-            yield rec
+            msg = rec.get("m")
+            if msg is not None and "sq" in rec:
+                rec = {k: v for k, v in rec.items() if k != "m"}
+            elif msg is not None:
+                if msg is not last_msg:  # a multicast's sends are adjacent
+                    last_msg, last_enc = msg, encode_message(msg)
+                rec = dict(rec, m=last_enc)
+            yield _line(rec)
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(json.dumps(self.meta, sort_keys=True,
-                            separators=(",", ":")).encode())
-        for rec in self.record_dicts():
-            h.update(b"\n")
-            h.update(json.dumps(rec, sort_keys=True,
-                                separators=(",", ":")).encode())
-        return h.hexdigest()
+        return self._stream(lambda line: None)
 
-    def to_jsonl(self, path: str) -> None:
-        with open(path, "w") as fh:
-            header = dict(self.meta)
-            header["digest"] = self.digest()
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for rec in self.record_dicts():
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    def to_jsonl(self, path: str) -> str:
+        """Write the trace in one pass and return its digest.  The header is
+        written with a same-width placeholder digest, then rewritten."""
+        with open(path, "wb") as fh:
+            fh.write(_line(dict(self.meta, digest="0" * 64)))
+            digest = self._stream(fh.write)
+            fh.seek(0)
+            fh.write(_line(dict(self.meta, digest=digest)))
+        return digest
+
+    def _stream(self, write) -> str:
+        """sha256 over the meta line and each record line, as written."""
+        h = hashlib.sha256(_line(self.meta))
+        for line in self.lines():
+            h.update(line)
+            write(line)
+        return h.hexdigest()
 
     @classmethod
     def from_jsonl(cls, path: str) -> "Trace":
-        with open(path) as fh:
+        with open(path, "rb") as fh:
+            trace = cls._read_header(fh, path)
+            sent: dict[int, WireMessage] = {}  # send q -> its message
+            last_raw = last_msg = None
+            for no, line in enumerate(fh, 2):
+                try:
+                    rec = json.loads(line)
+                    if rec["kind"] not in _RECORD_KINDS:
+                        raise ValueError(f"unknown kind {rec['kind']!r}")
+                    if "sq" in rec:
+                        if rec["sq"] not in sent:
+                            raise ValueError(f"no send for sq {rec['sq']}")
+                        rec["m"] = sent.pop(rec["sq"])
+                    elif "m" in rec:
+                        if rec["m"] != last_raw:  # multicast sends repeat it
+                            last_raw = rec["m"]
+                            last_msg = decode_message(last_raw)
+                        rec["m"] = last_msg
+                        if rec["kind"] == "send":
+                            sent[rec["q"]] = last_msg
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise TraceFormatError(f"{path} line {no}: {exc!r}")
+                trace.records.append(rec)
+        return trace
+
+    @classmethod
+    def scan_jsonl(cls, path: str) -> tuple["Trace", str]:
+        """The record-less trace from a file's header, and the digest of the
+        file as stored, hashed without decoding a record."""
+        with open(path, "rb") as fh:
+            trace = cls._read_header(fh, path)
+            h = hashlib.sha256(_line(trace.meta))
+            chunk = b"\n"
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
+        if not chunk.endswith(b"\n"):
+            raise TraceFormatError(f"{path}: last record line is truncated")
+        return trace, h.hexdigest()
+
+    @classmethod
+    def _read_header(cls, fh, path: str) -> "Trace":
+        try:
             meta = json.loads(fh.readline())
-            stored = meta.pop("digest", None)
-            records = []
-            for line in fh:
-                rec = json.loads(line)
-                if "m" in rec:
-                    rec["m"] = decode_message(rec["m"])
-                records.append(rec)
-        return cls(meta, records, stored)
+            trace = cls(meta, [], meta.pop("digest"))
+            if meta["format"] != TRACE_FORMAT:
+                raise ValueError(f"unsupported format {meta['format']!r}")
+            trace.protocol, trace.adversary, trace.horizon  # fields present
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise TraceFormatError(f"{path}: bad header: {exc!r}")
+        return trace
 
     # convenience accessors used by analysis and the CLI
 
@@ -243,9 +282,10 @@ class Trace:
 
     @property
     def adversary(self) -> AdversarySpec:
-        faults = tuple(sorted((int(r), _decode_fault(d))
+        faults = tuple(sorted((int(r), _decode_spec(d, FAULT_KINDS, "fault"))
                               for r, d in self.meta["faults"].items()))
-        return AdversarySpec(_decode_model(self.meta["adversary"]), faults)
+        model = _decode_spec(self.meta["adversary"], MODEL_KINDS, "model")
+        return AdversarySpec(model, faults)
 
     @property
     def horizon(self) -> int:
@@ -331,16 +371,10 @@ class Simulation:
         ]
         meta = {
             "format": TRACE_FORMAT,
-            "protocol": {
-                "n": config.n, "f": config.f, "variant": config.variant,
-                "pacemaker": config.pacemaker,
-                "timeout_duration": config.timeout_duration,
-                "leader_rotation_period": config.leader_rotation_period,
-                "adopt_foreign_fchains": config.adopt_foreign_fchains,
-                "run_seed": config.run_seed,
-            },
-            "adversary": _encode_model(adversary.model),
-            "faults": {str(r): _encode_fault(s) for r, s in adversary.faults},
+            "protocol": asdict(config),
+            "adversary": _encode_spec(adversary.model, MODEL_KINDS, "model"),
+            "faults": {str(r): _encode_spec(s, FAULT_KINDS, "fault")
+                       for r, s in adversary.faults},
             "horizon": horizon,
             "prf": crypto.PRF_ID,
             "genesis_id": genesis_block().id,

@@ -25,10 +25,10 @@ from bftsim.simnet import (
     run,
 )
 from bftsim.analysis import (
-    _index,
     check_safety,
     fallback_stats,
     fit_polynomial,
+    index,
     measure,
 )
 
@@ -129,7 +129,7 @@ def test_criterion_3_fallback_commit_probability(capsys):
         completed += per["completed"]
         hits += per["commit_in_view"]
         # the exact mechanism, view by view: commit iff honest elected
-        idx = _index(trace)
+        idx = index(trace)
         fviews = {idx.bodies[b].view for b in idx.commit_tick
                   if isinstance(idx.bodies.get(b), FallbackBlock)}
         for v in idx.completed_views & idx.entered_views:

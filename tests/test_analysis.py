@@ -259,7 +259,7 @@ def test_fallback_stats_raises_without_fallbacks():
 def test_mute_leader_fallbacks_commit_only_on_honest_election():
     # with the only missing chain being the mute replica's, a completed
     # fallback commits in-view exactly when the coin names someone honest
-    from bftsim.analysis import _index
+    from bftsim.analysis import index
     from bftsim.crypto import elect_leader
     from bftsim.core import FallbackBlock
 
@@ -269,7 +269,7 @@ def test_mute_leader_fallbacks_commit_only_on_honest_election():
     for seed in (1, 2, 3):
         cfg = mk(timeout_duration=40, run_seed=seed)
         tr = run(cfg, adv, 900)
-        idx = _index(tr)
+        idx = index(tr)
         committed_views = {idx.bodies[b].view for b in idx.commit_tick
                            if isinstance(idx.bodies.get(b), FallbackBlock)}
         for v in idx.completed_views & idx.entered_views:

@@ -57,7 +57,7 @@ def test_run_clean_exit_zero_with_artifacts(tmp_path, capsys):
     report_file = out / "run-seed7.report.txt"
     assert trace_file.exists() and report_file.exists()
     header = json.loads(trace_file.read_text().splitlines()[0])
-    assert header["format"] == "bftsim-trace-v1"
+    assert header["format"] == "bftsim-trace-v2"
     assert "safety: ok" in report_file.read_text()
 
 
@@ -105,6 +105,13 @@ def test_run_bad_configs_exit_two(tmp_path, capsys):
     assert run_cli("run", "--config", unknown) == 2
 
     assert run_cli("run", "--config", str(tmp_path / "missing.ini")) == 2
+
+
+def test_run_malformed_crash_tick_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, STEADY.replace("delta = 1",
+                                         "delta = 1\nfaults = 0:crash@soon"))
+    assert run_cli("run", "--config", cfg) == 2
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_usage_error_exits_two():
@@ -156,6 +163,64 @@ def test_replay_missing_file_exits_two(tmp_path):
     assert run_cli("replay", str(tmp_path / "absent.jsonl")) == 2
 
 
+def rewrite(tmp_path, lines, name="bad.jsonl"):
+    path = tmp_path / name
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def assert_trace_error(capsys, path, commands=("check", "replay")):
+    for command in commands:
+        assert run_cli(command, path) == 2, command
+        captured = capsys.readouterr()
+        assert captured.err.startswith("trace error:"), command
+        assert "match" not in captured.out.lower()
+
+
+def test_truncated_trace_exits_two(tmp_path, capsys):
+    data = make_trace(tmp_path).read_bytes()
+    cut_record = tmp_path / "cut_record.jsonl"
+    cut_record.write_bytes(data[:len(data) // 2])
+    assert_trace_error(capsys, str(cut_record))
+    cut_header = tmp_path / "cut_header.jsonl"
+    cut_header.write_bytes(data[:40])
+    assert_trace_error(capsys, str(cut_header))
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    assert_trace_error(capsys, str(empty))
+
+
+def test_trace_header_missing_fields_exits_two(tmp_path, capsys):
+    lines = make_trace(tmp_path).read_text().splitlines()
+    for field, value in (("protocol", None), ("digest", None),
+                         ("format", "bftsim-trace-v1")):
+        header = json.loads(lines[0])
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        path = rewrite(tmp_path, [json.dumps(header)] + lines[1:])
+        assert_trace_error(capsys, path)
+
+
+def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
+    lines = make_trace(tmp_path).read_text().splitlines()
+    first_sq = next(k for k, line in enumerate(lines)
+                    if '"sq":' in line)
+    unknown_kind = json.loads(lines[1])
+    unknown_kind["kind"] = "teleport"
+    dangling = json.loads(lines[first_sq])
+    dangling["sq"] = 10 ** 9
+    for k, line in ((1, "{not json"), (1, json.dumps(unknown_kind)),
+                    (first_sq, json.dumps(dangling))):
+        path = rewrite(tmp_path, lines[:k] + [line] + lines[k + 1:])
+        assert_trace_error(capsys, path, ("check",))
+        # replay hashes the stored bytes without decoding them: changed
+        # record bytes under an intact header are a mismatch
+        assert run_cli("replay", path) == 1
+        assert "MISMATCH" in capsys.readouterr().out
+
+
 # --- check --------------------------------------------------------------------
 
 
@@ -201,6 +266,13 @@ def test_sweep_seeds_override(tmp_path, capsys):
     cfg = write(tmp_path, SWEEP)
     assert run_cli("sweep", "--config", cfg, "--seeds", "5..6") == 0
     assert "seeds: 5,6" in capsys.readouterr().out
+
+
+def test_sweep_malformed_seeds_exit_two(tmp_path, capsys):
+    cfg = write(tmp_path, SWEEP)
+    for seeds in ("1..x", "x..3", ","):
+        assert run_cli("sweep", "--config", cfg, "--seeds", seeds) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 # --- packaging ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Discrete-event network: determinism, delay models, faults, traces."""
 
+import json
 import random
 
 import pytest
@@ -51,7 +52,7 @@ def test_same_seed_same_digest():
     a = run(mk(), sync(), 120)
     b = run(mk(), sync(), 120)
     assert a.digest() == b.digest()
-    assert list(a.record_dicts()) == list(b.record_dicts())
+    assert list(a.lines()) == list(b.lines())
 
 
 def test_different_seed_different_digest():
@@ -71,7 +72,7 @@ def test_digest_covers_config_and_records():
 def test_trace_round_trips_through_jsonl(tmp_path):
     tr = run(mk(), sync(delta=2), 150)
     path = tmp_path / "t.jsonl"
-    tr.to_jsonl(str(path))
+    assert tr.to_jsonl(str(path)) == tr.digest()
     back = Trace.from_jsonl(str(path))
     assert back.stored_digest == tr.digest()
     assert back.digest() == tr.digest()
@@ -80,7 +81,8 @@ def test_trace_round_trips_through_jsonl(tmp_path):
     assert back.adversary == sync(delta=2)
     assert back.horizon == 150
     # records survive the encode/decode cycle exactly
-    assert list(back.record_dicts()) == list(tr.record_dicts())
+    assert back.records == tr.records
+    assert list(back.lines()) == list(tr.lines())
     redone = run(back.protocol, back.adversary, back.horizon)
     assert redone.digest() == tr.digest()
 
@@ -88,7 +90,7 @@ def test_trace_round_trips_through_jsonl(tmp_path):
 def test_trace_meta_contents():
     tr = run(mk(), sync(), 60)
     m = tr.meta
-    assert m["format"] == "bftsim-trace-v1"
+    assert m["format"] == "bftsim-trace-v2"
     assert m["prf"] == "sha256-mod"
     assert m["horizon"] == 60
     assert m["genesis_id"] == "7a099e392a03f466cc2a329626244390"
@@ -235,9 +237,19 @@ def test_undelivered_counter():
     assert tr.meta["undelivered"] >= 0
 
 
-def test_record_dicts_are_json_shaped():
+def test_encoded_records_are_canonical_json():
     tr = run(mk(), sync(), 30)
-    for rec in tr.record_dicts():
-        if rec["kind"] in ("send", "deliver"):
-            assert isinstance(rec["m"], dict)
-            decode_message(rec["m"])  # decodable wire form
+    lines = list(tr.lines())
+    assert len(lines) == len(tr.records)
+    for line, rec in zip(lines, tr.records):
+        assert line.endswith(b"\n") and line.count(b"\n") == 1
+        enc = json.loads(line)
+        assert line == json.dumps(enc, sort_keys=True,
+                                  separators=(",", ":")).encode() + b"\n"
+        assert {k: v for k, v in enc.items() if k != "m"} == \
+            {k: v for k, v in rec.items() if k != "m"}
+        if rec["kind"] == "send" or (rec["kind"] == "deliver"
+                                     and "sq" not in rec):
+            assert decode_message(enc["m"]) == rec["m"]
+        else:
+            assert "m" not in enc
