@@ -3,7 +3,7 @@ asynchronous fallback view-change.
 
 Subpackages:
     core      block/certificate/message types and the rank order
-    crypto    mock threshold shares and coin-based leader election
+    crypto    quorum thresholds, certificate checks and coin-based leader election
     replica   the per-replica protocol state machine
     simnet    discrete-event network simulation with adversarial delays
     analysis  safety checking and performance metrics over traces

@@ -9,14 +9,12 @@ protocol's safety claims against honest replicas' commit records.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-import numpy
-
-from .core import (AnyBlock, CoinQC, CoinQCRelay, FallbackBlock, FallbackQC,
-                   FBProposal, FBVote, FQCRelay, FTCRelay, Proposal, QC,
-                   TCRelay, Timeout, Vote, MESSAGE_SIZE_UNITS, genesis_block,
-                   message_variant)
+from .core import (Block, CoinQC, CoinShare, FallbackQC, FBProposal, FBVote,
+                   Proposal, QC, Vote, MESSAGE_SIZE_UNITS, genesis_block,
+                   message_certs, message_variant)
 from .replica import ASYNC_FALLBACK
 from .simnet import Crash, Honest, Trace
 
@@ -71,7 +69,7 @@ class MetricsReport:
 @dataclass
 class TraceIndex:
     honest: set[int] = field(default_factory=set)
-    bodies: dict[str, AnyBlock] = field(default_factory=dict)
+    bodies: dict[str, Block] = field(default_factory=dict)
     qcs: list[QC] = field(default_factory=list)
     fqcs: list[FallbackQC] = field(default_factory=list)
     coins: dict[int, set[int]] = field(default_factory=dict)  # view -> electeds
@@ -81,27 +79,6 @@ class TraceIndex:
     commit_tick: dict[str, int] = field(default_factory=dict)
     entered_views: set[int] = field(default_factory=set)
     completed_views: set[int] = field(default_factory=set)
-
-
-def _certs_in(msg) -> list:
-    if isinstance(msg, Proposal):
-        return [msg.block.parent_qc] + ([msg.coin_qc] if msg.coin_qc else [])
-    if isinstance(msg, Timeout):
-        return [msg.high_qc]
-    if isinstance(msg, TCRelay):
-        return [msg.tc]
-    if isinstance(msg, FTCRelay):
-        return [msg.ftc]
-    if isinstance(msg, FBProposal):
-        out = [msg.fblock.parent_qc]
-        if msg.ftc:
-            out.append(msg.ftc)
-        return out
-    if isinstance(msg, FQCRelay):
-        return [msg.fqc]
-    if isinstance(msg, CoinQCRelay):
-        return [msg.coin_qc]
-    return []
 
 
 def index(trace: Trace) -> TraceIndex:
@@ -131,16 +108,13 @@ def index(trace: Trace) -> TraceIndex:
         if kind == "timer_fire":
             continue
         msg = rec["m"]
-        if isinstance(msg, Proposal):
-            idx.bodies.setdefault(msg.block.id, msg.block)
-            idx.proposal_tick.setdefault(msg.block.id, rec["t"])
-        elif isinstance(msg, FBProposal):
-            fb = msg.fblock
-            idx.bodies.setdefault(fb.id, fb)
-            idx.proposal_tick.setdefault(fb.id, rec["t"])
-            if fb.height == 1 and rec["frm"] in idx.honest:
-                idx.entered_views.add(fb.view)
-        for cert in _certs_in(msg):
+        if isinstance(msg, (Proposal, FBProposal)):
+            b = msg.block
+            idx.bodies.setdefault(b.id, b)
+            idx.proposal_tick.setdefault(b.id, rec["t"])
+            if b.height == 1 and rec["frm"] in idx.honest:
+                idx.entered_views.add(b.view)
+        for cert in message_certs(msg):
             if isinstance(cert, CoinQC):
                 idx.coins.setdefault(cert.view, set()).add(cert.elected)
                 idx.completed_views.add(cert.view)
@@ -166,7 +140,7 @@ def index(trace: Trace) -> TraceIndex:
                     idx.fqcs.append(FallbackQC(msg.block_id, msg.round,
                                                msg.view, msg.height,
                                                msg.proposer, frozenset(tally)))
-            elif message_variant(msg) == "coin_share":
+            elif isinstance(msg, CoinShare):
                 key = (rec["to"], msg.view)
                 tally = coin_tallies.setdefault(key, set())
                 tally.add(msg.signer)
@@ -263,7 +237,7 @@ def check_safety(trace: Trace, idx: Optional[TraceIndex] = None) -> SafetyReport
             violations.append(
                 f"certified block {bid} at round {body.round} does not "
                 f"directly extend its parent at round {parent.round}")
-        if (not isinstance(body, FallbackBlock)
+        if (body.height is None
                 and isinstance(parent, FallbackQC)
                 and body.view <= parent.view):
             violations.append(
@@ -338,7 +312,7 @@ def fallback_stats(traces: Union[Trace, Iterable[Trace]]) -> dict:
         committed_fviews = set()
         for bid in idx.commit_tick:
             body = idx.bodies.get(bid)
-            if isinstance(body, FallbackBlock):
+            if body is not None and body.height is not None:
                 committed_fviews.add(body.view)
         done = idx.completed_views & idx.entered_views
         hits = {v for v in committed_fviews if v in done}
@@ -357,11 +331,32 @@ def fallback_stats(traces: Union[Trace, Iterable[Trace]]) -> dict:
 
 
 def fit_polynomial(xs, ys, degree: int) -> tuple[tuple[float, ...], float]:
-    """Least-squares polynomial fit plus coefficient of determination."""
-    coeffs = numpy.polyfit(xs, ys, degree)
-    predicted = numpy.polyval(coeffs, xs)
-    ys_arr = numpy.asarray(ys, dtype=float)
-    ss_res = float(((ys_arr - predicted) ** 2).sum())
-    ss_tot = float(((ys_arr - ys_arr.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    """Least-squares polynomial fit plus coefficient of determination.
+
+    Coefficients come highest power first.  The normal equations are solved
+    in exact rational arithmetic, so the only rounding is the final
+    conversion to float.
+    """
+    if len(set(xs)) <= degree:
+        raise ValueError(f"a degree-{degree} fit needs {degree + 1} distinct x values")
+    xs = [Fraction(x) for x in xs]
+    ys = [Fraction(y) for y in ys]
+    powers = [[x ** k for k in range(degree, -1, -1)] for x in xs]
+    # augmented normal equations [A^T A | A^T y], solved by Gauss-Jordan
+    rows = [[sum(p[i] * p[j] for p in powers) for j in range(degree + 1)]
+            + [sum(p[i] * y for p, y in zip(powers, ys))]
+            for i in range(degree + 1)]
+    # A^T A is positive definite with that many distinct xs, so no pivot
+    # on the diagonal is ever zero
+    for col in range(degree + 1):
+        for r in range(degree + 1):
+            if r != col:
+                ratio = rows[r][col] / rows[col][col]
+                rows[r] = [a - ratio * b for a, b in zip(rows[r], rows[col])]
+    coeffs = [rows[k][-1] / rows[k][k] for k in range(degree + 1)]
+    mean = sum(ys) / len(ys)
+    ss_res = sum((y - sum(c * q for c, q in zip(coeffs, p))) ** 2
+                 for p, y in zip(powers, ys))
+    ss_tot = sum((y - mean) ** 2 for y in ys)
+    r2 = 1.0 if ss_tot == 0 else float(1 - ss_res / ss_tot)
     return tuple(float(c) for c in coeffs), r2

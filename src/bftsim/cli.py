@@ -166,7 +166,7 @@ def cmd_sweep(args) -> int:
             f"mean_commits={mean_commits:.1f} "
             f"mean_messages_per_commit="
             + (f"{mean_per_commit:.3f}" if mean_per_commit is not None else "na"))
-    if len(mean_mpc) >= 2:
+    if len({n for n, _ in mean_mpc}) >= 2:
         xs = [x for x, _ in mean_mpc]
         ys = [y for _, y in mean_mpc]
         (slope, intercept), r2 = analysis.fit_polynomial(xs, ys, 1)

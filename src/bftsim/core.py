@@ -1,16 +1,17 @@
 """Core protocol data types.
 
-Blocks, certificates, wire messages, and the rank total order that the
-voting/locking rules compare certificates by.  Everything here is an
-immutable value object; replicas replace state wholesale instead of
-mutating shared structures.
+Blocks, certificates, wire messages, the rank total order that the
+voting/locking rules compare certificates by, and one codec for trace
+files and digests, driven by each class's kind tag and fields.  Everything
+here is an immutable value object; replicas replace state wholesale
+instead of mutating shared structures.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass, fields
+from typing import Mapping, Optional, Union, get_args, get_type_hints
 
 ReplicaId = int
 BlockId = str  # 128-bit hex digest
@@ -93,7 +94,9 @@ class CoinQC:
     signers: frozenset[ReplicaId]
 
 
-Certificate = Union[QC, FallbackQC, TimeoutCert, FallbackTC, CoinQC]
+CERT_KINDS = {QC: "qc", FallbackQC: "fqc", TimeoutCert: "tc",
+              FallbackTC: "ftc", CoinQC: "coin"}
+Certificate = Union[tuple(CERT_KINDS)]
 ParentCert = Union[QC, FallbackQC]
 
 
@@ -102,51 +105,22 @@ ParentCert = Union[QC, FallbackQC]
 
 @dataclass(frozen=True)
 class Block:
+    """A block; ``height`` and ``proposer`` are set only on a block of some
+    replica's fallback chain, and its id commits to both, so a fallback
+    block can never collide with a regular one."""
+
     id: BlockId
     parent_qc: Optional[ParentCert]  # None only for genesis
     round: int
     view: int
     payload: TxnBatch
-
-
-@dataclass(frozen=True)
-class FallbackBlock:
-    """A block on some replica's fallback chain.
-
-    Wraps a regular block body; the id already commits to (height, proposer)
-    so a fallback block can never collide with a regular one.
-    """
-
-    inner: Block
-    height: int
-    proposer: ReplicaId
-
-    @property
-    def id(self) -> BlockId:
-        return self.inner.id
-
-    @property
-    def parent_qc(self) -> Optional[ParentCert]:
-        return self.inner.parent_qc
-
-    @property
-    def round(self) -> int:
-        return self.inner.round
-
-    @property
-    def view(self) -> int:
-        return self.inner.view
-
-    @property
-    def payload(self) -> TxnBatch:
-        return self.inner.payload
-
-
-AnyBlock = Union[Block, FallbackBlock]
+    height: Optional[int] = None
+    proposer: Optional[ReplicaId] = None
 
 
 def cert_digest(cert: Optional[Certificate]) -> str:
-    """Stable digest input for a certificate.
+    """Stable digest input for a certificate: its kind tag, then its fields
+    in declaration order.
 
     Excludes the signer set: a threshold signature is one object no matter
     which share subset produced it, and block ids must not depend on vote
@@ -154,17 +128,8 @@ def cert_digest(cert: Optional[Certificate]) -> str:
     """
     if cert is None:
         return ORIGIN_DIGEST
-    if isinstance(cert, QC):
-        return f"qc|{cert.block_id}|{cert.round}|{cert.view}"
-    if isinstance(cert, FallbackQC):
-        return f"fqc|{cert.block_id}|{cert.round}|{cert.view}|{cert.height}|{cert.proposer}"
-    if isinstance(cert, TimeoutCert):
-        return f"tc|{cert.round}"
-    if isinstance(cert, FallbackTC):
-        return f"ftc|{cert.view}"
-    if isinstance(cert, CoinQC):
-        return f"coin|{cert.view}|{cert.elected}"
-    raise TypeError(f"not a certificate: {cert!r}")
+    kind, names, _, _ = _codec(_CERT_CODEC, cert, "certificate")
+    return "|".join([kind, *[str(getattr(cert, n)) for n in names]])
 
 
 def _digest(parts: str) -> str:
@@ -172,31 +137,19 @@ def _digest(parts: str) -> str:
 
 
 def block_id_of(parent_qc: Optional[ParentCert], round: int, view: int,
-                payload: TxnBatch) -> BlockId:
-    return _digest(f"blk|{cert_digest(parent_qc)}|{round}|{view}|{payload.payload_id}")
-
-
-def fallback_block_id_of(parent_qc: ParentCert, round: int, view: int,
-                         payload: TxnBatch, height: int,
-                         proposer: ReplicaId) -> BlockId:
-    return _digest(
-        f"fblk|{cert_digest(parent_qc)}|{round}|{view}|{payload.payload_id}"
-        f"|{height}|{proposer}"
-    )
+                payload: TxnBatch, height: Optional[int] = None,
+                proposer: Optional[ReplicaId] = None) -> BlockId:
+    body = f"{cert_digest(parent_qc)}|{round}|{view}|{payload.payload_id}"
+    if height is None:
+        return _digest(f"blk|{body}")
+    return _digest(f"fblk|{body}|{height}|{proposer}")
 
 
 def make_block(parent_qc: Optional[ParentCert], round: int, view: int,
-               payload: TxnBatch) -> Block:
-    return Block(block_id_of(parent_qc, round, view, payload),
-                 parent_qc, round, view, payload)
-
-
-def make_fallback_block(parent_qc: ParentCert, round: int, view: int,
-                        payload: TxnBatch, height: int,
-                        proposer: ReplicaId) -> FallbackBlock:
-    bid = fallback_block_id_of(parent_qc, round, view, payload, height, proposer)
-    return FallbackBlock(Block(bid, parent_qc, round, view, payload),
-                         height, proposer)
+               payload: TxnBatch, height: Optional[int] = None,
+               proposer: Optional[ReplicaId] = None) -> Block:
+    return Block(block_id_of(parent_qc, round, view, payload, height, proposer),
+                 parent_qc, round, view, payload, height, proposer)
 
 
 def genesis_block() -> Block:
@@ -212,11 +165,13 @@ def genesis_qc(n: int) -> QC:
 # --- rank -----------------------------------------------------------------
 
 
-def is_endorsed(fqc: FallbackQC, coin_history: Mapping[int, CoinQC]) -> bool:
-    """Endorsement is derived, never stored: a fallback certificate counts
-    as endorsed exactly when its view's election picked its proposer."""
-    coin = coin_history.get(fqc.view)
-    return coin is not None and coin.elected == fqc.proposer
+def is_endorsed(obj: Union[FallbackQC, Block],
+                coin_history: Mapping[int, CoinQC]) -> bool:
+    """Endorsement is derived, never stored: a fallback certificate or block
+    counts as endorsed exactly when its view's election picked its proposer.
+    A regular block's proposer is None, which no election picks."""
+    coin = coin_history.get(obj.view)
+    return coin is not None and coin.elected == obj.proposer
 
 
 def rank_of(obj, coin_history: Optional[Mapping[int, CoinQC]] = None) -> Rank:
@@ -227,14 +182,8 @@ def rank_of(obj, coin_history: Optional[Mapping[int, CoinQC]] = None) -> Rank:
         return ZERO_RANK
     if isinstance(obj, QC):
         return Rank(obj.view, False, obj.round)
-    if isinstance(obj, FallbackQC):
+    if isinstance(obj, (FallbackQC, Block)):
         return Rank(obj.view, is_endorsed(obj, coin_history), obj.round)
-    if isinstance(obj, Block):
-        return Rank(obj.view, False, obj.round)
-    if isinstance(obj, FallbackBlock):
-        coin = coin_history.get(obj.view)
-        endorsed = coin is not None and coin.elected == obj.proposer
-        return Rank(obj.view, endorsed, obj.round)
     raise TypeError(f"unrankable: {obj!r}")
 
 
@@ -289,7 +238,7 @@ class FTCRelay:
 
 @dataclass(frozen=True)
 class FBProposal:
-    fblock: FallbackBlock
+    block: Block  # a fallback block
     # height-1 proposals carry the entry ticket so receivers can validate
     ftc: Optional[FallbackTC] = None
 
@@ -322,65 +271,87 @@ class CoinQCRelay:
     sender: ReplicaId
 
 
-WireMessage = Union[Proposal, Vote, Timeout, TCRelay, FTCRelay, FBProposal,
-                    FBVote, FQCRelay, CoinShare, CoinQCRelay]
-
-_VARIANT_BY_TYPE = {
-    Proposal: "proposal",
-    Vote: "vote",
-    Timeout: "timeout",
-    TCRelay: "tc_relay",
-    FTCRelay: "ftc_relay",
-    FBProposal: "fb_proposal",
-    FBVote: "fb_vote",
-    FQCRelay: "fqc_relay",
-    CoinShare: "coin_share",
-    CoinQCRelay: "coin_qc_relay",
+# Kind tag and abstract size of each wire message.  Size = number of
+# authenticator slots the variant carries at capacity (optional slots count
+# whether or not they are filled), so size is a pure function of the variant.
+MESSAGE_KINDS = {
+    Proposal: ("proposal", 2),  # parent certificate + optional coin-QC evidence
+    Vote: ("vote", 1),
+    Timeout: ("timeout", 2),  # timeout share + carried high qc
+    TCRelay: ("tc_relay", 1),
+    FTCRelay: ("ftc_relay", 1),
+    FBProposal: ("fb_proposal", 2),  # parent certificate + optional entry ticket
+    FBVote: ("fb_vote", 1),
+    FQCRelay: ("fqc_relay", 2),  # certificate + counter-signature slot
+    CoinShare: ("coin_share", 1),
+    CoinQCRelay: ("coin_qc_relay", 1),
 }
-
-# Abstract size = number of authenticator slots the variant carries at
-# capacity (optional slots count whether or not they are filled), so size
-# is a pure function of the variant.
-MESSAGE_SIZE_UNITS = {
-    "proposal": 2,      # parent certificate + optional coin-QC evidence
-    "vote": 1,
-    "timeout": 2,       # timeout share + carried high qc
-    "tc_relay": 1,
-    "ftc_relay": 1,
-    "fb_proposal": 2,   # parent certificate + optional entry ticket
-    "fb_vote": 1,
-    "fqc_relay": 2,     # certificate + counter-signature slot
-    "coin_share": 1,
-    "coin_qc_relay": 1,
-}
-
+WireMessage = Union[tuple(MESSAGE_KINDS)]
+MESSAGE_SIZE_UNITS = dict(MESSAGE_KINDS.values())
 MESSAGE_VARIANTS = tuple(MESSAGE_SIZE_UNITS)
 
 
-def message_variant(msg: WireMessage) -> str:
+# --- one codec for certificates and messages --------------------------------
+
+
+def _fields(cls) -> tuple[tuple[str, ...], tuple[str, ...], bool]:
+    """A dataclass's plain fields, its certificate fields (both in
+    declaration order, signers left out) and whether it carries a block."""
+    hints = get_type_hints(cls)
+    plain, certs, block = [], [], False
+    for f in fields(cls):
+        types = set(get_args(hints[f.name])) or {hints[f.name]}
+        if Block in types:
+            block = True
+        elif types & CERT_KINDS.keys():
+            certs.append(f.name)
+        elif f.name != "signers":
+            plain.append(f.name)
+    return tuple(plain), tuple(certs), block
+
+
+def _tables(kinds: dict) -> tuple[dict, dict]:
+    """type -> (kind, plain, certs, block) and kind -> (type, plain, ...)."""
+    by_type = {cls: (kind, *_fields(cls)) for cls, kind in kinds.items()}
+    return by_type, {kind: (cls, *rest) for cls, (kind, *rest) in by_type.items()}
+
+
+_CERT_CODEC, _CERT_BY_KIND = _tables(CERT_KINDS)
+_MESSAGE_CODEC, _MESSAGE_BY_KIND = _tables(
+    {cls: kind for cls, (kind, _) in MESSAGE_KINDS.items()})
+
+
+def _codec(table: dict, obj, what: str) -> tuple:
     try:
-        return _VARIANT_BY_TYPE[type(msg)]
+        return table[type(obj)]
     except KeyError:
-        raise TypeError(f"not a wire message: {msg!r}") from None
+        raise TypeError(f"not a {what}: {obj!r}") from None
+
+
+def _by_kind(table: dict, kind: str, what: str) -> tuple:
+    try:
+        return table[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown {what} kind: {kind!r}") from None
+
+
+def message_variant(msg: WireMessage) -> str:
+    return _codec(_MESSAGE_CODEC, msg, "wire message")[0]
 
 
 def message_size_units(msg: WireMessage) -> int:
     return MESSAGE_SIZE_UNITS[message_variant(msg)]
 
 
-def message_sender(msg: WireMessage) -> ReplicaId:
-    """Claimed sender identity; every variant carries one."""
-    if isinstance(msg, Proposal):
-        return msg.sender
-    if isinstance(msg, Vote):
-        return msg.voter
-    if isinstance(msg, FBProposal):
-        return msg.fblock.proposer
-    if isinstance(msg, FBVote):
-        return msg.voter
-    if isinstance(msg, CoinShare):
-        return msg.signer
-    return msg.sender
+def message_certs(msg: WireMessage) -> list[Certificate]:
+    """The certificates a message carries, its block's parent first."""
+    _, _, names, block = _codec(_MESSAGE_CODEC, msg, "wire message")
+    certs = [msg.block.parent_qc] if block else []  # None only for genesis
+    for n in names:
+        cert = getattr(msg, n)
+        if cert is not None:  # optional slots may be empty
+            certs.append(cert)
+    return certs
 
 
 # --- JSON plumbing for trace files ----------------------------------------
@@ -389,111 +360,58 @@ def message_sender(msg: WireMessage) -> ReplicaId:
 def encode_cert(cert: Optional[Certificate]) -> Optional[dict]:
     if cert is None:
         return None
-    d: dict = {"signers": sorted(cert.signers)}
-    if isinstance(cert, QC):
-        d.update(kind="qc", block_id=cert.block_id, round=cert.round,
-                 view=cert.view)
-    elif isinstance(cert, FallbackQC):
-        d.update(kind="fqc", block_id=cert.block_id, round=cert.round,
-                 view=cert.view, height=cert.height, proposer=cert.proposer)
-    elif isinstance(cert, TimeoutCert):
-        d.update(kind="tc", round=cert.round)
-    elif isinstance(cert, FallbackTC):
-        d.update(kind="ftc", view=cert.view)
-    elif isinstance(cert, CoinQC):
-        d.update(kind="coin", view=cert.view, elected=cert.elected)
-    else:
-        raise TypeError(f"not a certificate: {cert!r}")
+    kind, names, _, _ = _codec(_CERT_CODEC, cert, "certificate")
+    d = {n: getattr(cert, n) for n in names}
+    d["kind"] = kind
+    d["signers"] = sorted(cert.signers)
     return d
 
 
 def decode_cert(d: Optional[dict]) -> Optional[Certificate]:
     if d is None:
         return None
-    signers = frozenset(d["signers"])
-    kind = d["kind"]
-    if kind == "qc":
-        return QC(d["block_id"], d["round"], d["view"], signers)
-    if kind == "fqc":
-        return FallbackQC(d["block_id"], d["round"], d["view"], d["height"],
-                          d["proposer"], signers)
-    if kind == "tc":
-        return TimeoutCert(d["round"], signers)
-    if kind == "ftc":
-        return FallbackTC(d["view"], signers)
-    if kind == "coin":
-        return CoinQC(d["view"], d["elected"], signers)
-    raise ValueError(f"unknown certificate kind: {kind}")
+    cls, names, _, _ = _by_kind(_CERT_BY_KIND, d["kind"], "certificate")
+    return cls(signers=frozenset(d["signers"]), **{n: d[n] for n in names})
 
 
-def _encode_block(b: Block) -> dict:
-    return {"id": b.id, "parent": encode_cert(b.parent_qc), "round": b.round,
+def _encode_block(b: Block, d: dict) -> None:
+    """Write ``b`` into message dict ``d``: a regular block under "block", a
+    fallback block's body under "inner" with its height and proposer
+    beside it."""
+    body = {"id": b.id, "parent": encode_cert(b.parent_qc), "round": b.round,
             "view": b.view, "payload": [b.payload.payload_id,
                                         b.payload.size_bytes]}
+    if b.height is None:
+        d["block"] = body
+    else:
+        d.update(inner=body, height=b.height, proposer=b.proposer)
 
 
 def _decode_block(d: dict) -> Block:
-    return Block(d["id"], decode_cert(d["parent"]), d["round"], d["view"],
-                 TxnBatch(d["payload"][0], d["payload"][1]))
+    fallback = "inner" in d
+    body = d["inner"] if fallback else d["block"]
+    return Block(body["id"], decode_cert(body["parent"]), body["round"],
+                 body["view"], TxnBatch(*body["payload"]),
+                 d["height"] if fallback else None,
+                 d["proposer"] if fallback else None)
 
 
 def encode_message(msg: WireMessage) -> dict:
-    kind = message_variant(msg)
-    d: dict = {"kind": kind}
-    if isinstance(msg, Proposal):
-        d.update(block=_encode_block(msg.block), sender=msg.sender,
-                 coin_qc=encode_cert(msg.coin_qc))
-    elif isinstance(msg, Vote):
-        d.update(block_id=msg.block_id, round=msg.round, view=msg.view,
-                 voter=msg.voter)
-    elif isinstance(msg, Timeout):
-        d.update(round=msg.round, view=msg.view,
-                 high_qc=encode_cert(msg.high_qc), sender=msg.sender)
-    elif isinstance(msg, TCRelay):
-        d.update(tc=encode_cert(msg.tc), sender=msg.sender)
-    elif isinstance(msg, FTCRelay):
-        d.update(ftc=encode_cert(msg.ftc), sender=msg.sender)
-    elif isinstance(msg, FBProposal):
-        d.update(inner=_encode_block(msg.fblock.inner),
-                 height=msg.fblock.height, proposer=msg.fblock.proposer,
-                 ftc=encode_cert(msg.ftc))
-    elif isinstance(msg, FBVote):
-        d.update(block_id=msg.block_id, round=msg.round, view=msg.view,
-                 height=msg.height, proposer=msg.proposer, voter=msg.voter)
-    elif isinstance(msg, FQCRelay):
-        d.update(fqc=encode_cert(msg.fqc), sender=msg.sender)
-    elif isinstance(msg, CoinShare):
-        d.update(view=msg.view, signer=msg.signer)
-    elif isinstance(msg, CoinQCRelay):
-        d.update(coin_qc=encode_cert(msg.coin_qc), sender=msg.sender)
+    kind, plain, certs, block = _codec(_MESSAGE_CODEC, msg, "wire message")
+    d = {n: getattr(msg, n) for n in plain}
+    d["kind"] = kind
+    for n in certs:
+        d[n] = encode_cert(getattr(msg, n))
+    if block:
+        _encode_block(msg.block, d)
     return d
 
 
 def decode_message(d: dict) -> WireMessage:
-    kind = d["kind"]
-    if kind == "proposal":
-        return Proposal(_decode_block(d["block"]), d["sender"],
-                        decode_cert(d["coin_qc"]))
-    if kind == "vote":
-        return Vote(d["block_id"], d["round"], d["view"], d["voter"])
-    if kind == "timeout":
-        return Timeout(d["round"], d["view"], decode_cert(d["high_qc"]),
-                       d["sender"])
-    if kind == "tc_relay":
-        return TCRelay(decode_cert(d["tc"]), d["sender"])
-    if kind == "ftc_relay":
-        return FTCRelay(decode_cert(d["ftc"]), d["sender"])
-    if kind == "fb_proposal":
-        return FBProposal(FallbackBlock(_decode_block(d["inner"]),
-                                        d["height"], d["proposer"]),
-                          decode_cert(d["ftc"]))
-    if kind == "fb_vote":
-        return FBVote(d["block_id"], d["round"], d["view"], d["height"],
-                      d["proposer"], d["voter"])
-    if kind == "fqc_relay":
-        return FQCRelay(decode_cert(d["fqc"]), d["sender"])
-    if kind == "coin_share":
-        return CoinShare(d["view"], d["signer"])
-    if kind == "coin_qc_relay":
-        return CoinQCRelay(decode_cert(d["coin_qc"]), d["sender"])
-    raise ValueError(f"unknown message kind: {kind}")
+    cls, plain, certs, block = _by_kind(_MESSAGE_BY_KIND, d["kind"], "message")
+    kw = {n: d[n] for n in plain}
+    for n in certs:
+        kw[n] = decode_cert(d[n])
+    if block:
+        kw["block"] = _decode_block(d)
+    return cls(**kw)

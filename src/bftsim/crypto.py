@@ -1,46 +1,20 @@
 """Mock threshold signatures and the shared-coin leader election.
 
-Shares are plain value objects; "combining" them is counting distinct
-signers over an identical signed message.  The coin is a keyed hash of the
-run seed and view number, so election outputs are deterministic per run but
-unpredictable without the seed, and structurally unavailable until f+1
-shares for the view exist.
+A certificate is its signed fields plus the set of distinct signers whose
+shares it combines; replicas collect those signer sets directly.  The coin
+is a keyed hash of the run seed and view number, so election outputs are
+deterministic per run but unpredictable without the seed, and structurally
+unavailable until f+1 shares for the view exist.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .core import (CoinQC, FallbackQC, FallbackTC, QC, TimeoutCert,
-                   Certificate, ReplicaId)
+from .core import CoinQC, Certificate, ReplicaId
 
 PRF_ID = "sha256-mod"  # recorded in run reports so replays can pin it
-
-SHARE_KINDS = ("vote", "fallback_vote", "timeout_round", "timeout_view", "coin")
-
-
-class CryptoError(Exception):
-    pass
-
-
-class InsufficientShares(CryptoError):
-    pass
-
-
-class MixedMessages(CryptoError):
-    pass
-
-
-@dataclass(frozen=True)
-class Share:
-    """One replica's threshold share over a canonical message tuple."""
-
-    message: tuple
-    signer: ReplicaId
-    kind: str
-
 
 CoinSeed = int  # pinned in the run config; the only coin key material
 
@@ -53,77 +27,9 @@ def coin_threshold(f: int) -> int:
     return f + 1
 
 
-# canonical signed-message constructors, one per share kind
-
-def vote_message(block_id: str, round: int, view: int) -> tuple:
-    return ("vote", block_id, round, view)
-
-
-def fallback_vote_message(block_id: str, round: int, view: int, height: int,
-                          proposer: ReplicaId) -> tuple:
-    return ("fallback_vote", block_id, round, view, height, proposer)
-
-
-def timeout_round_message(round: int) -> tuple:
-    return ("timeout_round", round)
-
-
-def timeout_view_message(view: int) -> tuple:
-    return ("timeout_view", view)
-
-
-def coin_message(view: int) -> tuple:
-    return ("coin", view)
-
-
-def make_share(message: tuple, signer: ReplicaId, kind: str) -> Share:
-    if kind not in SHARE_KINDS:
-        raise CryptoError(f"unknown share kind: {kind}")
-    if message[0] != kind:
-        raise CryptoError(f"message {message!r} does not match kind {kind}")
-    return Share(message, signer, kind)
-
-
 def elect_leader(view: int, run_seed: CoinSeed, n: int) -> ReplicaId:
     digest = hashlib.sha256(f"{PRF_ID}|{run_seed}|{view}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % n
-
-
-def combine(shares: Iterable[Share], threshold: int, *,
-            run_seed: Optional[CoinSeed] = None,
-            n: Optional[int] = None) -> Certificate:
-    """Aggregate shares into the certificate their kind names.
-
-    Distinct signers only; all shares must sign the same message.  Coin
-    shares additionally need (run_seed, n) because the resulting CoinQC
-    records the election output.
-    """
-    shares = list(shares)
-    if not shares:
-        raise InsufficientShares("no shares")
-    message, kind = shares[0].message, shares[0].kind
-    for s in shares:
-        if s.message != message or s.kind != kind:
-            raise MixedMessages(f"{s.message!r} vs {message!r}")
-    signers = frozenset(s.signer for s in shares)
-    if len(signers) < threshold:
-        raise InsufficientShares(f"{len(signers)} < {threshold}")
-
-    if kind == "vote":
-        _, block_id, round, view = message
-        return QC(block_id, round, view, signers)
-    if kind == "fallback_vote":
-        _, block_id, round, view, height, proposer = message
-        return FallbackQC(block_id, round, view, height, proposer, signers)
-    if kind == "timeout_round":
-        return TimeoutCert(message[1], signers)
-    if kind == "timeout_view":
-        return FallbackTC(message[1], signers)
-    # coin
-    if run_seed is None or n is None:
-        raise CryptoError("coin combination needs run_seed and n")
-    view = message[1]
-    return CoinQC(view, elect_leader(view, run_seed, n), signers)
 
 
 def verify_certificate(cert: Certificate, n: int, f: int, *,

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from . import crypto
-from .core import (AnyBlock, CoinQC, CoinQCRelay, CoinShare, FallbackBlock,
-                   FallbackQC, FallbackTC, FBProposal, FBVote, FQCRelay,
-                   FTCRelay, ParentCert, Proposal, QC, Rank, TCRelay, Timeout,
+from .core import (Block, CoinQC, CoinQCRelay, CoinShare, FallbackQC,
+                   FallbackTC, FBProposal, FBVote, FQCRelay, FTCRelay,
+                   ParentCert, Proposal, QC, Rank, TCRelay, Timeout,
                    TimeoutCert, TxnBatch, Vote, WireMessage, ZERO_RANK,
-                   block_id_of, fallback_block_id_of, genesis_block,
-                   genesis_qc, is_endorsed, make_block, make_fallback_block,
-                   max_cert, rank_of)
+                   block_id_of, genesis_block, genesis_qc, is_endorsed,
+                   make_block, max_cert, rank_of)
 
 THREE_CHAIN = "three_chain"
 TWO_CHAIN = "two_chain"
@@ -128,19 +127,19 @@ class ReplicaState:
     committed: list[str] = field(default_factory=list)
 
     # stores
-    blocks: dict[str, AnyBlock] = field(default_factory=dict)
+    blocks: dict[str, Block] = field(default_factory=dict)
     qc_by_block: dict[str, QC] = field(default_factory=dict)
     fqc_by_key: dict[tuple, FallbackQC] = field(default_factory=dict)
     fqc_by_block: dict[str, FallbackQC] = field(default_factory=dict)
     coin_history: dict[int, CoinQC] = field(default_factory=dict)
     fallback_ftc: dict[int, FallbackTC] = field(default_factory=dict)
 
-    # share buckets
-    vote_shares: dict[tuple, dict[int, crypto.Share]] = field(default_factory=dict)
-    fvote_shares: dict[tuple, dict[int, crypto.Share]] = field(default_factory=dict)
-    timeout_round_shares: dict[int, dict[int, crypto.Share]] = field(default_factory=dict)
-    timeout_view_shares: dict[int, dict[int, crypto.Share]] = field(default_factory=dict)
-    coin_shares: dict[int, dict[int, crypto.Share]] = field(default_factory=dict)
+    # share buckets: the distinct signers seen for each signed message
+    vote_shares: dict[tuple, set[int]] = field(default_factory=dict)
+    fvote_shares: dict[tuple, set[int]] = field(default_factory=dict)
+    timeout_round_shares: dict[int, set[int]] = field(default_factory=dict)
+    timeout_view_shares: dict[int, set[int]] = field(default_factory=dict)
+    coin_shares: dict[int, set[int]] = field(default_factory=dict)
     certs_formed: set[tuple] = field(default_factory=set)
     tcs_formed: set[int] = field(default_factory=set)
 
@@ -237,12 +236,12 @@ class Replica:
                 del d[v]
         # fallback blocks of closed views can no longer become endorsed
         for bid in [b for b in st.commit_frontier
-                    if isinstance(st.blocks[b], FallbackBlock)
+                    if st.blocks[b].height is not None
                     and st.blocks[b].view < v_cur
                     and not self._certified_or_endorsed(b)]:
             st.commit_frontier.discard(bid)
 
-    def _store_body(self, block: AnyBlock) -> None:
+    def _store_body(self, block: Block) -> None:
         st = self.state
         if block.id in st.blocks:
             return
@@ -252,7 +251,7 @@ class Replica:
         if self._certified_or_endorsed(block.id):
             st.commit_frontier.add(block.id)
 
-    def _apply_lock_rank(self, certified_body: AnyBlock) -> None:
+    def _apply_lock_rank(self, certified_body: Block) -> None:
         # 3-chain lock: rank of the certificate inside the certified block
         st = self.state
         r = rank_of(certified_body.parent_qc, st.coin_history)
@@ -277,25 +276,10 @@ class Replica:
         return acts
 
     def handle_message(self, msg: WireMessage, sender: int) -> list[OutputAction]:
-        if isinstance(msg, Proposal):
-            return self.handle_proposal(msg, sender)
-        if isinstance(msg, Vote):
-            return self.handle_vote(msg, sender)
-        if isinstance(msg, Timeout):
-            return self.handle_timeout_msg(msg, sender)
-        if isinstance(msg, TCRelay):
-            return self.handle_tc_relay(msg, sender)
-        if isinstance(msg, FTCRelay):
-            return self.handle_ftc_relay(msg, sender)
-        if isinstance(msg, FBProposal):
-            return self.handle_fblock(msg, sender)
-        if isinstance(msg, FBVote):
-            return self.handle_fvote(msg, sender)
-        if isinstance(msg, FQCRelay):
-            return self.handle_fqc_relay(msg, sender)
-        if isinstance(msg, (CoinShare, CoinQCRelay)):
-            return self.handle_coin(msg, sender)
-        return self._drop("unknown_message")
+        handler = self._HANDLERS.get(type(msg))
+        if handler is None:
+            return self._drop("unknown_message")
+        return handler(self, msg, sender)
 
     # --- steady state ------------------------------------------------------
 
@@ -313,7 +297,8 @@ class Replica:
     def handle_proposal(self, p: Proposal, sender: int) -> list[OutputAction]:
         st, cfg = self.state, self.config
         b = p.block
-        if p.sender != sender or b.round < 1 or b.parent_qc is None:
+        if (p.sender != sender or b.round < 1 or b.parent_qc is None
+                or b.height is not None):
             return self._drop("malformed_proposal")
         if sender != self.leader_of(b.round):
             return self._drop("wrong_leader")
@@ -366,13 +351,12 @@ class Replica:
             return self._drop("forged_vote")
         if self.leader_of(v.round + 1) != self.rid:
             return self._drop("misdirected_vote")
-        message = crypto.vote_message(v.block_id, v.round, v.view)
-        bucket = st.vote_shares.setdefault(message, {})
-        bucket.setdefault(sender, crypto.make_share(message, sender, "vote"))
-        if len(bucket) >= self.config.quorum and message not in st.certs_formed:
-            st.certs_formed.add(message)
-            qc = crypto.combine(bucket.values(), self.config.quorum)
-            return self.lock_update(qc)
+        key = (v.block_id, v.round, v.view)
+        bucket = st.vote_shares.setdefault(key, set())
+        bucket.add(sender)
+        if len(bucket) >= self.config.quorum and key not in st.certs_formed:
+            st.certs_formed.add(key)
+            return self.lock_update(QC(*key, frozenset(bucket)))
         return []
 
     def lock_update(self, cert: ParentCert) -> list[OutputAction]:
@@ -502,24 +486,20 @@ class Replica:
         if cfg.pacemaker == BASELINE_TC:
             if t.round is None:
                 return self._drop("malformed_timeout") + acts
-            bucket = st.timeout_round_shares.setdefault(t.round, {})
-            message = crypto.timeout_round_message(t.round)
-            bucket.setdefault(sender, crypto.make_share(message, sender, "timeout_round"))
+            bucket = st.timeout_round_shares.setdefault(t.round, set())
+            bucket.add(sender)
             if len(bucket) >= cfg.quorum and t.round not in st.tcs_formed:
                 st.tcs_formed.add(t.round)
-                tc = crypto.combine(bucket.values(), cfg.quorum)
-                acts += self.advance_round(tc)
+                acts += self.advance_round(TimeoutCert(t.round, frozenset(bucket)))
             return acts
         if t.view is None:
             return self._drop("malformed_timeout") + acts
         if t.view < st.current_view:
             return acts  # stale share; the carried certificate was still useful
-        bucket = st.timeout_view_shares.setdefault(t.view, {})
-        message = crypto.timeout_view_message(t.view)
-        bucket.setdefault(sender, crypto.make_share(message, sender, "timeout_view"))
+        bucket = st.timeout_view_shares.setdefault(t.view, set())
+        bucket.add(sender)
         if len(bucket) >= cfg.quorum and st.entered_fallback_view < t.view:
-            ftc = crypto.combine(bucket.values(), cfg.quorum)
-            acts += self.enter_fallback(ftc)
+            acts += self.enter_fallback(FallbackTC(t.view, frozenset(bucket)))
         return acts
 
     def _lock_carried_cert(self, cert: ParentCert) -> list[OutputAction]:
@@ -557,8 +537,8 @@ class Replica:
         st.fallback_voted_height = {j: 0 for j in range(cfg.n)}
         self._purge_stale_views()
         payload = TxnBatch(f"f{self.rid}-v{ftc.view}-h1", 256)
-        fb = make_fallback_block(st.high_qc, st.high_qc.round + 1, ftc.view,
-                                 payload, 1, self.rid)
+        fb = make_block(st.high_qc, st.high_qc.round + 1, ftc.view, payload,
+                        1, self.rid)
         self._store_body(fb)
         st.proposed_f_heights.setdefault(ftc.view, set()).add(1)
         acts: list[OutputAction] = [Multicast(FTCRelay(ftc, self.rid)),
@@ -582,8 +562,8 @@ class Replica:
             return []
         proposed.add(height)
         payload = TxnBatch(f"f{self.rid}-v{view}-h{height}", 256)
-        fb = make_fallback_block(parent, parent.round + 1, view, payload,
-                                 height, self.rid)
+        fb = make_block(parent, parent.round + 1, view, payload, height,
+                        self.rid)
         self._store_body(fb)
         return [Multicast(FBProposal(fb, None))]
 
@@ -592,7 +572,8 @@ class Replica:
         key = (fqc.view, fqc.proposer, fqc.height)
         if key in st.fqc_by_key:
             return []
-        if not self._verify(fqc):
+        if (not self._verify(fqc)
+                or not 1 <= fqc.height <= cfg.fallback_top_height):
             return self._drop("bad_fqc")
         st.fqc_by_key[key] = fqc
         st.fqc_by_block[fqc.block_id] = fqc
@@ -634,13 +615,14 @@ class Replica:
 
     def handle_fblock(self, m: FBProposal, sender: int) -> list[OutputAction]:
         st, cfg = self.state, self.config
-        fb = m.fblock
+        fb = m.block
         if fb.proposer != sender:
             return self._drop("forged_fblock")
-        if not 1 <= fb.height <= cfg.fallback_top_height or fb.parent_qc is None:
+        if (fb.height not in range(1, cfg.fallback_top_height + 1)
+                or fb.parent_qc is None):
             return self._drop("malformed_fblock")
-        if fb.id != fallback_block_id_of(fb.parent_qc, fb.round, fb.view,
-                                         fb.payload, fb.height, fb.proposer):
+        if fb.id != block_id_of(fb.parent_qc, fb.round, fb.view, fb.payload,
+                                fb.height, fb.proposer):
             return self._drop("bad_block_digest")
 
         acts: list[OutputAction] = []
@@ -700,14 +682,12 @@ class Replica:
             return self._drop("forged_vote")
         if v.proposer != self.rid:
             return self._drop("misdirected_vote")
-        message = crypto.fallback_vote_message(v.block_id, v.round, v.view,
-                                               v.height, v.proposer)
-        bucket = st.fvote_shares.setdefault(message, {})
-        bucket.setdefault(sender, crypto.make_share(message, sender, "fallback_vote"))
-        if len(bucket) >= cfg.quorum and message not in st.certs_formed:
-            st.certs_formed.add(message)
-            fqc = crypto.combine(bucket.values(), cfg.quorum)
-            return self._register_fqc(fqc)
+        key = (v.block_id, v.round, v.view, v.height, v.proposer)
+        bucket = st.fvote_shares.setdefault(key, set())
+        bucket.add(sender)
+        if len(bucket) >= cfg.quorum and key not in st.certs_formed:
+            st.certs_formed.add(key)
+            return self._register_fqc(FallbackQC(*key, frozenset(bucket)))
         return []
 
     def handle_fqc_relay(self, m: FQCRelay, sender: int) -> list[OutputAction]:
@@ -747,13 +727,11 @@ class Replica:
             return []
         if m.view > st.current_view:
             return self._buffer(("view", m.view), sender, m)
-        bucket = st.coin_shares.setdefault(m.view, {})
-        message = crypto.coin_message(m.view)
-        bucket.setdefault(sender, crypto.make_share(message, sender, "coin"))
+        bucket = st.coin_shares.setdefault(m.view, set())
+        bucket.add(sender)
         if len(bucket) >= crypto.coin_threshold(cfg.f) and m.view not in st.coin_history:
-            coin = crypto.combine(bucket.values(), crypto.coin_threshold(cfg.f),
-                                  run_seed=cfg.run_seed, n=cfg.n)
-            return self._accept_coin(coin)
+            elected = crypto.elect_leader(m.view, cfg.run_seed, cfg.n)
+            return self._accept_coin(CoinQC(m.view, elected, frozenset(bucket)))
         return []
 
     def _accept_coin(self, coin: CoinQC) -> list[OutputAction]:
@@ -763,8 +741,13 @@ class Replica:
         if not self._verify(coin):
             return self._drop("bad_coin")
         st.coin_history[coin.view] = coin
-        for (fv, proposer, _h), fqc in st.fqc_by_key.items():
-            if fv == coin.view and proposer == coin.elected and fqc.block_id in st.blocks:
+        # _register_fqc keeps only heights 1..top, so this is every
+        # certificate on the elected chain
+        chain = [st.fqc_by_key.get((coin.view, coin.elected, h))
+                 for h in range(1, cfg.fallback_top_height + 1)]
+        chain = [fqc for fqc in chain if fqc is not None]
+        for fqc in chain:
+            if fqc.block_id in st.blocks:
                 st.commit_frontier.add(fqc.block_id)
         acts: list[OutputAction] = []
         if coin.view not in st.coin_relayed:
@@ -777,13 +760,8 @@ class Replica:
             st.in_fallback = False
             st.current_view = coin.view + 1
             self._purge_stale_views()
-            best = None
-            for h in range(cfg.fallback_top_height, 0, -1):
-                best = st.fqc_by_key.get((coin.view, coin.elected, h))
-                if best is not None:
-                    break
-            if best is not None:
-                acts += self.lock_update(best)
+            if chain:
+                acts += self.lock_update(chain[-1])
             acts += self.try_commit()
             if st.timer_round != st.current_round:
                 # keep a timer live so an unlucky election retries the view
@@ -795,3 +773,9 @@ class Replica:
             acts += self.try_commit()
         acts += self._redispatch(("coinqc", coin.view))
         return acts
+
+    _HANDLERS = {Proposal: handle_proposal, Vote: handle_vote,
+                 Timeout: handle_timeout_msg, TCRelay: handle_tc_relay,
+                 FTCRelay: handle_ftc_relay, FBProposal: handle_fblock,
+                 FBVote: handle_fvote, FQCRelay: handle_fqc_relay,
+                 CoinShare: handle_coin, CoinQCRelay: handle_coin}

@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Union
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import crypto
 from .core import (FBProposal, Proposal, TxnBatch, WireMessage,
@@ -26,7 +26,17 @@ from .replica import (CancelTimers, CommitNotice, Multicast, ConfigError,
                       OutputAction, Replica, ReplicaConfig, Send, SetTimer)
 
 TRACE_FORMAT = "bftsim-trace-v2"
-_RECORD_KINDS = ("send", "deliver", "timer_fire", "commit")
+
+# The fields each record kind must carry and their JSON types, as (names,
+# types).  A deliver also carries its message as "m" or names the send that
+# does as "sq".
+_RECORD_FIELDS = {kind: (("t", "q", *fields), (int, int, *fields.values()))
+                  for kind, fields in {
+    "send": {"frm": int, "to": int, "m": dict, "u": int},
+    "deliver": {"frm": int, "to": int, "self": bool},
+    "timer_fire": {"rid": int, "round": int},
+    "commit": {"rid": int, "blocks": list, "log_len": int},
+}.items()}
 
 
 class HorizonTooSmall(ValueError):
@@ -174,6 +184,19 @@ def _line(obj) -> bytes:
     return _CANONICAL.encode(obj).encode() + b"\n"
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a value read from JSON has an annotated field type: int
+    (not bool), bool, str, or fixed and variable length tuples of those."""
+    if get_origin(hint) is tuple:
+        args = get_args(hint)
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_conforms(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    return type(value) is hint
+
+
 @dataclass
 class Trace:
     """Run log: config snapshot plus one record per send/deliver/timer/commit.
@@ -230,8 +253,16 @@ class Trace:
             for no, line in enumerate(fh, 2):
                 try:
                     rec = json.loads(line)
-                    if rec["kind"] not in _RECORD_KINDS:
-                        raise ValueError(f"unknown kind {rec['kind']!r}")
+                    kind = rec["kind"]
+                    if kind not in _RECORD_FIELDS:
+                        raise ValueError(f"unknown kind {kind!r}")
+                    names, types = _RECORD_FIELDS[kind]
+                    if tuple(map(type, map(rec.get, names))) != types:
+                        raise ValueError(f"a {kind} record needs fields "
+                                         f"{names} of types {types}")
+                    if kind == "commit" and not all(
+                            type(b) is str for b in rec["blocks"]):
+                        raise ValueError("commit blocks must be ids")
                     if "sq" in rec:
                         if rec["sq"] not in sent:
                             raise ValueError(f"no send for sq {rec['sq']}")
@@ -241,8 +272,10 @@ class Trace:
                             last_raw = rec["m"]
                             last_msg = decode_message(last_raw)
                         rec["m"] = last_msg
-                        if rec["kind"] == "send":
+                        if kind == "send":
                             sent[rec["q"]] = last_msg
+                    elif kind == "deliver":
+                        raise ValueError("deliver has neither m nor sq")
                 except (ValueError, KeyError, TypeError) as exc:
                     raise TraceFormatError(f"{path} line {no}: {exc!r}")
                 trace.records.append(rec)
@@ -269,7 +302,14 @@ class Trace:
             trace = cls(meta, [], meta.pop("digest"))
             if meta["format"] != TRACE_FORMAT:
                 raise ValueError(f"unsupported format {meta['format']!r}")
-            trace.protocol, trace.adversary, trace.horizon  # fields present
+            adversary = trace.adversary
+            for spec in (trace.protocol, adversary.model,
+                         *(fault for _, fault in adversary.faults)):
+                for name, hint in get_type_hints(type(spec)).items():
+                    if not _conforms(getattr(spec, name), hint):
+                        raise TypeError(f"{name} is not {hint}")
+            if type(trace.horizon) is not int:
+                raise TypeError("horizon is not int")
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise TraceFormatError(f"{path}: bad header: {exc!r}")
         return trace

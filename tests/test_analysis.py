@@ -261,7 +261,6 @@ def test_mute_leader_fallbacks_commit_only_on_honest_election():
     # fallback commits in-view exactly when the coin names someone honest
     from bftsim.analysis import index
     from bftsim.crypto import elect_leader
-    from bftsim.core import FallbackBlock
 
     mute = 3
     adv = AdversarySpec(Asynchronous((1, 8), (("proposal", (60, 120)),)),
@@ -271,7 +270,8 @@ def test_mute_leader_fallbacks_commit_only_on_honest_election():
         tr = run(cfg, adv, 900)
         idx = index(tr)
         committed_views = {idx.bodies[b].view for b in idx.commit_tick
-                           if isinstance(idx.bodies.get(b), FallbackBlock)}
+                           if b in idx.bodies
+                           and idx.bodies[b].height is not None}
         for v in idx.completed_views & idx.entered_views:
             elected_honest = elect_leader(v, seed, 4) != mute
             assert (v in committed_views) == elected_honest
@@ -299,3 +299,25 @@ def test_fit_polynomial_recovers_quadratic():
     # a straight line explains strictly less of the quadratic growth
     _, r2_line = fit_polynomial(xs, ys, 1)
     assert r2_line < r2
+
+
+def test_fit_polynomial_least_squares_on_inexact_data():
+    # reference values from numpy.polyfit on the same inputs
+    (slope, intercept), r2 = fit_polynomial(
+        [4, 10, 16, 22, 31], [7.1, 18.9, 31.2, 40.8, 62.3], 1)
+    assert slope == pytest.approx(2.013934426229508, rel=1e-9)
+    assert intercept == pytest.approx(-1.3713114754098374, rel=1e-9)
+    assert r2 == pytest.approx(0.9964163655592125, rel=1e-9)
+    coeffs, r2 = fit_polynomial(
+        [4, 7, 10, 13, 16], [13.0, 41.5, 89.2, 155.9, 241.7], 2)
+    assert coeffs == pytest.approx(
+        (1.0603174603174612, -2.1463492063492335, 4.606031746031932),
+        rel=1e-9)
+    assert r2 == pytest.approx(0.9999999327146343, rel=1e-9)
+
+
+def test_fit_polynomial_needs_distinct_xs():
+    with pytest.raises(ValueError):
+        fit_polynomial([4, 4, 4], [1.0, 2.0, 3.0], 1)
+    with pytest.raises(ValueError):
+        fit_polynomial([4, 7, 7], [1.0, 2.0, 3.0], 2)

@@ -203,6 +203,45 @@ def test_trace_header_missing_fields_exits_two(tmp_path, capsys):
         assert_trace_error(capsys, path)
 
 
+def edit_header(tmp_path, edit):
+    lines = make_trace(tmp_path).read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    return rewrite(tmp_path, [json.dumps(header)] + lines[1:])
+
+
+def test_trace_header_string_n_exits_two(tmp_path, capsys):
+    path = edit_header(tmp_path, lambda h: h["protocol"].update(n="4"))
+    assert_trace_error(capsys, path)
+
+
+def test_trace_header_string_horizon_exits_two(tmp_path, capsys):
+    path = edit_header(tmp_path, lambda h: h.update(horizon="x"))
+    assert_trace_error(capsys, path)
+
+
+def edit_record(tmp_path, kind, edit):
+    """The trace with its first ``kind`` record changed by ``edit``."""
+    lines = make_trace(tmp_path).read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if f'"kind":"{kind}"' in line)
+    rec = json.loads(lines[k])
+    edit(rec)
+    return rewrite(tmp_path, lines[:k] + [json.dumps(rec)] + lines[k + 1:])
+
+
+def test_deliver_missing_fields_exits_two_on_check(tmp_path, capsys):
+    for edit in (lambda r: r.pop("to"),
+                 lambda r: (r.pop("m", None), r.pop("sq", None))):
+        path = edit_record(tmp_path, "deliver", edit)
+        assert_trace_error(capsys, path, ("check",))
+
+
+def test_commit_blocks_not_a_list_exits_two_on_check(tmp_path, capsys):
+    for blocks in (7, [7]):
+        path = edit_record(tmp_path, "commit", lambda r: r.update(blocks=blocks))
+        assert_trace_error(capsys, path, ("check",))
+
+
 def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
     lines = make_trace(tmp_path).read_text().splitlines()
     first_sq = next(k for k, line in enumerate(lines)
@@ -275,6 +314,12 @@ def test_sweep_malformed_seeds_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_sweep_fits_only_distinct_sizes(tmp_path, capsys):
+    cfg = write(tmp_path, SWEEP.replace("n_values = 4, 7", "n_values = 4, 4"))
+    assert run_cli("sweep", "--config", cfg) == 0
+    assert "fit_messages_per_commit_vs_n" not in capsys.readouterr().out
+
+
 # --- packaging ----------------------------------------------------------------
 
 
@@ -286,3 +331,13 @@ def test_module_entry_point_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "safety: ok" in proc.stdout
+
+
+def test_cli_import_leaves_numpy_out():
+    # bftsim has no runtime dependencies; scipy (and numpy with it) is test-only
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bftsim.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

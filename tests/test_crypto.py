@@ -1,30 +1,74 @@
-"""Share aggregation, thresholds, and the election PRF."""
+"""Share aggregation by replicas, thresholds, and the election PRF."""
 
 import hashlib
 import random
 
-import pytest
 from scipy import stats
 
-from bftsim.core import CoinQC, FallbackQC, FallbackTC, QC, TimeoutCert
+from bftsim.core import (CoinQC, CoinShare, FallbackQC, FallbackTC, FBVote,
+                         QC, TCRelay, Timeout, TimeoutCert, TxnBatch, Vote,
+                         genesis_qc, make_block)
 from bftsim.crypto import (
     PRF_ID,
-    CryptoError,
-    InsufficientShares,
-    MixedMessages,
-    Share,
-    coin_message,
     coin_threshold,
-    combine,
     elect_leader,
-    fallback_vote_message,
-    make_share,
     quorum_threshold,
-    timeout_round_message,
-    timeout_view_message,
     verify_certificate,
-    vote_message,
 )
+from bftsim.replica import Replica, ReplicaConfig
+
+SEED = 42
+BLOCK = make_block(genesis_qc(4), 1, 0, TxnBatch("b", 1))
+
+
+def replica(rid, **kw):
+    r = Replica(ReplicaConfig(**{"n": 4, "f": 1, "run_seed": SEED, **kw}), rid)
+    r.init()
+    return r
+
+
+def tc_sent(r, acts):
+    relays = [a.msg.tc for a in acts
+              if isinstance(getattr(a, "msg", None), TCRelay)]
+    return relays[0] if relays else None
+
+
+# One row per share kind: (replica id, config, the share a sender sends, the
+# certificate the replica has formed (or None) given the actions so far, and
+# the certificate expected from a signer set).  Each replica is placed where
+# the share is addressed to it: next leader, chain owner, current view.
+KINDS = {
+    "vote": (0, {}, lambda s: Vote(BLOCK.id, 1, 0, s),
+             lambda r, acts: r.state.qc_by_block.get(BLOCK.id),
+             lambda signers: QC(BLOCK.id, 1, 0, signers)),
+    "fallback_vote": (3, {}, lambda s: FBVote("f" * 32, 1, 0, 1, 3, s),
+                      lambda r, acts: r.state.fqc_by_key.get((0, 3, 1)),
+                      lambda signers: FallbackQC("f" * 32, 1, 0, 1, 3, signers)),
+    "timeout_round": (3, {"pacemaker": "baseline_tc"},
+                      lambda s: Timeout(5, None, genesis_qc(4), s), tc_sent,
+                      lambda signers: TimeoutCert(5, signers)),
+    "timeout_view": (3, {}, lambda s: Timeout(None, 0, genesis_qc(4), s),
+                     lambda r, acts: r.state.fallback_ftc.get(0),
+                     lambda signers: FallbackTC(0, signers)),
+    "coin": (3, {}, lambda s: CoinShare(0, s),
+             lambda r, acts: r.state.coin_history.get(0),
+             lambda signers: CoinQC(0, elect_leader(0, SEED, 4), signers)),
+}
+
+
+def feed(kind, senders):
+    """Deliver one share per entry of ``senders`` to a fresh replica and
+    return the certificate it has formed, if any, and its drop counts."""
+    rid, cfg, share, formed, _ = KINDS[kind]
+    r = replica(rid, **cfg)
+    acts = []
+    for s in senders:
+        acts += r.handle_message(share(s), s)
+    return formed(r, acts), r.state.dropped
+
+
+def threshold(kind):
+    return coin_threshold(1) if kind == "coin" else quorum_threshold(1)
 
 
 def test_thresholds():
@@ -33,64 +77,52 @@ def test_thresholds():
         assert coin_threshold(f) == f + 1
 
 
-def test_make_share_validates_kind():
-    m = vote_message("abcd", 3, 0)
-    s = make_share(m, 2, "vote")
-    assert s == Share(m, 2, "vote")
-    with pytest.raises(CryptoError):
-        make_share(m, 2, "coin")
-    with pytest.raises(CryptoError):
-        make_share(m, 2, "nonsense")
-
-
 def test_combine_votes_into_qc():
-    m = vote_message("abcd", 3, 1)
-    shares = [make_share(m, i, "vote") for i in (0, 1, 3)]
-    qc = combine(shares, 3)
-    assert qc == QC("abcd", 3, 1, frozenset({0, 1, 3}))
+    r = replica(0)
+    for s in (0, 1, 3):
+        r.handle_message(Vote(BLOCK.id, 1, 0, s), s)
+    qc = r.state.qc_by_block[BLOCK.id]
+    assert qc == QC(BLOCK.id, 1, 0, frozenset({0, 1, 3}))
+    # a late fourth vote forms no second certificate
+    assert r.handle_message(Vote(BLOCK.id, 1, 0, 2), 2) == []
+    assert r.state.qc_by_block[BLOCK.id] is qc
 
 
 def test_combine_counts_distinct_signers_only():
-    m = vote_message("abcd", 3, 1)
-    shares = [make_share(m, 0, "vote"), make_share(m, 0, "vote"),
-              make_share(m, 0, "vote"), make_share(m, 1, "vote")]
-    with pytest.raises(InsufficientShares):
-        combine(shares, 3)
+    for kind in KINDS:
+        short = list(range(threshold(kind) - 1))
+        # no certificate is formed, not even one that verification rejects
+        assert feed(kind, short * 4) == (None, {}), kind
 
 
 def test_combine_rejects_mixed_messages():
-    a = vote_message("abcd", 3, 1)
-    b = vote_message("efgh", 3, 1)
-    shares = [make_share(a, 0, "vote"), make_share(a, 1, "vote"),
-              make_share(b, 2, "vote")]
-    with pytest.raises(MixedMessages):
-        combine(shares, 3)
+    other = make_block(genesis_qc(4), 1, 0, TxnBatch("c", 1))
+    r = replica(0)
+    r.handle_message(Vote(BLOCK.id, 1, 0, 0), 0)
+    r.handle_message(Vote(BLOCK.id, 1, 0, 1), 1)
+    r.handle_message(Vote(other.id, 1, 0, 2), 2)
+    r.handle_message(Vote(BLOCK.id, 2, 0, 3), 3)  # same block, other round
+    assert BLOCK.id not in r.state.qc_by_block
+    r.handle_message(Vote(BLOCK.id, 1, 0, 3), 3)
+    assert r.state.qc_by_block[BLOCK.id].signers == frozenset({0, 1, 3})
+    assert other.id not in r.state.qc_by_block
 
 
 def test_combine_every_certificate_kind():
-    fv = fallback_vote_message("ffff", 7, 2, 1, 3)
-    fqc = combine([make_share(fv, i, "fallback_vote") for i in range(3)], 3)
-    assert fqc == FallbackQC("ffff", 7, 2, 1, 3, frozenset({0, 1, 2}))
-
-    tr = timeout_round_message(9)
-    tc = combine([make_share(tr, i, "timeout_round") for i in range(3)], 3)
-    assert tc == TimeoutCert(9, frozenset({0, 1, 2}))
-
-    tv = timeout_view_message(4)
-    ftc = combine([make_share(tv, i, "timeout_view") for i in range(3)], 3)
-    assert ftc == FallbackTC(4, frozenset({0, 1, 2}))
-
-    cm = coin_message(4)
-    coin = combine([make_share(cm, i, "coin") for i in (1, 3)], 2,
-                   run_seed=42, n=4)
-    assert coin == CoinQC(4, elect_leader(4, 42, 4), frozenset({1, 3}))
+    for kind, (_, _, _, _, expected) in KINDS.items():
+        signers = list(range(4 - threshold(kind), 4))
+        assert feed(kind, signers[:-1])[0] is None, kind
+        assert feed(kind, signers)[0] == expected(frozenset(signers)), kind
 
 
 def test_combine_coin_requires_seed_and_n():
-    cm = coin_message(4)
-    shares = [make_share(cm, i, "coin") for i in (1, 3)]
-    with pytest.raises(CryptoError):
-        combine(shares, 2)
+    # the coin a replica combines names the winner its run seed and n draw
+    for (n, f), seed in zip(((4, 1), (7, 2)) * 4, range(8)):
+        r = replica(n - 1, n=n, f=f, run_seed=seed)
+        for s in range(f + 1):
+            r.handle_message(CoinShare(0, s), s)
+        assert r.state.coin_history[0] == CoinQC(
+            0, elect_leader(0, seed, n), frozenset(range(f + 1)))
 
 
 def test_verify_certificate():

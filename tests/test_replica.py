@@ -22,7 +22,6 @@ from bftsim.core import (
     decode_message,
     genesis_qc,
     make_block,
-    make_fallback_block,
     rank_of,
 )
 from bftsim.crypto import elect_leader
@@ -431,7 +430,7 @@ def test_entry_requires_share_quorum_not_ftc():
     fps = multis(acts, FBProposal)
     relays = multis(acts, FTCRelay)
     assert len(relays) == 1 and len(fps) == 1
-    fb = fps[0].msg.fblock
+    fb = fps[0].msg.block
     assert fb.height == 1 and fb.proposer == 3
     assert fb.round == 1 and fb.view == 0  # genesis certificate round + 1
     assert fb.parent_qc == genesis_qc(4)
@@ -468,9 +467,16 @@ def test_stale_view_share_is_discarded_after_lock():
 
 
 def fb_block(proposer, height, parent, view=0):
-    return make_fallback_block(parent, parent.round + 1, view,
-                               TxnBatch(f"f{proposer}-h{height}", 64),
-                               height, proposer)
+    return make_block(parent, parent.round + 1, view,
+                      TxnBatch(f"f{proposer}-h{height}", 64), height, proposer)
+
+
+def test_proposal_carrying_a_fallback_block_is_malformed():
+    r, _ = boot(3)
+    fb = fb_block(0, 1, genesis_qc(4))  # round 1, proposed by its leader
+    assert r.handle_proposal(Proposal(fb, 0), 0) == []
+    assert r.state.dropped == {"malformed_proposal": 1}
+    assert fb.id not in r.state.blocks
 
 
 def test_fallback_vote_height_one():
@@ -518,7 +524,7 @@ def test_fallback_vote_heights_strictly_increase_per_proposer():
     assert sends(r.handle_fblock(FBProposal(fb1, ftc), 1), FBVote)
     # replayed height-1 block, and a fresh conflicting one, both fail
     assert not sends(r.handle_fblock(FBProposal(fb1, ftc), 1), FBVote)
-    other = make_fallback_block(genesis_qc(4), 1, 0, TxnBatch("x", 1), 1, 1)
+    other = make_block(genesis_qc(4), 1, 0, TxnBatch("x", 1), 1, 1)
     assert not sends(r.handle_fblock(FBProposal(other, ftc), 1), FBVote)
     # but the same proposer's next height is welcome
     fqc1 = FallbackQC(fb1.id, fb1.round, 0, 1, 1, QUORUM)
@@ -589,7 +595,7 @@ def test_three_chain_completion_marks_trigger_coin_share():
     enter_fb(r)
     shares = []
     for proposer in (0, 1, 2):
-        fb3 = make_fallback_block(
+        fb3 = make_block(
             FallbackQC("x" * 32, 2, 0, 2, proposer, QUORUM), 3, 0,
             TxnBatch("t", 1), 3, proposer)
         fqc3 = FallbackQC(fb3.id, 3, 0, 3, proposer, QUORUM)
@@ -622,6 +628,18 @@ def test_exit_on_coin_quorum_elected_self_commits_in_view():
     assert st.high_qc == fqcs[-1]
     # lock follows the parent of the endorsed top, itself endorsed
     assert st.locked_rank == Rank(0, True, 2)
+
+
+def test_forged_fqc_above_top_height_is_dropped():
+    # the coin looks up the elected chain at heights 1..top only, so no
+    # certificate outside that range may be registered
+    for variant in ("three_chain", "two_chain"):
+        r, _ = boot(3, mk(variant=variant))
+        top = r.config.fallback_top_height
+        fqc = FallbackQC("x" * 32, top + 1, 0, top + 1, 1, QUORUM)
+        assert r.handle_fqc_relay(FQCRelay(fqc, 1), 1) == []
+        assert r.state.fqc_by_key == {}
+        assert r.state.dropped == {"bad_fqc": 1}
 
 
 def test_exit_adjusts_r_vote_to_elected_leaders_chain():
@@ -678,7 +696,7 @@ def test_two_chain_adopts_first_certified_height_one():
     fqc1 = FallbackQC(fb1.id, fb1.round, 0, 1, 1, QUORUM)
     fb2_foreign = fb_block(1, 2, fqc1)
     acts = r.handle_fblock(FBProposal(fb2_foreign, None), 1)
-    own = [m.msg.fblock for m in multis(acts, FBProposal)]
+    own = [m.msg.block for m in multis(acts, FBProposal)]
     assert len(own) == 1
     assert own[0].proposer == 3 and own[0].height == 2
     assert own[0].parent_qc == fqc1  # extends the foreign chain

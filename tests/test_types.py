@@ -34,9 +34,7 @@ from bftsim.core import (
     genesis_qc,
     is_endorsed,
     make_block,
-    make_fallback_block,
     max_cert,
-    message_sender,
     message_size_units,
     message_variant,
     rank_of,
@@ -100,14 +98,10 @@ def test_block_id_depends_on_every_field():
 
 def test_fallback_block_id_includes_height_and_proposer():
     qc = genesis_qc(4)
-    a = make_fallback_block(qc, 1, 3, TxnBatch("p", 64), 1, 0)
-    b = make_fallback_block(qc, 1, 3, TxnBatch("p", 64), 2, 0)
-    c = make_fallback_block(qc, 1, 3, TxnBatch("p", 64), 1, 1)
+    a = make_block(qc, 1, 3, TxnBatch("p", 64), 1, 0)
+    b = make_block(qc, 1, 3, TxnBatch("p", 64), 2, 0)
+    c = make_block(qc, 1, 3, TxnBatch("p", 64), 1, 1)
     assert len({a.id, b.id, c.id}) == 3
-    assert a.height == 1 and a.proposer == 0
-    # delegating accessors mirror the inner block
-    assert a.round == a.inner.round and a.view == a.inner.view
-    assert a.parent_qc is qc
 
 
 def test_cert_digest_ignores_signers():
@@ -169,7 +163,7 @@ def test_max_cert_keeps_first_on_tie():
 def _one_of_each_message():
     qc = genesis_qc(4)
     blk = make_block(qc, 1, 0, TxnBatch("p0-r1-v0", 256))
-    fblk = make_fallback_block(qc, 3, 1, TxnBatch("f2-h1-v1", 256), 1, 2)
+    fblk = make_block(qc, 3, 1, TxnBatch("f2-h1-v1", 256), 1, 2)
     fqc = FallbackQC(fblk.id, 3, 1, 1, 2, frozenset({0, 1, 3}))
     coin = CoinQC(1, 2, frozenset({0, 3}))
     return [
@@ -216,17 +210,6 @@ def test_message_size_units_table():
     }
     for m in _one_of_each_message():
         assert message_size_units(m) == MESSAGE_SIZE_UNITS[message_variant(m)]
-
-
-def test_message_sender_extraction():
-    qc = genesis_qc(4)
-    blk = make_block(qc, 1, 0, TxnBatch("p", 1))
-    assert message_sender(Proposal(blk, 0)) == 0
-    assert message_sender(Vote(blk.id, 1, 0, 3)) == 3
-    assert message_sender(Timeout(4, None, qc, 1)) == 1
-    fblk = make_fallback_block(qc, 1, 1, TxnBatch("f", 1), 1, 2)
-    assert message_sender(FBProposal(fblk, None)) == 2
-    assert message_sender(CoinShare(1, 3)) == 3
 
 
 def test_message_variant_rejects_non_messages():
