@@ -21,33 +21,14 @@ from typing import Optional
 
 from . import analysis, simnet
 from .replica import ConfigError
-from .scenario import ScenarioConfig, parse_int_list, parse_scenario
-from .simnet import (Asynchronous, Crash, Honest, PartialSynchrony,
-                     Synchronous, Trace)
+from .scenario import (ScenarioConfig, format_faults, format_model,
+                       parse_int_list, parse_scenario)
+from .simnet import Trace
 
 
 def _timestamp_line() -> str:
     now = datetime.datetime.now(datetime.timezone.utc)
     return f"generated_at: {now.isoformat(timespec='seconds')}"
-
-
-def _render_model(model) -> str:
-    if isinstance(model, Synchronous):
-        return f"synchronous delta={model.delta}"
-    if isinstance(model, PartialSynchrony):
-        return (f"partial_synchrony gst={model.gst} delta={model.delta} "
-                f"pre_gst_delay_bound={model.pre_gst_delay_bound}")
-    if isinstance(model, Asynchronous):
-        per = " ".join(f"{k}={lo}..{hi}" for k, (lo, hi) in model.per_variant)
-        base = f"base={model.base_delay[0]}..{model.base_delay[1]}"
-        return f"asynchronous {base}" + (f" {per}" if per else "")
-    return str(model)
-
-
-def _render_faults(faults) -> str:
-    return " ".join(f"{rid}:crash@{spec.at}" if isinstance(spec, Crash)
-                    else f"{rid}:{simnet.kind_name(spec, simnet.FAULT_KINDS)}"
-                    for rid, spec in faults) or "none"
 
 
 def _print(lines: list[str], quiet: bool) -> None:
@@ -72,8 +53,8 @@ def _run_report(scenario_path: str, cfg: ScenarioConfig, trace: Trace,
         f"horizon: {cfg.horizon}",
         f"coin_prf: {trace.meta['prf']}",
         f"genesis_id: {trace.meta['genesis_id']}",
-        f"adversary: {_render_model(cfg.adversary.model)}",
-        f"faults: {_render_faults(cfg.adversary.faults)}",
+        f"adversary: {format_model(cfg.adversary.model)}",
+        f"faults: {format_faults(cfg.adversary.faults)}",
         f"trace_digest: {digest}",
         f"undelivered_at_horizon: {trace.meta['undelivered']}",
     ]
@@ -84,17 +65,6 @@ def _run_report(scenario_path: str, cfg: ScenarioConfig, trace: Trace,
     return lines
 
 
-def _inject_conflicting_commit(trace: Trace) -> None:
-    """Test hook: plant a commit with no supporting evidence so the safety
-    checker (and exit code 1 path) can be exercised end to end."""
-    honest = sorted(r for r, s in (
-        (i, trace.adversary.fault_of(i)) for i in range(trace.protocol.n))
-        if isinstance(s, (Honest, Crash)))
-    rid = honest[0] if honest else 0
-    trace.records.append({"t": trace.horizon, "q": 10 ** 9, "kind": "commit",
-                          "rid": rid, "blocks": ["0" * 32], "log_len": 0})
-
-
 def cmd_run(args) -> int:
     cfg = parse_scenario(args.config)
     if args.seed is not None:
@@ -103,8 +73,6 @@ def cmd_run(args) -> int:
         cfg = replace(cfg, horizon=args.horizon)
     out_dir = args.out or cfg.out_dir
     trace = simnet.run(cfg.protocol, cfg.adversary, cfg.horizon)
-    if cfg.inject_conflicting_commit:
-        _inject_conflicting_commit(trace)
     idx = analysis.index(trace)
     safety = analysis.check_safety(trace, idx)
     metrics = analysis.measure(trace, idx)
@@ -126,7 +94,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = parse_scenario(args.config)
     seeds = parse_int_list(args.seeds) if args.seeds else (
-        cfg.sweep_seeds or cfg.seeds)
+        cfg.sweep_seeds or [cfg.protocol.run_seed])
     n_values = cfg.sweep_n or [cfg.protocol.n]
     out_dir = args.out or cfg.out_dir
     if out_dir:

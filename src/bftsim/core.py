@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from itertools import product
 from typing import Mapping, Optional, Union, get_args, get_type_hints
 
 ReplicaId = int
@@ -128,7 +129,7 @@ def cert_digest(cert: Optional[Certificate]) -> str:
     """
     if cert is None:
         return ORIGIN_DIGEST
-    kind, names, _, _ = _codec(_CERT_CODEC, cert, "certificate")
+    kind, names, *_ = _codec(_CERT_CODEC, cert, "certificate")
     return "|".join([kind, *[str(getattr(cert, n)) for n in names]])
 
 
@@ -294,24 +295,26 @@ MESSAGE_VARIANTS = tuple(MESSAGE_SIZE_UNITS)
 # --- one codec for certificates and messages --------------------------------
 
 
-def _fields(cls) -> tuple[tuple[str, ...], tuple[str, ...], bool]:
+def _fields(cls) -> tuple[tuple[str, ...], tuple[str, ...], bool, frozenset]:
     """A dataclass's plain fields, its certificate fields (both in
-    declaration order, signers left out) and whether it carries a block."""
+    declaration order, signers left out), whether it carries a block, and
+    each tuple of types its plain fields may hold (Optional: either)."""
     hints = get_type_hints(cls)
-    plain, certs, block = [], [], False
+    plain, certs, block, types = [], [], False, []
     for f in fields(cls):
-        types = set(get_args(hints[f.name])) or {hints[f.name]}
-        if Block in types:
+        args = get_args(hints[f.name]) or (hints[f.name],)
+        if Block in args:
             block = True
-        elif types & CERT_KINDS.keys():
+        elif CERT_KINDS.keys() & set(args):
             certs.append(f.name)
         elif f.name != "signers":
             plain.append(f.name)
-    return tuple(plain), tuple(certs), block
+            types.append(args)
+    return tuple(plain), tuple(certs), block, frozenset(product(*types))
 
 
 def _tables(kinds: dict) -> tuple[dict, dict]:
-    """type -> (kind, plain, certs, block) and kind -> (type, plain, ...)."""
+    """type -> (kind, plain, certs, block, types) and kind -> (type, ...)."""
     by_type = {cls: (kind, *_fields(cls)) for cls, kind in kinds.items()}
     return by_type, {kind: (cls, *rest) for cls, (kind, *rest) in by_type.items()}
 
@@ -319,6 +322,7 @@ def _tables(kinds: dict) -> tuple[dict, dict]:
 _CERT_CODEC, _CERT_BY_KIND = _tables(CERT_KINDS)
 _MESSAGE_CODEC, _MESSAGE_BY_KIND = _tables(
     {cls: kind for cls, (kind, _) in MESSAGE_KINDS.items()})
+_BLOCK_PLAIN, _, _, _BLOCK_TYPES = _fields(Block)
 
 
 def _codec(table: dict, obj, what: str) -> tuple:
@@ -345,7 +349,7 @@ def message_size_units(msg: WireMessage) -> int:
 
 def message_certs(msg: WireMessage) -> list[Certificate]:
     """The certificates a message carries, its block's parent first."""
-    _, _, names, block = _codec(_MESSAGE_CODEC, msg, "wire message")
+    _, _, names, block, _ = _codec(_MESSAGE_CODEC, msg, "wire message")
     certs = [msg.block.parent_qc] if block else []  # None only for genesis
     for n in names:
         cert = getattr(msg, n)
@@ -360,18 +364,31 @@ def message_certs(msg: WireMessage) -> list[Certificate]:
 def encode_cert(cert: Optional[Certificate]) -> Optional[dict]:
     if cert is None:
         return None
-    kind, names, _, _ = _codec(_CERT_CODEC, cert, "certificate")
+    kind, names, *_ = _codec(_CERT_CODEC, cert, "certificate")
     d = {n: getattr(cert, n) for n in names}
     d["kind"] = kind
     d["signers"] = sorted(cert.signers)
     return d
 
 
+def _plain(d: dict, names: tuple, types: frozenset, what: str) -> dict:
+    """``d``'s values for the plain fields ``names``, if their types are a
+    combination the fields' annotations allow."""
+    kw = {n: d[n] for n in names}
+    if tuple(map(type, kw.values())) not in types:
+        raise ValueError(f"{what} fields hold {kw!r}")
+    return kw
+
+
 def decode_cert(d: Optional[dict]) -> Optional[Certificate]:
     if d is None:
         return None
-    cls, names, _, _ = _by_kind(_CERT_BY_KIND, d["kind"], "certificate")
-    return cls(signers=frozenset(d["signers"]), **{n: d[n] for n in names})
+    cls, names, _, _, types = _by_kind(_CERT_BY_KIND, d["kind"], "certificate")
+    signers = d["signers"]
+    if type(signers) is not list or not {*map(type, signers)} <= {int}:
+        raise ValueError(f"certificate signers {signers!r} are not ids")
+    return cls(signers=frozenset(signers),
+               **_plain(d, names, types, "certificate"))
 
 
 def _encode_block(b: Block, d: dict) -> None:
@@ -390,14 +407,15 @@ def _encode_block(b: Block, d: dict) -> None:
 def _decode_block(d: dict) -> Block:
     fallback = "inner" in d
     body = d["inner"] if fallback else d["block"]
-    return Block(body["id"], decode_cert(body["parent"]), body["round"],
-                 body["view"], TxnBatch(*body["payload"]),
-                 d["height"] if fallback else None,
-                 d["proposer"] if fallback else None)
+    flat = dict(body, payload=TxnBatch(*body["payload"]),
+                height=d["height"] if fallback else None,
+                proposer=d["proposer"] if fallback else None)
+    return Block(parent_qc=decode_cert(body["parent"]),
+                 **_plain(flat, _BLOCK_PLAIN, _BLOCK_TYPES, "block"))
 
 
 def encode_message(msg: WireMessage) -> dict:
-    kind, plain, certs, block = _codec(_MESSAGE_CODEC, msg, "wire message")
+    kind, plain, certs, block, _ = _codec(_MESSAGE_CODEC, msg, "wire message")
     d = {n: getattr(msg, n) for n in plain}
     d["kind"] = kind
     for n in certs:
@@ -408,8 +426,9 @@ def encode_message(msg: WireMessage) -> dict:
 
 
 def decode_message(d: dict) -> WireMessage:
-    cls, plain, certs, block = _by_kind(_MESSAGE_BY_KIND, d["kind"], "message")
-    kw = {n: d[n] for n in plain}
+    cls, plain, certs, block, types = _by_kind(_MESSAGE_BY_KIND, d["kind"],
+                                               "message")
+    kw = _plain(d, plain, types, "message")
     for n in certs:
         kw[n] = decode_cert(d[n])
     if block:

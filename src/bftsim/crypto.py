@@ -10,7 +10,6 @@ unavailable until f+1 shares for the view exist.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 from .core import CoinQC, Certificate, ReplicaId
 
@@ -33,15 +32,12 @@ def elect_leader(view: int, run_seed: CoinSeed, n: int) -> ReplicaId:
 
 
 def verify_certificate(cert: Certificate, n: int, f: int, *,
-                       run_seed: Optional[CoinSeed] = None) -> bool:
+                       run_seed: CoinSeed) -> bool:
     """Structural validity: signer count meets the kind's threshold, signers
     are real replica ids, and a coin certificate names the right winner."""
     if not all(0 <= s < n for s in cert.signers):
         return False
     if isinstance(cert, CoinQC):
-        if len(cert.signers) < coin_threshold(f):
-            return False
-        if run_seed is not None:
-            return cert.elected == elect_leader(cert.view, run_seed, n)
-        return 0 <= cert.elected < n
+        return (len(cert.signers) >= coin_threshold(f)
+                and cert.elected == elect_leader(cert.view, run_seed, n))
     return len(cert.signers) >= quorum_threshold(f)

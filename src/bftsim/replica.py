@@ -12,7 +12,7 @@ fallback view-change with coin-based leader election).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from . import crypto
 from .core import (Block, CoinQC, CoinQCRelay, CoinShare, FallbackQC,
@@ -171,12 +171,10 @@ class ReplicaState:
 class Replica:
     """One replica.  Feed it messages/timer expiries, collect actions."""
 
-    def __init__(self, config: ReplicaConfig, rid: int,
-                 payload_valid: Optional[Callable[[TxnBatch], bool]] = None):
+    def __init__(self, config: ReplicaConfig, rid: int):
         config.validate()
         self.config = config
         self.rid = rid
-        self.payload_valid = payload_valid or (lambda batch: True)
         self.genesis = genesis_block()
         self.genesis_qc = genesis_qc(config.n)
         st = ReplicaState()
@@ -338,8 +336,6 @@ class Replica:
                 return acts
         if rank_of(parent, st.coin_history) < st.locked_rank:
             return self._drop("lock_violation") + acts
-        if not self.payload_valid(b.payload):
-            return self._drop("invalid_payload") + acts
         st.voted_round = b.round
         nxt = self.leader_of(b.round + 1)
         acts.append(Send(nxt, Vote(b.id, b.round, b.view, self.rid)))

@@ -2,31 +2,28 @@
 
 Four sections: [protocol] (replica parameters), [adversary] (delay model and
 fault assignments), [run] (horizon/seed/output), optional [sweep] (value
-grids for the sweep command).  Unknown sections or keys are rejected so a
-typo cannot silently change an experiment.
+grids for the sweep command).  The config dataclasses are the schema: the
+keys of [protocol], of each delay model and of each fault are the fields of
+``ReplicaConfig`` and of the classes in ``MODEL_KINDS`` and ``FAULT_KINDS``,
+each parsed by its annotation, and an absent key keeps its dataclass
+default.  Unknown sections or keys are rejected so a typo cannot silently
+change an experiment.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Optional, get_type_hints
 
 from .core import MESSAGE_VARIANTS
 from .replica import ConfigError, ReplicaConfig
-from .simnet import (AdversarySpec, Asynchronous, Crash, Equivocate,
-                     FaultSpec, Honest, MuteLeader, PartialSynchrony,
-                     Synchronous)
+from .simnet import (FAULT_KINDS, MODEL_KINDS, AdversarySpec, DelayTable,
+                     kind_name)
 
-_PROTOCOL_KEYS = {"n", "f", "variant", "pacemaker", "timeout_duration",
-                  "leader_rotation_period", "adopt_foreign_fchains"}
-_ADVERSARY_KEYS = ({"model", "delta", "gst", "pre_gst_delay_bound",
-                    "base_delay", "faults"}
-                   | {f"delay_{v}" for v in MESSAGE_VARIANTS})
-_RUN_KEYS = {"horizon", "seed", "seeds", "out", "inject_conflicting_commit"}
-_SWEEP_KEYS = {"n_values", "seeds"}
-_SECTIONS = {"protocol": _PROTOCOL_KEYS, "adversary": _ADVERSARY_KEYS,
-             "run": _RUN_KEYS, "sweep": _SWEEP_KEYS}
+# Keys of [run] and [sweep]; those of [protocol] and [adversary] are fields.
+_SECTIONS = {"protocol": None, "adversary": None,
+             "run": {"horizon", "seed", "out"}, "sweep": {"n_values", "seeds"}}
 
 
 @dataclass
@@ -34,183 +31,149 @@ class ScenarioConfig:
     protocol: ReplicaConfig
     adversary: AdversarySpec
     horizon: int
-    seed: int
-    seeds: list[int]
     out_dir: Optional[str]
-    inject_conflicting_commit: bool
     sweep_n: list[int]
     sweep_seeds: list[int]
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, seed=seed,
-                       protocol=replace(self.protocol, run_seed=seed))
+        return replace(self, protocol=replace(self.protocol, run_seed=seed))
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
+def _parse(where: str, key: str, raw: str, hint):
+    """One value by its field's annotation: int, bool, str, or a delay range
+    lo..hi or one integer for both ends (``AdversarySpec.validate`` checks
+    the bounds)."""
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}")
-
-
-def _parse_bool(section: str, key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
+        if hint is bool:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        if hint is str:
+            return raw
+        if hint is int:
+            return int(raw)
+        lo, _, hi = raw.partition("..")
+        return int(lo), int(hi or lo)
+    except (KeyError, ValueError):
+        what = hint.__name__ if hint in (int, bool) else "lo..hi"
+        raise ConfigError(f"{where} {key} must be {what}, got {raw!r}")
 
 
 def parse_int_list(raw: str) -> list[int]:
     """Accepts "1..30" ranges or comma lists like "4,10,22"."""
-    raw = raw.strip()
-    try:
-        if ".." in raw and "," not in raw:
-            lo, hi = (int(part) for part in raw.split("..", 1))
-            values = list(range(lo, hi + 1))
-        else:
-            values = [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse integer list {raw!r}")
+    if ".." in raw and "," not in raw:
+        lo, hi = _parse("integer list", "range", raw, tuple[int, int])
+        values = list(range(lo, hi + 1))
+    else:
+        values = [_parse("integer list", "item", part, int)
+                  for part in raw.split(",") if part.strip()]
     if not values:
         raise ConfigError(f"empty integer list {raw!r}")
     return values
 
 
-def _parse_delay_range(section: str, key: str, raw: str) -> tuple[int, int]:
-    raw = raw.strip()
-    if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        lo, hi = _parse_int(section, key, lo), _parse_int(section, key, hi)
-    else:
-        lo = hi = _parse_int(section, key, raw)
-    if not 1 <= lo <= hi:
-        raise ConfigError(f"[{section}] {key}: bad delay range {raw!r}")
-    return lo, hi
+def _build(cls, items: dict[str, str], where: str, **fixed):
+    """An instance of config dataclass ``cls`` from a section's raw values,
+    which it consumes: each field not ``fixed`` is parsed by its annotation,
+    an absent key keeps the field's default, and a key left over is
+    unknown.  A delay table is spelled delay_<variant> = lo..hi."""
+    hints, kw = get_type_hints(cls), dict(fixed)
+    for f in fields(cls):
+        hint = hints[f.name]
+        if f.name in fixed:
+            continue
+        if hint == DelayTable:
+            kw[f.name] = tuple(
+                (v, _parse(where, k, items.pop(k), tuple[int, int]))
+                for v in sorted(MESSAGE_VARIANTS)
+                if (k := f"delay_{v}") in items)
+        elif f.name in items:
+            kw[f.name] = _parse(where, f.name, items.pop(f.name), hint)
+        elif f.default is MISSING:
+            raise ConfigError(f"{where} missing {f.name}")
+    if items:
+        raise ConfigError(f"unknown key {next(iter(items))!r} in {where}")
+    return cls(**kw)
 
 
-def _parse_faults(raw: str) -> tuple[tuple[int, FaultSpec], ...]:
-    out: list[tuple[int, FaultSpec]] = []
-    raw = raw.strip()
-    if raw in ("", "none"):
-        return ()
-    for part in raw.split(","):
-        part = part.strip()
-        try:
-            rid_s, kind = part.split(":", 1)
-            rid = int(rid_s)
-        except ValueError:
-            raise ConfigError(f"bad fault entry {part!r}")
-        kind = kind.strip()
-        spec: FaultSpec
-        if kind.startswith("crash@"):
-            spec = Crash(_parse_int("adversary", "faults", kind[len("crash@"):]))
-        elif kind == "mute_leader":
-            spec = MuteLeader()
-        elif kind == "equivocate":
-            spec = Equivocate()
-        elif kind == "honest":
-            spec = Honest()
-        else:
-            raise ConfigError(f"unknown fault kind {kind!r}")
-        out.append((rid, spec))
-    return tuple(out)
-
-
-def _build_model(sec: configparser.SectionProxy):
-    name = sec.get("model", "").strip()
-    if name == "synchronous":
-        return Synchronous(delta=_parse_int("adversary", "delta",
-                                            sec.get("delta", "1")))
-    if name == "partial_synchrony":
-        if "gst" not in sec:
-            raise ConfigError("[adversary] partial_synchrony needs gst")
-        return PartialSynchrony(
-            gst=_parse_int("adversary", "gst", sec["gst"]),
-            delta=_parse_int("adversary", "delta", sec.get("delta", "1")),
-            pre_gst_delay_bound=_parse_int(
-                "adversary", "pre_gst_delay_bound",
-                sec.get("pre_gst_delay_bound", "30")))
-    if name == "asynchronous":
-        base = _parse_delay_range("adversary", "base_delay",
-                                  sec.get("base_delay", "1..10"))
-        per = []
-        for variant in MESSAGE_VARIANTS:
-            key = f"delay_{variant}"
-            if key in sec:
-                per.append((variant,
-                            _parse_delay_range("adversary", key, sec[key])))
-        return Asynchronous(base, tuple(sorted(per)))
-    raise ConfigError(f"[adversary] unknown model {name!r}")
+def _parse_fault(entry: str):
+    """``rid:kind``, or ``rid:kind@value`` for a kind with one field."""
+    rid, _, spec = entry.partition(":")
+    kind, at, value = spec.partition("@")
+    cls = FAULT_KINDS.get(kind)
+    # a kind takes an @value exactly when it has a field to fill
+    if not rid.isdigit() or cls is None or len(fields(cls)) != bool(at):
+        raise ConfigError(f"bad fault entry {entry!r}")
+    items = {fields(cls)[0].name: value} if at else {}
+    return int(rid), _build(cls, items, f"[adversary] {kind} fault")
 
 
 def parse_scenario(path: str) -> ScenarioConfig:
     cp = configparser.ConfigParser(interpolation=None)
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise ConfigError(f"cannot read scenario file {path}")
 
     for section in cp.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key in cp[section]:
-            if key not in _SECTIONS[section]:
+            if _SECTIONS[section] and key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
     for required in ("protocol", "adversary", "run"):
         if required not in cp:
             raise ConfigError(f"missing section [{required}]")
 
-    prot = cp["protocol"]
-    for required in ("n", "f"):
-        if required not in prot:
-            raise ConfigError(f"[protocol] missing {required}")
     run = cp["run"]
     if "horizon" not in run:
         raise ConfigError("[run] missing horizon")
-    seed = _parse_int("run", "seed", run.get("seed", "1"))
-
-    protocol = ReplicaConfig(
-        n=_parse_int("protocol", "n", prot["n"]),
-        f=_parse_int("protocol", "f", prot["f"]),
-        variant=prot.get("variant", "three_chain").strip(),
-        pacemaker=prot.get("pacemaker", "async_fallback").strip(),
-        timeout_duration=_parse_int("protocol", "timeout_duration",
-                                    prot.get("timeout_duration", "50")),
-        leader_rotation_period=_parse_int(
-            "protocol", "leader_rotation_period",
-            prot.get("leader_rotation_period", "4")),
-        adopt_foreign_fchains=_parse_bool(
-            "protocol", "adopt_foreign_fchains",
-            prot.get("adopt_foreign_fchains", "false")),
-        run_seed=seed,
-    )
+    seed = _parse("[run]", "seed", run.get("seed", "1"), int)
+    protocol = _build(ReplicaConfig, dict(cp["protocol"]), "[protocol]",
+                      run_seed=seed)
     protocol.validate()
 
-    adv_sec = cp["adversary"]
-    adversary = AdversarySpec(_build_model(adv_sec),
-                              _parse_faults(adv_sec.get("faults", "")))
+    adv = dict(cp["adversary"])
+    kind = adv.pop("model", "")
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"[adversary] unknown model {kind!r}")
+    # entries separated by commas or, as the run report prints them, spaces
+    faults = adv.pop("faults", "").replace(",", " ").split()
+    adversary = AdversarySpec(
+        _build(MODEL_KINDS[kind], adv, f"[adversary] {kind}"),
+        () if faults == ["none"] else tuple(map(_parse_fault, faults)))
     adversary.validate(protocol)
 
-    seeds = parse_int_list(run["seeds"]) if "seeds" in run else [seed]
-    sweep_n: list[int] = []
-    sweep_seeds: list[int] = []
-    if "sweep" in cp:
-        if "n_values" in cp["sweep"]:
-            sweep_n = parse_int_list(cp["sweep"]["n_values"])
-        if "seeds" in cp["sweep"]:
-            sweep_seeds = parse_int_list(cp["sweep"]["seeds"])
-
+    sweep = cp["sweep"] if "sweep" in cp else {}
     return ScenarioConfig(
         protocol=protocol,
         adversary=adversary,
-        horizon=_parse_int("run", "horizon", run["horizon"]),
-        seed=seed,
-        seeds=seeds,
-        out_dir=run.get("out", "").strip() or None,
-        inject_conflicting_commit=_parse_bool(
-            "run", "inject_conflicting_commit",
-            run.get("inject_conflicting_commit", "false")),
-        sweep_n=sweep_n,
-        sweep_seeds=sweep_seeds,
+        horizon=_parse("[run]", "horizon", run["horizon"], int),
+        out_dir=run.get("out", "") or None,
+        sweep_n=parse_int_list(sweep["n_values"]) if "n_values" in sweep else [],
+        sweep_seeds=parse_int_list(sweep["seeds"]) if "seeds" in sweep else [],
     )
+
+
+def _spelled(spec) -> list[tuple[str, str]]:
+    """A config dataclass's fields as scenario (key, value) text pairs."""
+    pairs = []
+    for name, hint in get_type_hints(type(spec)).items():
+        value = getattr(spec, name)
+        if hint == DelayTable:
+            pairs += [(f"delay_{v}", f"{lo}..{hi}") for v, (lo, hi) in value]
+        elif hint == tuple[int, int]:
+            pairs.append((name, f"{value[0]}..{value[1]}"))
+        else:
+            pairs.append((name, str(value)))
+    return pairs
+
+
+def format_model(model) -> str:
+    """``kind key=value ...``: a delay model as its scenario keys spell it."""
+    return " ".join([kind_name(model, MODEL_KINDS),
+                     *(f"{key}={value}" for key, value in _spelled(model))])
+
+
+def format_faults(faults) -> str:
+    """``rid:kind[@value] ...``: fault entries as a scenario spells them."""
+    return " ".join(
+        f"{rid}:{kind_name(spec, FAULT_KINDS)}"
+        + "".join(f"@{value}" for _, value in _spelled(spec))
+        for rid, spec in faults) or "none"

@@ -72,7 +72,7 @@ class Asynchronous:
     the adversary e.g. starve proposals while timeouts flow freely."""
 
     base_delay: tuple[int, int] = (1, 10)
-    per_variant: tuple[tuple[str, tuple[int, int]], ...] = ()
+    per_variant: DelayTable = ()
 
     def range_for(self, variant: str) -> tuple[int, int]:
         for name, rng in self.per_variant:
@@ -81,6 +81,7 @@ class Asynchronous:
         return self.base_delay
 
 
+DelayTable = tuple[tuple[str, tuple[int, int]], ...]  # (variant, (lo, hi))
 AdversaryModel = Union[Synchronous, PartialSynchrony, Asynchronous]
 
 
@@ -149,6 +150,13 @@ class AdversarySpec:
         for r in rids:
             if not 0 <= r < config.n:
                 raise ConfigError(f"fault for unknown replica {r}")
+        # delta and pre_gst_delay_bound are the upper ends of ranges from 1
+        d = vars(self.model)
+        ranges = [(1, d[k]) for k in ("delta", "pre_gst_delay_bound") if k in d]
+        ranges += [d["base_delay"]] if "base_delay" in d else []
+        for lo, hi in ranges + [rng for _, rng in d.get("per_variant", ())]:
+            if not 1 <= lo <= hi:
+                raise ConfigError(f"bad delay range {lo}..{hi} in {self.model}")
 
 
 # --- trace -------------------------------------------------------------------
@@ -310,6 +318,8 @@ class Trace:
                         raise TypeError(f"{name} is not {hint}")
             if type(trace.horizon) is not int:
                 raise TypeError("horizon is not int")
+            trace.protocol.validate()
+            adversary.validate(trace.protocol)
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise TraceFormatError(f"{path}: bad header: {exc!r}")
         return trace

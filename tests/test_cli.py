@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from bftsim import cli
+from bftsim import cli, simnet
 
 STEADY = """
 [protocol]
@@ -87,8 +88,19 @@ def test_run_report_is_deterministic_up_to_timestamp(tmp_path, capsys):
     assert first[:-1] == second[:-1]
 
 
-def test_run_injected_conflict_exits_one(tmp_path, capsys):
-    cfg = write(tmp_path, STEADY + "inject_conflicting_commit = true\n")
+def test_run_injected_conflict_exits_one(tmp_path, capsys, monkeypatch):
+    # plant a commit with no supporting evidence in the simulated trace
+    real_run = simnet.run
+
+    def run_with_conflict(*args):
+        trace = real_run(*args)
+        trace.records.append({"t": trace.horizon, "q": 10 ** 9,
+                              "kind": "commit", "rid": 0,
+                              "blocks": ["0" * 32], "log_len": 0})
+        return trace
+
+    monkeypatch.setattr(simnet, "run", run_with_conflict)
+    cfg = write(tmp_path, STEADY)
     assert run_cli("run", "--config", cfg) == 1
     stdout = capsys.readouterr().out
     assert "safety: VIOLATION" in stdout
@@ -112,6 +124,37 @@ def test_run_malformed_crash_tick_exits_two(tmp_path, capsys):
                                          "delta = 1\nfaults = 0:crash@soon"))
     assert run_cli("run", "--config", cfg) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("model", [
+    "synchronous\ndelta = 0",
+    "partial_synchrony\ngst = 50\npre_gst_delay_bound = 0",
+    "asynchronous\nbase_delay = 5..1",
+])
+def test_run_bad_delay_range_exits_two(tmp_path, capsys, model):
+    cfg = write(tmp_path, STEADY.replace("synchronous\ndelta = 1", model))
+    assert run_cli("run", "--config", cfg) == 2
+    assert capsys.readouterr().err.startswith("config error: bad delay range")
+
+
+def test_run_reports_adversary_as_scenario_keys(tmp_path, capsys):
+    cfg = write(tmp_path, STEADY.replace(
+        "synchronous\ndelta = 1",
+        "asynchronous\nbase_delay = 1..8\ndelay_proposal = 60..120\n"
+        "faults = 3:crash@100"))
+    assert run_cli("run", "--config", cfg, "--horizon", "60") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "adversary: asynchronous base_delay=1..8 delay_proposal=60..120" \
+        in lines
+    assert "faults: 3:crash@100" in lines
+
+
+def test_readme_scenario_runs(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = write(tmp_path, example)
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "out"),
+                   "--quiet") == 0
 
 
 def test_usage_error_exits_two():
@@ -220,6 +263,12 @@ def test_trace_header_string_horizon_exits_two(tmp_path, capsys):
     assert_trace_error(capsys, path)
 
 
+def test_trace_header_bad_delay_range_exits_two(tmp_path, capsys):
+    path = edit_header(tmp_path, lambda h: h.update(adversary={
+        "model": "asynchronous", "base_delay": [5, 1], "per_variant": []}))
+    assert_trace_error(capsys, path)
+
+
 def edit_record(tmp_path, kind, edit):
     """The trace with its first ``kind`` record changed by ``edit``."""
     lines = make_trace(tmp_path).read_text().splitlines()
@@ -239,6 +288,17 @@ def test_deliver_missing_fields_exits_two_on_check(tmp_path, capsys):
 def test_commit_blocks_not_a_list_exits_two_on_check(tmp_path, capsys):
     for blocks in (7, [7]):
         path = edit_record(tmp_path, "commit", lambda r: r.update(blocks=blocks))
+        assert_trace_error(capsys, path, ("check",))
+
+
+def test_message_field_of_wrong_type_exits_two_on_check(tmp_path, capsys):
+    def parent(r):
+        return r["m"]["block"]["parent"]
+    for kind, edit in (
+            ("proposal", lambda r: parent(r).update(block_id=5)),
+            ("proposal", lambda r: parent(r)["signers"].__setitem__(0, "0")),
+            ("vote", lambda r: r["m"].update(round="1"))):
+        path = edit_record(tmp_path, kind, edit)
         assert_trace_error(capsys, path, ("check",))
 
 

@@ -1,10 +1,16 @@
 """Scenario file parsing: strict sections, delay models, fault lists."""
 
+from dataclasses import fields
+from typing import get_type_hints
+
 import pytest
 
-from bftsim.replica import ConfigError
-from bftsim.scenario import parse_int_list, parse_scenario
+from bftsim.replica import ConfigError, ReplicaConfig
+from bftsim.scenario import (format_faults, format_model, parse_int_list,
+                             parse_scenario)
 from bftsim.simnet import (
+    FAULT_KINDS,
+    MODEL_KINDS,
     Asynchronous,
     Crash,
     Equivocate,
@@ -32,9 +38,7 @@ faults = 0:crash@100, 5:mute_leader
 [run]
 horizon = 500
 seed = 11
-seeds = 1..4
 out = results
-inject_conflicting_commit = false
 
 [sweep]
 n_values = 4, 7, 10
@@ -57,10 +61,8 @@ def test_full_scenario_parses(tmp_path):
     assert sc.protocol.run_seed == 11
     assert sc.adversary.model == PartialSynchrony(150, 3, 25)
     assert sc.adversary.faults == ((0, Crash(100)), (5, MuteLeader()))
-    assert sc.horizon == 500 and sc.seed == 11
-    assert sc.seeds == [1, 2, 3, 4]
+    assert sc.horizon == 500
     assert sc.out_dir == "results"
-    assert sc.inject_conflicting_commit is False
     assert sc.sweep_n == [4, 7, 10] and sc.sweep_seeds == [2, 4]
 
 
@@ -80,7 +82,7 @@ horizon = 100
     assert sc.protocol.pacemaker == "async_fallback"
     assert sc.adversary.model == Synchronous(1)
     assert sc.adversary.faults == ()
-    assert sc.seed == 1 and sc.seeds == [1]
+    assert sc.protocol.run_seed == 1
     assert sc.out_dir is None
     assert sc.sweep_n == [] and sc.sweep_seeds == []
 
@@ -125,8 +127,8 @@ horizon = 50
 def test_with_seed_rebinds_protocol_seed(tmp_path):
     sc = parse_scenario(write(tmp_path, FULL))
     sc9 = sc.with_seed(9)
-    assert sc9.seed == 9 and sc9.protocol.run_seed == 9
-    assert sc.seed == 11  # original untouched
+    assert sc9.protocol.run_seed == 9
+    assert sc.protocol.run_seed == 11  # original untouched
 
 
 def test_parse_int_list():
@@ -219,3 +221,78 @@ horizon = 10
 def test_unreadable_file_rejected():
     with pytest.raises(ConfigError):
         parse_scenario("/nonexistent/scenario.ini")
+
+
+# --- the config dataclasses are the schema ----------------------------------
+
+
+def scenario(protocol="n = 4\nf = 1", adversary="model = synchronous"):
+    return (f"[protocol]\n{protocol}\n\n[adversary]\n{adversary}\n\n"
+            "[run]\nhorizon = 100\n")
+
+
+PROTOCOL = {"n": 7, "f": 2, "variant": "two_chain", "pacemaker": "baseline_tc",
+            "timeout_duration": 45, "leader_rotation_period": 2,
+            "adopt_foreign_fchains": True}
+
+
+def test_every_protocol_field_is_a_key(tmp_path):
+    assert PROTOCOL.keys() == {f.name for f in fields(ReplicaConfig)} - {
+        "run_seed"}
+    default = ReplicaConfig(n=7, f=2)
+    assert all(getattr(default, k) != v for k, v in PROTOCOL.items()
+               if k not in ("n", "f"))
+    text = "\n".join(f"{k} = {str(v).lower()}" for k, v in PROTOCOL.items())
+    sc = parse_scenario(write(tmp_path, scenario(text)))
+    assert sc.protocol == ReplicaConfig(**PROTOCOL, run_seed=1)
+    with pytest.raises(ConfigError, match="run_seed"):
+        parse_scenario(write(tmp_path, scenario("n = 4\nf = 1\nrun_seed = 3")))
+
+
+@pytest.mark.parametrize("adversary,key", [
+    ("model = synchronous\ngst = 50", "gst"),
+    ("model = synchronous\ndelay_proposal = 60..120", "delay_proposal"),
+    ("model = partial_synchrony\ngst = 50\nbase_delay = 1..5", "base_delay"),
+])
+def test_keys_of_another_model_rejected(tmp_path, adversary, key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_scenario(write(tmp_path, scenario(adversary=adversary)))
+
+
+@pytest.mark.parametrize("faults", ["0:crash", "0:mute_leader@3", "0:teleport",
+                                    "x:equivocate"])
+def test_bad_fault_entries_rejected(tmp_path, faults):
+    with pytest.raises(ConfigError):
+        parse_scenario(write(tmp_path, scenario(
+            adversary=f"model = synchronous\nfaults = {faults}")))
+
+
+# a non-default value for each field annotation a delay model or fault uses
+SAMPLES = {int: 7, tuple[int, int]: (3, 9),
+           tuple[tuple[str, tuple[int, int]], ...]:
+               (("proposal", (60, 120)), ("vote", (2, 5)))}
+
+
+def sample(cls):
+    """An instance of ``cls`` with every field set from its annotation."""
+    return cls(**{name: SAMPLES[hint]
+                  for name, hint in get_type_hints(cls).items()})
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_report_model_text_parses_back(tmp_path, kind):
+    model = sample(MODEL_KINDS[kind])
+    name, *pairs = format_model(model).split()
+    assert name == kind
+    lines = [f"model = {kind}"] + [p.replace("=", " = ", 1) for p in pairs]
+    sc = parse_scenario(write(tmp_path, scenario(adversary="\n".join(lines))))
+    assert sc.adversary.model == model
+
+
+def test_report_faults_text_parses_back(tmp_path):
+    faults = tuple((rid, sample(cls))
+                   for rid, cls in enumerate(FAULT_KINDS.values()))
+    text = format_faults(faults)
+    sc = parse_scenario(write(tmp_path, scenario(
+        "n = 10\nf = 3", f"model = synchronous\nfaults = {text}")))
+    assert sc.adversary.faults == faults
