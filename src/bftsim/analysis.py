@@ -8,7 +8,7 @@ protocol's safety claims against honest replicas' commit records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -52,18 +52,8 @@ class MetricsReport:
     messages_per_commit: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "messages_delivered": self.messages_delivered,
-            "size_units": self.size_units,
-            "sends_total": self.sends_total,
-            "commits_total": self.commits_total,
-            "commit_latency_mean": self.commit_latency_mean,
-            "commit_latency_histogram": dict(sorted(
-                self.commit_latency_histogram.items())),
-            "variant_counts": dict(sorted(self.variant_counts.items())),
-            "views_completed": self.views_completed,
-            "messages_per_commit": self.messages_per_commit,
-        }
+        return {k: dict(sorted(v.items())) if isinstance(v, dict) else v
+                for k, v in asdict(self).items()}
 
 
 @dataclass

@@ -16,7 +16,7 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional
 
 from . import analysis, simnet
@@ -39,17 +39,13 @@ def _print(lines: list[str], quiet: bool) -> None:
 def _run_report(scenario_path: str, cfg: ScenarioConfig, trace: Trace,
                 digest: str, safety: analysis.SafetyReport,
                 metrics: analysis.MetricsReport) -> list[str]:
-    p = cfg.protocol
-    lines = [
-        "command: run",
-        f"scenario: {scenario_path}",
-        f"n: {p.n}",
-        f"f: {p.f}",
-        f"variant: {p.variant}",
-        f"pacemaker: {p.pacemaker}",
-        f"timeout_duration: {p.timeout_duration}",
-        f"leader_rotation_period: {p.leader_rotation_period}",
-        f"seed: {p.run_seed}",
+    lines = ["command: run", f"scenario: {scenario_path}"]
+    # one line per protocol field, in declaration order; run_seed is
+    # spelled as its [run] key
+    for f in fields(cfg.protocol):
+        key = "seed" if f.name == "run_seed" else f.name
+        lines.append(f"{key}: {getattr(cfg.protocol, f.name)}")
+    lines += [
         f"horizon: {cfg.horizon}",
         f"coin_prf: {trace.meta['prf']}",
         f"genesis_id: {trace.meta['genesis_id']}",

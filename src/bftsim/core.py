@@ -295,10 +295,11 @@ MESSAGE_VARIANTS = tuple(MESSAGE_SIZE_UNITS)
 # --- one codec for certificates and messages --------------------------------
 
 
-def _fields(cls) -> tuple[tuple[str, ...], tuple[str, ...], bool, frozenset]:
-    """A dataclass's plain fields, its certificate fields (both in
-    declaration order, signers left out), whether it carries a block, and
-    each tuple of types its plain fields may hold (Optional: either)."""
+def _fields(cls) -> tuple[tuple[str, ...], tuple, bool, frozenset]:
+    """A dataclass's plain fields, its certificate fields with the classes
+    each may hold (both in declaration order, signers left out), whether it
+    carries a block, and each tuple of types its plain fields may hold
+    (Optional: either)."""
     hints = get_type_hints(cls)
     plain, certs, block, types = [], [], False, []
     for f in fields(cls):
@@ -306,7 +307,7 @@ def _fields(cls) -> tuple[tuple[str, ...], tuple[str, ...], bool, frozenset]:
         if Block in args:
             block = True
         elif CERT_KINDS.keys() & set(args):
-            certs.append(f.name)
+            certs.append((f.name, frozenset(args)))
         elif f.name != "signers":
             plain.append(f.name)
             types.append(args)
@@ -322,7 +323,7 @@ def _tables(kinds: dict) -> tuple[dict, dict]:
 _CERT_CODEC, _CERT_BY_KIND = _tables(CERT_KINDS)
 _MESSAGE_CODEC, _MESSAGE_BY_KIND = _tables(
     {cls: kind for cls, (kind, _) in MESSAGE_KINDS.items()})
-_BLOCK_PLAIN, _, _, _BLOCK_TYPES = _fields(Block)
+_BLOCK_PLAIN, ((_, _PARENT_KINDS),), _, _BLOCK_TYPES = _fields(Block)
 
 
 def _codec(table: dict, obj, what: str) -> tuple:
@@ -351,7 +352,7 @@ def message_certs(msg: WireMessage) -> list[Certificate]:
     """The certificates a message carries, its block's parent first."""
     _, _, names, block, _ = _codec(_MESSAGE_CODEC, msg, "wire message")
     certs = [msg.block.parent_qc] if block else []  # None only for genesis
-    for n in names:
+    for n, _ in names:
         cert = getattr(msg, n)
         if cert is not None:  # optional slots may be empty
             certs.append(cert)
@@ -391,6 +392,15 @@ def decode_cert(d: Optional[dict]) -> Optional[Certificate]:
                **_plain(d, names, types, "certificate"))
 
 
+def _decode_slot(d: Optional[dict], kinds: frozenset) -> Optional[Certificate]:
+    """The certificate in a slot whose annotation admits ``kinds`` (the
+    class ``NoneType`` for an empty optional slot)."""
+    cert = decode_cert(d)
+    if type(cert) not in kinds:
+        raise ValueError(f"certificate slot holds {d!r}")
+    return cert
+
+
 def _encode_block(b: Block, d: dict) -> None:
     """Write ``b`` into message dict ``d``: a regular block under "block", a
     fallback block's body under "inner" with its height and proposer
@@ -410,7 +420,7 @@ def _decode_block(d: dict) -> Block:
     flat = dict(body, payload=TxnBatch(*body["payload"]),
                 height=d["height"] if fallback else None,
                 proposer=d["proposer"] if fallback else None)
-    return Block(parent_qc=decode_cert(body["parent"]),
+    return Block(parent_qc=_decode_slot(body["parent"], _PARENT_KINDS),
                  **_plain(flat, _BLOCK_PLAIN, _BLOCK_TYPES, "block"))
 
 
@@ -418,7 +428,7 @@ def encode_message(msg: WireMessage) -> dict:
     kind, plain, certs, block, _ = _codec(_MESSAGE_CODEC, msg, "wire message")
     d = {n: getattr(msg, n) for n in plain}
     d["kind"] = kind
-    for n in certs:
+    for n, _ in certs:
         d[n] = encode_cert(getattr(msg, n))
     if block:
         _encode_block(msg.block, d)
@@ -429,8 +439,8 @@ def decode_message(d: dict) -> WireMessage:
     cls, plain, certs, block, types = _by_kind(_MESSAGE_BY_KIND, d["kind"],
                                                "message")
     kw = _plain(d, plain, types, "message")
-    for n in certs:
-        kw[n] = decode_cert(d[n])
+    for n, kinds in certs:
+        kw[n] = _decode_slot(d[n], kinds)
     if block:
         kw["block"] = _decode_block(d)
     return cls(**kw)

@@ -132,26 +132,21 @@ class ReplicaState:
     fqc_by_key: dict[tuple, FallbackQC] = field(default_factory=dict)
     fqc_by_block: dict[str, FallbackQC] = field(default_factory=dict)
     coin_history: dict[int, CoinQC] = field(default_factory=dict)
-    fallback_ftc: dict[int, FallbackTC] = field(default_factory=dict)
 
-    # share buckets: the distinct signers seen for each signed message
+    # signer buckets, filled through Replica._collect: the distinct signers
+    # seen for each signed message, and per view the distinct completed
+    # chains (3-chain) or their counter-signers (2-chain)
     vote_shares: dict[tuple, set[int]] = field(default_factory=dict)
     fvote_shares: dict[tuple, set[int]] = field(default_factory=dict)
     timeout_round_shares: dict[int, set[int]] = field(default_factory=dict)
     timeout_view_shares: dict[int, set[int]] = field(default_factory=dict)
     coin_shares: dict[int, set[int]] = field(default_factory=dict)
-    certs_formed: set[tuple] = field(default_factory=set)
-    tcs_formed: set[int] = field(default_factory=set)
+    completion_marks: dict[int, set[int]] = field(default_factory=dict)
 
     # one-shot markers
     seen_proposals: dict[tuple, str] = field(default_factory=dict)
     entered_fallback_view: int = -1
-    proposed_f_heights: dict[int, set[int]] = field(default_factory=dict)
     reacted_f_heights: dict[int, set[int]] = field(default_factory=dict)
-    relayed_top_fqc: set[int] = field(default_factory=set)
-    completion_marks: dict[int, set[int]] = field(default_factory=dict)
-    coin_share_sent: set[int] = field(default_factory=set)
-    coin_relayed: set[int] = field(default_factory=set)
 
     voting_stopped: bool = False
     timer_round: Optional[int] = None
@@ -194,6 +189,17 @@ class Replica:
     def _drop(self, reason: str) -> list[OutputAction]:
         self.state.dropped[reason] = self.state.dropped.get(reason, 0) + 1
         return []
+
+    @staticmethod
+    def _collect(buckets: dict, key, signer: int,
+                 threshold: int) -> Optional[frozenset[int]]:
+        """Add ``signer`` to the bucket at ``key``.  Returns the signer set
+        exactly once: when a new signer brings the bucket to ``threshold``."""
+        bucket = buckets.setdefault(key, set())
+        if signer in bucket:
+            return None
+        bucket.add(signer)
+        return frozenset(bucket) if len(bucket) == threshold else None
 
     def _verify(self, cert) -> bool:
         return crypto.verify_certificate(cert, self.config.n, self.config.f,
@@ -342,18 +348,14 @@ class Replica:
         return acts
 
     def handle_vote(self, v: Vote, sender: int) -> list[OutputAction]:
-        st = self.state
         if v.voter != sender:
             return self._drop("forged_vote")
         if self.leader_of(v.round + 1) != self.rid:
             return self._drop("misdirected_vote")
         key = (v.block_id, v.round, v.view)
-        bucket = st.vote_shares.setdefault(key, set())
-        bucket.add(sender)
-        if len(bucket) >= self.config.quorum and key not in st.certs_formed:
-            st.certs_formed.add(key)
-            return self.lock_update(QC(*key, frozenset(bucket)))
-        return []
+        signers = self._collect(self.state.vote_shares, key, sender,
+                                self.config.quorum)
+        return self.lock_update(QC(*key, signers)) if signers else []
 
     def lock_update(self, cert: ParentCert) -> list[OutputAction]:
         """Process a newly seen certificate: rank lock, high qc, round, commit."""
@@ -478,37 +480,24 @@ class Replica:
             return self._drop("forged_timeout")
         if not self._verify(t.high_qc):
             return self._drop("bad_timeout_cert")
-        acts = self._lock_carried_cert(t.high_qc)
+        acts = self.lock_update(t.high_qc)
         if cfg.pacemaker == BASELINE_TC:
             if t.round is None:
                 return self._drop("malformed_timeout") + acts
-            bucket = st.timeout_round_shares.setdefault(t.round, set())
-            bucket.add(sender)
-            if len(bucket) >= cfg.quorum and t.round not in st.tcs_formed:
-                st.tcs_formed.add(t.round)
-                acts += self.advance_round(TimeoutCert(t.round, frozenset(bucket)))
+            signers = self._collect(st.timeout_round_shares, t.round, sender,
+                                    cfg.quorum)
+            if signers:
+                acts += self.advance_round(TimeoutCert(t.round, signers))
             return acts
         if t.view is None:
             return self._drop("malformed_timeout") + acts
         if t.view < st.current_view:
             return acts  # stale share; the carried certificate was still useful
-        bucket = st.timeout_view_shares.setdefault(t.view, set())
-        bucket.add(sender)
-        if len(bucket) >= cfg.quorum and st.entered_fallback_view < t.view:
-            acts += self.enter_fallback(FallbackTC(t.view, frozenset(bucket)))
+        signers = self._collect(st.timeout_view_shares, t.view, sender,
+                                cfg.quorum)
+        if signers:
+            acts += self.enter_fallback(FallbackTC(t.view, signers))
         return acts
-
-    def _lock_carried_cert(self, cert: ParentCert) -> list[OutputAction]:
-        st = self.state
-        if isinstance(cert, FallbackQC):
-            acts = self._register_fqc(cert)
-            if cert.view not in st.coin_history:
-                # park: endorsement may be decided by a later coin
-                return acts
-            if not is_endorsed(cert, st.coin_history):
-                return acts
-            return acts + self.lock_update(cert)
-        return self.lock_update(cert)
 
     def handle_tc_relay(self, m: TCRelay, sender: int) -> list[OutputAction]:
         if self.config.pacemaker != BASELINE_TC:
@@ -528,40 +517,31 @@ class Replica:
         st.in_fallback = True
         st.current_view = ftc.view
         st.entered_fallback_view = ftc.view
-        st.fallback_ftc.setdefault(ftc.view, ftc)
         st.fallback_voted_round = {j: 0 for j in range(cfg.n)}
         st.fallback_voted_height = {j: 0 for j in range(cfg.n)}
         self._purge_stale_views()
-        payload = TxnBatch(f"f{self.rid}-v{ftc.view}-h1", 256)
-        fb = make_block(st.high_qc, st.high_qc.round + 1, ftc.view, payload,
-                        1, self.rid)
-        self._store_body(fb)
-        st.proposed_f_heights.setdefault(ftc.view, set()).add(1)
-        acts: list[OutputAction] = [Multicast(FTCRelay(ftc, self.rid)),
-                                    Multicast(FBProposal(fb, ftc))]
+        acts: list[OutputAction] = [Multicast(FTCRelay(ftc, self.rid))]
+        acts += self._propose_fallback(ftc.view, 1, st.high_qc, ftc)
         acts += self._redispatch(("enterfb", ftc.view))
         acts += self._redispatch(("view", ftc.view))
         return acts
 
     def handle_ftc_relay(self, m: FTCRelay, sender: int) -> list[OutputAction]:
-        # recorded for height-1 vote validation; entry itself is share-driven
+        # entry is share-driven, and a height-1 vote checks the ticket its
+        # proposal carries, so a relayed ticket is only verified
         if not self._verify(m.ftc):
             return self._drop("bad_ftc")
-        self.state.fallback_ftc.setdefault(m.ftc.view, m.ftc)
         return []
 
-    def _propose_fallback(self, view: int, height: int,
-                          parent: ParentCert) -> list[OutputAction]:
-        st = self.state
-        proposed = st.proposed_f_heights.setdefault(view, set())
-        if height in proposed:
-            return []
-        proposed.add(height)
+    def _propose_fallback(self, view: int, height: int, parent: ParentCert,
+                          ftc: Optional[FallbackTC] = None) -> list[OutputAction]:
+        # each (view, height) is proposed once: height 1 on entry, each
+        # later height by one reaction to a newly registered certificate
         payload = TxnBatch(f"f{self.rid}-v{view}-h{height}", 256)
         fb = make_block(parent, parent.round + 1, view, payload, height,
                         self.rid)
         self._store_body(fb)
-        return [Multicast(FBProposal(fb, None))]
+        return [Multicast(FBProposal(fb, ftc))]
 
     def _register_fqc(self, fqc: FallbackQC) -> list[OutputAction]:
         st, cfg = self.state, self.config
@@ -581,10 +561,10 @@ class Replica:
         if in_own_fallback:
             acts += self._fallback_reactions(fqc)
         if (cfg.variant == THREE_CHAIN and fqc.view == st.current_view
-                and fqc.height == cfg.fallback_top_height):
-            marks = st.completion_marks.setdefault(fqc.view, set())
-            marks.add(fqc.proposer)
-            acts += self._maybe_coin_share(fqc.view)
+                and fqc.height == cfg.fallback_top_height
+                and self._collect(st.completion_marks, fqc.view, fqc.proposer,
+                                  cfg.quorum)):
+            acts.append(Multicast(CoinShare(fqc.view, self.rid)))
         return acts
 
     def _fallback_reactions(self, fqc: FallbackQC) -> list[OutputAction]:
@@ -603,9 +583,7 @@ class Replica:
         elif fqc.proposer == self.rid and fqc.height < top:
             acts += self._propose_fallback(fqc.view, fqc.height + 1, fqc)
         if (cfg.variant == THREE_CHAIN and fqc.height == top
-                and fqc.proposer == self.rid
-                and fqc.view not in st.relayed_top_fqc):
-            st.relayed_top_fqc.add(fqc.view)
+                and fqc.proposer == self.rid):
             acts.append(Multicast(FQCRelay(fqc, self.rid)))
         return acts
 
@@ -622,9 +600,6 @@ class Replica:
             return self._drop("bad_block_digest")
 
         acts: list[OutputAction] = []
-        if m.ftc is not None and self._verify(m.ftc):
-            st.fallback_ftc.setdefault(m.ftc.view, m.ftc)
-
         parent = fb.parent_qc
         if not self._verify(parent):
             return self._drop("bad_parent_cert") + acts
@@ -653,8 +628,10 @@ class Replica:
         if fb.height <= st.fallback_voted_height[fb.proposer]:
             return acts
         if fb.height == 1:
-            if fb.view not in st.fallback_ftc:
-                return acts
+            # the entry ticket of the block's view
+            if (m.ftc is None or m.ftc.view != fb.view
+                    or not self._verify(m.ftc)):
+                return self._drop("bad_ftc") + acts
             if fb.round != parent.round + 1:
                 return acts
             if rank_of(parent, st.coin_history) < st.locked_rank:
@@ -673,18 +650,14 @@ class Replica:
         return acts
 
     def handle_fvote(self, v: FBVote, sender: int) -> list[OutputAction]:
-        st, cfg = self.state, self.config
         if v.voter != sender:
             return self._drop("forged_vote")
         if v.proposer != self.rid:
             return self._drop("misdirected_vote")
         key = (v.block_id, v.round, v.view, v.height, v.proposer)
-        bucket = st.fvote_shares.setdefault(key, set())
-        bucket.add(sender)
-        if len(bucket) >= cfg.quorum and key not in st.certs_formed:
-            st.certs_formed.add(key)
-            return self._register_fqc(FallbackQC(*key, frozenset(bucket)))
-        return []
+        signers = self._collect(self.state.fvote_shares, key, sender,
+                                self.config.quorum)
+        return self._register_fqc(FallbackQC(*key, signers)) if signers else []
 
     def handle_fqc_relay(self, m: FQCRelay, sender: int) -> list[OutputAction]:
         st, cfg = self.state, self.config
@@ -694,21 +667,13 @@ class Replica:
         if fqc.view > st.current_view:
             return self._buffer(("view", fqc.view), sender, m)
         acts: list[OutputAction] = []
+        # distinct counter-signers of a chain top trigger the election
         if (cfg.variant == TWO_CHAIN and fqc.height == cfg.fallback_top_height
-                and fqc.view == st.current_view):
-            marks = st.completion_marks.setdefault(fqc.view, set())
-            marks.add(sender)  # distinct counter-signers trigger the election
-            acts += self._maybe_coin_share(fqc.view)
-        acts += self._register_fqc(fqc)
-        return acts
-
-    def _maybe_coin_share(self, view: int) -> list[OutputAction]:
-        st, cfg = self.state, self.config
-        marks = st.completion_marks.get(view, set())
-        if len(marks) < cfg.quorum or view in st.coin_share_sent:
-            return []
-        st.coin_share_sent.add(view)
-        return [Multicast(CoinShare(view, self.rid))]
+                and fqc.view == st.current_view
+                and self._collect(st.completion_marks, fqc.view, sender,
+                                  cfg.quorum)):
+            acts.append(Multicast(CoinShare(fqc.view, self.rid)))
+        return acts + self._register_fqc(fqc)
 
     def handle_coin(self, m: Union[CoinShare, CoinQCRelay],
                     sender: int) -> list[OutputAction]:
@@ -723,12 +688,12 @@ class Replica:
             return []
         if m.view > st.current_view:
             return self._buffer(("view", m.view), sender, m)
-        bucket = st.coin_shares.setdefault(m.view, set())
-        bucket.add(sender)
-        if len(bucket) >= crypto.coin_threshold(cfg.f) and m.view not in st.coin_history:
-            elected = crypto.elect_leader(m.view, cfg.run_seed, cfg.n)
-            return self._accept_coin(CoinQC(m.view, elected, frozenset(bucket)))
-        return []
+        signers = self._collect(st.coin_shares, m.view, sender,
+                                crypto.coin_threshold(cfg.f))
+        if not signers:
+            return []
+        elected = crypto.elect_leader(m.view, cfg.run_seed, cfg.n)
+        return self._accept_coin(CoinQC(m.view, elected, signers))
 
     def _accept_coin(self, coin: CoinQC) -> list[OutputAction]:
         st, cfg = self.state, self.config
@@ -745,10 +710,7 @@ class Replica:
         for fqc in chain:
             if fqc.block_id in st.blocks:
                 st.commit_frontier.add(fqc.block_id)
-        acts: list[OutputAction] = []
-        if coin.view not in st.coin_relayed:
-            st.coin_relayed.add(coin.view)
-            acts.append(Multicast(CoinQCRelay(coin, self.rid)))
+        acts: list[OutputAction] = [Multicast(CoinQCRelay(coin, self.rid))]
         if coin.view == st.current_view:
             # exit the fallback (or skip the view if never entered)
             if st.in_fallback:

@@ -124,7 +124,9 @@ def parse_scenario(path: str) -> ScenarioConfig:
     run = cp["run"]
     if "horizon" not in run:
         raise ConfigError("[run] missing horizon")
-    seed = _parse("[run]", "seed", run.get("seed", "1"), int)
+    # run_seed is [run] seed, not a [protocol] key; absent, it keeps its default
+    seed = (_parse("[run]", "seed", run["seed"], int) if "seed" in run
+            else ReplicaConfig.run_seed)
     protocol = _build(ReplicaConfig, dict(cp["protocol"]), "[protocol]",
                       run_seed=seed)
     protocol.validate()

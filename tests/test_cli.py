@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from bftsim import cli, simnet
+from bftsim.replica import ReplicaConfig
 
 STEADY = """
 [protocol]
@@ -25,6 +27,10 @@ delta = 1
 horizon = 240
 seed = 7
 """
+
+# every proposal arrives after the timeout, so every view runs the fallback
+STARVED = STEADY.replace("synchronous\ndelta = 1", "asynchronous\n"
+                         "base_delay = 1..8\ndelay_proposal = 60..120")
 
 SWEEP = STEADY + """
 [sweep]
@@ -69,6 +75,20 @@ def test_run_overrides_seed_and_horizon(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "seed: 9" in stdout
     assert "horizon: 120" in stdout
+
+
+def test_run_reports_every_protocol_field(tmp_path, capsys):
+    cfg = write(tmp_path, STEADY.replace(
+        "timeout_duration = 50",
+        "timeout_duration = 50\nadopt_foreign_fchains = true"))
+    assert run_cli("run", "--config", cfg) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:10] == [
+        "n: 4", "f: 1", "variant: three_chain", "pacemaker: async_fallback",
+        "timeout_duration: 50", "leader_rotation_period: 4",
+        "adopt_foreign_fchains: True", "seed: 7"]
+    keys = {line.partition(": ")[0] for line in lines}
+    assert {f.name for f in fields(ReplicaConfig)} - {"run_seed"} <= keys
 
 
 def test_run_quiet_silences_stdout(tmp_path, capsys):
@@ -166,8 +186,8 @@ def test_usage_error_exits_two():
 # --- replay -------------------------------------------------------------------
 
 
-def make_trace(tmp_path):
-    cfg = write(tmp_path, STEADY)
+def make_trace(tmp_path, text=STEADY):
+    cfg = write(tmp_path, text)
     out = tmp_path / "out"
     assert run_cli("run", "--config", cfg, "--out", str(out), "--quiet") == 0
     return out / "run-seed7.trace.jsonl"
@@ -269,9 +289,10 @@ def test_trace_header_bad_delay_range_exits_two(tmp_path, capsys):
     assert_trace_error(capsys, path)
 
 
-def edit_record(tmp_path, kind, edit):
-    """The trace with its first ``kind`` record changed by ``edit``."""
-    lines = make_trace(tmp_path).read_text().splitlines()
+def edit_record(tmp_path, kind, edit, text=STEADY):
+    """The trace of scenario ``text`` with its first ``kind`` record
+    changed by ``edit``."""
+    lines = make_trace(tmp_path, text).read_text().splitlines()
     k = next(k for k, line in enumerate(lines) if f'"kind":"{kind}"' in line)
     rec = json.loads(lines[k])
     edit(rec)
@@ -294,11 +315,22 @@ def test_commit_blocks_not_a_list_exits_two_on_check(tmp_path, capsys):
 def test_message_field_of_wrong_type_exits_two_on_check(tmp_path, capsys):
     def parent(r):
         return r["m"]["block"]["parent"]
-    for kind, edit in (
-            ("proposal", lambda r: parent(r).update(block_id=5)),
-            ("proposal", lambda r: parent(r)["signers"].__setitem__(0, "0")),
-            ("vote", lambda r: r["m"].update(round="1"))):
-        path = edit_record(tmp_path, kind, edit)
+    # certificates of a kind their slot does not admit
+    qc = {"kind": "qc", "block_id": "0" * 32, "round": 1, "view": 0,
+          "signers": [0, 1, 2]}
+    tc = {"kind": "tc", "round": 1, "signers": [0, 1, 2]}
+    coin = {"kind": "coin", "view": 0, "elected": 1, "signers": [0, 1]}
+    for text, kind, edit in (
+            (STEADY, "proposal", lambda r: parent(r).update(block_id=5)),
+            (STEADY, "proposal",
+             lambda r: parent(r)["signers"].__setitem__(0, "0")),
+            (STEADY, "vote", lambda r: r["m"].update(round="1")),
+            (STEADY, "proposal", lambda r: r["m"]["block"].update(parent=tc)),
+            (STEADY, "proposal",
+             lambda r: r["m"]["block"].update(parent=coin)),
+            (STARVED, "timeout", lambda r: r["m"].update(high_qc=tc)),
+            (STARVED, "ftc_relay", lambda r: r["m"].update(ftc=qc))):
+        path = edit_record(tmp_path, kind, edit, text)
         assert_trace_error(capsys, path, ("check",))
 
 

@@ -6,8 +6,8 @@ import random
 from scipy import stats
 
 from bftsim.core import (CoinQC, CoinShare, FallbackQC, FallbackTC, FBVote,
-                         QC, TCRelay, Timeout, TimeoutCert, TxnBatch, Vote,
-                         genesis_qc, make_block)
+                         FTCRelay, QC, TCRelay, Timeout, TimeoutCert,
+                         TxnBatch, Vote, genesis_qc, make_block)
 from bftsim.crypto import (
     PRF_ID,
     coin_threshold,
@@ -27,10 +27,13 @@ def replica(rid, **kw):
     return r
 
 
-def tc_sent(r, acts):
-    relays = [a.msg.tc for a in acts
-              if isinstance(getattr(a, "msg", None), TCRelay)]
-    return relays[0] if relays else None
+def relayed(typ, attr):
+    """The certificate a replica relays in its first ``typ`` message."""
+    def formed(r, acts):
+        certs = [getattr(a.msg, attr) for a in acts
+                 if isinstance(getattr(a, "msg", None), typ)]
+        return certs[0] if certs else None
+    return formed
 
 
 # One row per share kind: (replica id, config, the share a sender sends, the
@@ -45,10 +48,11 @@ KINDS = {
                       lambda r, acts: r.state.fqc_by_key.get((0, 3, 1)),
                       lambda signers: FallbackQC("f" * 32, 1, 0, 1, 3, signers)),
     "timeout_round": (3, {"pacemaker": "baseline_tc"},
-                      lambda s: Timeout(5, None, genesis_qc(4), s), tc_sent,
+                      lambda s: Timeout(5, None, genesis_qc(4), s),
+                      relayed(TCRelay, "tc"),
                       lambda signers: TimeoutCert(5, signers)),
     "timeout_view": (3, {}, lambda s: Timeout(None, 0, genesis_qc(4), s),
-                     lambda r, acts: r.state.fallback_ftc.get(0),
+                     relayed(FTCRelay, "ftc"),
                      lambda signers: FallbackTC(0, signers)),
     "coin": (3, {}, lambda s: CoinShare(0, s),
              lambda r, acts: r.state.coin_history.get(0),

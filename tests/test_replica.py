@@ -423,7 +423,7 @@ def test_entry_requires_share_quorum_not_ftc():
     r, _ = boot(3)
     ftc = FallbackTC(0, QUORUM)
     assert r.handle_ftc_relay(FTCRelay(ftc, 1), 1) == []
-    assert r.state.entered_fallback_view == -1  # recorded, not entered
+    assert r.state.entered_fallback_view == -1  # verified, not entered
     acts = enter_fb(r)
     assert r.state.in_fallback
     assert r.state.entered_fallback_view == 0
@@ -471,6 +471,11 @@ def fb_block(proposer, height, parent, view=0):
                       TxnBatch(f"f{proposer}-h{height}", 64), height, proposer)
 
 
+def enter_with_ticket(r):
+    """Enter the view-0 fallback and return the FTC the entry relays."""
+    return multis(enter_fb(r), FTCRelay)[0].msg.ftc
+
+
 def test_proposal_carrying_a_fallback_block_is_malformed():
     r, _ = boot(3)
     fb = fb_block(0, 1, genesis_qc(4))  # round 1, proposed by its leader
@@ -481,8 +486,7 @@ def test_proposal_carrying_a_fallback_block_is_malformed():
 
 def test_fallback_vote_height_one():
     r, _ = boot(3)
-    enter_fb(r)
-    ftc = r.state.fallback_ftc[0]
+    ftc = enter_with_ticket(r)
     fb = fb_block(1, 1, genesis_qc(4))
     acts = r.handle_fblock(FBProposal(fb, ftc), 1)
     votes = sends(acts, FBVote)
@@ -494,11 +498,23 @@ def test_fallback_vote_height_one():
 
 def test_fallback_vote_height_one_respects_rank_lock():
     r, _ = boot(3)
-    enter_fb(r)
+    ftc = enter_with_ticket(r)
     r.state.locked_rank = Rank(0, False, 5)
     fb = fb_block(1, 1, genesis_qc(4))  # parent ranks (0,F,0) < lock
-    acts = r.handle_fblock(FBProposal(fb, r.state.fallback_ftc[0]), 1)
+    acts = r.handle_fblock(FBProposal(fb, ftc), 1)
     assert not sends(acts, FBVote)
+
+
+def test_fallback_vote_height_one_requires_the_views_ticket():
+    # no ticket, another view's ticket, and one with too few signers
+    for ticket in (None, FallbackTC(1, QUORUM), FallbackTC(0, frozenset({0}))):
+        r, _ = boot(3)
+        enter_fb(r)
+        fb = fb_block(1, 1, genesis_qc(4))
+        acts = r.handle_fblock(FBProposal(fb, ticket), 1)
+        assert not sends(acts, FBVote), ticket
+        assert r.state.dropped == {"bad_ftc": 1}
+        assert r.state.fallback_voted_height[1] == 0
 
 
 def test_fallback_vote_height_two_skips_rank_lock():
@@ -518,8 +534,7 @@ def test_fallback_vote_height_two_skips_rank_lock():
 
 def test_fallback_vote_heights_strictly_increase_per_proposer():
     r, _ = boot(3)
-    enter_fb(r)
-    ftc = r.state.fallback_ftc[0]
+    ftc = enter_with_ticket(r)
     fb1 = fb_block(1, 1, genesis_qc(4))
     assert sends(r.handle_fblock(FBProposal(fb1, ftc), 1), FBVote)
     # replayed height-1 block, and a fresh conflicting one, both fail
@@ -546,65 +561,70 @@ def test_fallback_vote_requires_entry():
 
 
 def grow_own_chain(r, view=0):
-    """Feed vote quorums for the replica's own fallback chain to the top."""
+    """Feed vote quorums for the replica's own fallback chain to the top.
+    Returns the chain's certificates and the replica's actions."""
     top = r.config.fallback_top_height
-    fqcs = []
+    fqcs, acts = [], []
     for h in range(1, top + 1):
         key = (view, r.rid, h)
-        fb_msgs = []
         for s in range(4):
             if s == r.rid:
                 continue
-            fqc = r.state.fqc_by_key.get(key)
-            if fqc:
+            if key in r.state.fqc_by_key:
                 break
             blk = [b for b in r.state.blocks.values()
                    if getattr(b, "height", None) == h
                    and getattr(b, "proposer", None) == r.rid
                    and b.view == view]
             v = FBVote(blk[0].id, blk[0].round, view, h, r.rid, s)
-            fb_msgs += r.handle_fvote(v, s)
+            acts += r.handle_fvote(v, s)
         fqcs.append(r.state.fqc_by_key[key])
-    return fqcs
+    return fqcs, acts
 
 
 def test_three_chain_proposer_grows_to_height_three_and_relays():
     r, _ = boot(3)
-    enter_fb(r)
-    fqcs = grow_own_chain(r)
+    acts = enter_fb(r)
+    fqcs, grown = grow_own_chain(r)
+    acts += grown
     assert [q.height for q in fqcs] == [1, 2, 3]
     assert [q.round for q in fqcs] == [1, 2, 3]  # consecutive by construction
-    assert r.state.proposed_f_heights[0] == {1, 2, 3}
-    assert r.state.relayed_top_fqc == {0}
+    proposed = [m.msg.block for m in multis(acts, FBProposal)]
+    assert [(b.height, b.proposer) for b in proposed] == [(1, 3), (2, 3), (3, 3)]
+    assert [m.msg.fqc for m in multis(acts, FQCRelay)] == [fqcs[-1]]
+    # the top certificate relayed back registers nothing new
+    assert r.handle_fqc_relay(FQCRelay(fqcs[-1], 0), 0) == []
     # completion marks count distinct proposers; own top certificate is one
     assert r.state.completion_marks[0] == {3}
 
 
 def test_three_chain_ignores_foreign_chains_without_adoption():
-    r, _ = boot(3)
-    enter_fb(r)
-    fb1 = fb_block(1, 1, genesis_qc(4))
-    fqc1 = FallbackQC(fb1.id, fb1.round, 0, 1, 1, QUORUM)
-    before = set(r.state.proposed_f_heights[0])
-    r.handle_fblock(FBProposal(fb_block(1, 2, fqc1), None), 1)
-    assert r.state.proposed_f_heights[0] == before  # no height-2 on foreign
+    for adopt, heights in ((False, []), (True, [2])):
+        r, _ = boot(3, mk(adopt_foreign_fchains=adopt))
+        enter_fb(r)
+        fb1 = fb_block(1, 1, genesis_qc(4))
+        fqc1 = FallbackQC(fb1.id, fb1.round, 0, 1, 1, QUORUM)
+        acts = r.handle_fblock(FBProposal(fb_block(1, 2, fqc1), None), 1)
+        # a height-2 block on the foreign certificate only when adopting
+        assert [m.msg.block.height for m in multis(acts, FBProposal)] \
+            == heights, adopt
+        assert r.state.fqc_by_key[(0, 1, 1)] == fqc1
 
 
 def test_three_chain_completion_marks_trigger_coin_share():
     r, _ = boot(3)
     enter_fb(r)
     shares = []
-    for proposer in (0, 1, 2):
+    for proposer in (0, 1, 2, 3, 2):  # the last relay is a repeat
         fb3 = make_block(
             FallbackQC("x" * 32, 2, 0, 2, proposer, QUORUM), 3, 0,
             TxnBatch("t", 1), 3, proposer)
         fqc3 = FallbackQC(fb3.id, 3, 0, 3, proposer, QUORUM)
         acts = r.handle_fqc_relay(FQCRelay(fqc3, proposer), proposer)
-        shares += multis(acts, CoinShare)
-    assert len(shares) == 1  # exactly at the third distinct proposer
-    assert shares[0].msg == CoinShare(0, 3)
-    # duplicates never re-trigger
-    assert r.state.coin_share_sent == {0}
+        shares.append([m.msg for m in multis(acts, CoinShare)])
+    # exactly at the third distinct proposer; neither a fourth completed
+    # chain nor a repeated relay triggers a second share
+    assert shares == [[], [], [CoinShare(0, 3)], [], []]
 
 
 def test_exit_on_coin_quorum_elected_self_commits_in_view():
@@ -612,7 +632,7 @@ def test_exit_on_coin_quorum_elected_self_commits_in_view():
     assert elect_leader(0, 2, 4) == 3
     r, _ = boot(3, cfg)
     enter_fb(r)
-    fqcs = grow_own_chain(r)
+    fqcs, _ = grow_own_chain(r)
     acts = r.handle_coin(CoinShare(0, 0), 0)
     assert not commits(acts)
     acts = r.handle_coin(CoinShare(0, 1), 1)  # f+1 shares complete the coin
@@ -646,8 +666,7 @@ def test_exit_adjusts_r_vote_to_elected_leaders_chain():
     cfg = mk(run_seed=0)  # view-0 election names replica 1
     assert elect_leader(0, 0, 4) == 1
     r, _ = boot(3, cfg)
-    enter_fb(r)
-    ftc = r.state.fallback_ftc[0]
+    ftc = enter_with_ticket(r)
     fb1 = fb_block(1, 1, genesis_qc(4))
     r.handle_fblock(FBProposal(fb1, ftc), 1)
     assert r.state.fallback_voted_round[1] == 1
@@ -676,7 +695,7 @@ def test_new_view_proposal_with_coin_evidence_gets_votes():
     cfg = mk(run_seed=2)
     r, _ = boot(3, cfg)
     enter_fb(r)
-    fqcs = grow_own_chain(r)
+    fqcs, _ = grow_own_chain(r)
     r.handle_coin(CoinShare(0, 0), 0)
     r.handle_coin(CoinShare(0, 1), 1)
     assert r.state.current_round == 4  # endorsed top at round 3 advanced us
@@ -734,7 +753,7 @@ def test_two_chain_exit_commits_elected_pair():
     cfg = mk(variant="two_chain", run_seed=2)
     r, _ = boot(3, cfg)
     enter_fb(r)
-    fqcs = grow_own_chain(r)
+    fqcs, _ = grow_own_chain(r)
     assert [q.height for q in fqcs] == [1, 2]
     r.handle_coin(CoinShare(0, 0), 0)
     acts = r.handle_coin(CoinShare(0, 1), 1)

@@ -82,7 +82,7 @@ horizon = 100
     assert sc.protocol.pacemaker == "async_fallback"
     assert sc.adversary.model == Synchronous(1)
     assert sc.adversary.faults == ()
-    assert sc.protocol.run_seed == 1
+    assert sc.protocol.run_seed == ReplicaConfig(n=4, f=1).run_seed == 0
     assert sc.out_dir is None
     assert sc.sweep_n == [] and sc.sweep_seeds == []
 
@@ -244,7 +244,7 @@ def test_every_protocol_field_is_a_key(tmp_path):
                if k not in ("n", "f"))
     text = "\n".join(f"{k} = {str(v).lower()}" for k, v in PROTOCOL.items())
     sc = parse_scenario(write(tmp_path, scenario(text)))
-    assert sc.protocol == ReplicaConfig(**PROTOCOL, run_seed=1)
+    assert sc.protocol == ReplicaConfig(**PROTOCOL)
     with pytest.raises(ConfigError, match="run_seed"):
         parse_scenario(write(tmp_path, scenario("n = 4\nf = 1\nrun_seed = 3")))
 

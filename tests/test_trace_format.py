@@ -13,7 +13,8 @@ from bftsim.simnet import (TRACE_FORMAT, AdversarySpec, Asynchronous, Crash,
 
 STARVE = Asynchronous((1, 8), (("proposal", (60, 120)),))
 
-# (variant, pacemaker, adversary, horizon, seed), v2 digest
+# (variant, pacemaker, adversary, horizon, seed[, adopt_foreign_fchains]),
+# v2 digest
 GOLDEN = [
     (("three_chain", "async_fallback", AdversarySpec(STARVE), 300, 3),
      "89159336b02c88962047e0bd291f76b6818004fda602492f47c72ed2aacf4cfd"),
@@ -27,12 +28,16 @@ GOLDEN = [
      "8984c2bf88b65120fc5920bd22661808abec9f5d3cc353c229a01bf59c8b65be"),
     (("two_chain", "baseline_tc", AdversarySpec(Synchronous(1)), 120, 6),
      "204814f3710c7430963e4dd9e7108cd4768d50fe7fa8ff7b2660d9ec2318fc73"),
+    # every replica extends the first certified chain it sees
+    (("three_chain", "async_fallback", AdversarySpec(STARVE), 300, 3, True),
+     "531358d4fd36c855017c0d06e4b015e61320d933d218daa2d56212c9d29fa359"),
 ]
 
 
-def trace_of(variant, pacemaker, adversary, horizon, seed):
+def trace_of(variant, pacemaker, adversary, horizon, seed, adopt=False):
     cfg = ReplicaConfig(n=4, f=1, variant=variant, pacemaker=pacemaker,
-                        timeout_duration=40, run_seed=seed)
+                        timeout_duration=40, adopt_foreign_fchains=adopt,
+                        run_seed=seed)
     return run(cfg, adversary, horizon)
 
 
