@@ -211,8 +211,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, simnet.HorizonTooSmall) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"missing file: {exc}\n")
+    except OSError as exc:
+        sys.stderr.write(f"file error: {exc}\n")
         return 2
     except simnet.TraceFormatError as exc:
         sys.stderr.write(f"trace error: {exc}\n")

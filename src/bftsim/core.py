@@ -57,6 +57,8 @@ class QC:
     view: int
     signers: frozenset[ReplicaId]
 
+    proposer = None  # no chain owner, so never endorsed; not a field
+
 
 @dataclass(frozen=True)
 class FallbackQC:
@@ -166,26 +168,20 @@ def genesis_qc(n: int) -> QC:
 # --- rank -----------------------------------------------------------------
 
 
-def is_endorsed(obj: Union[FallbackQC, Block],
+def is_endorsed(obj: Union[QC, FallbackQC, Block],
                 coin_history: Mapping[int, CoinQC]) -> bool:
     """Endorsement is derived, never stored: a fallback certificate or block
     counts as endorsed exactly when its view's election picked its proposer.
-    A regular block's proposer is None, which no election picks."""
+    A regular block's or QC's proposer is None, which no election picks."""
     coin = coin_history.get(obj.view)
     return coin is not None and coin.elected == obj.proposer
 
 
 def rank_of(obj, coin_history: Optional[Mapping[int, CoinQC]] = None) -> Rank:
     """Rank of a certificate or block (genesis parent None ranks lowest)."""
-    if coin_history is None:
-        coin_history = {}
     if obj is None:
         return ZERO_RANK
-    if isinstance(obj, QC):
-        return Rank(obj.view, False, obj.round)
-    if isinstance(obj, (FallbackQC, Block)):
-        return Rank(obj.view, is_endorsed(obj, coin_history), obj.round)
-    raise TypeError(f"unrankable: {obj!r}")
+    return Rank(obj.view, is_endorsed(obj, coin_history or {}), obj.round)
 
 
 def max_cert(a: ParentCert, b: ParentCert,
@@ -351,7 +347,9 @@ def message_size_units(msg: WireMessage) -> int:
 def message_certs(msg: WireMessage) -> list[Certificate]:
     """The certificates a message carries, its block's parent first."""
     _, _, names, block, _ = _codec(_MESSAGE_CODEC, msg, "wire message")
-    certs = [msg.block.parent_qc] if block else []  # None only for genesis
+    certs = []
+    if block and msg.block.parent_qc is not None:  # None only for genesis
+        certs.append(msg.block.parent_qc)
     for n, _ in names:
         cert = getattr(msg, n)
         if cert is not None:  # optional slots may be empty

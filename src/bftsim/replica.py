@@ -12,6 +12,7 @@ fallback view-change with coin-based leader election).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Union
 
 from . import crypto
@@ -20,7 +21,7 @@ from .core import (Block, CoinQC, CoinQCRelay, CoinShare, FallbackQC,
                    ParentCert, Proposal, QC, Rank, TCRelay, Timeout,
                    TimeoutCert, TxnBatch, Vote, WireMessage, ZERO_RANK,
                    block_id_of, genesis_block, genesis_qc, is_endorsed,
-                   make_block, max_cert, rank_of)
+                   make_block, max_cert, message_certs, rank_of)
 
 THREE_CHAIN = "three_chain"
 TWO_CHAIN = "two_chain"
@@ -201,10 +202,6 @@ class Replica:
         bucket.add(signer)
         return frozenset(bucket) if len(bucket) == threshold else None
 
-    def _verify(self, cert) -> bool:
-        return crypto.verify_certificate(cert, self.config.n, self.config.f,
-                                         run_seed=self.config.run_seed)
-
     def _certified_or_endorsed(self, block_id: str) -> bool:
         st = self.state
         if block_id in st.qc_by_block:
@@ -280,9 +277,21 @@ class Replica:
         return acts
 
     def handle_message(self, msg: WireMessage, sender: int) -> list[OutputAction]:
-        handler = self._HANDLERS.get(type(msg))
-        if handler is None:
-            return self._drop("unknown_message")
+        """The one door for every input: the message's author is the channel
+        sender, a carried block matches its id, and every certificate it
+        carries verifies.  Handlers act on what passes."""
+        cfg = self.config
+        handler, author = self._HANDLERS[type(msg)]
+        if author(msg) != sender:
+            return self._drop("forged")
+        b = getattr(msg, "block", None)
+        if b is not None and b.id != block_id_of(b.parent_qc, b.round, b.view,
+                                                 b.payload, b.height, b.proposer):
+            return self._drop("bad_block_digest")
+        for cert in message_certs(msg):
+            if not crypto.verify_certificate(cert, cfg.n, cfg.f,
+                                             run_seed=cfg.run_seed):
+                return self._drop("bad_cert")
         return handler(self, msg, sender)
 
     # --- steady state ------------------------------------------------------
@@ -301,31 +310,16 @@ class Replica:
     def handle_proposal(self, p: Proposal, sender: int) -> list[OutputAction]:
         st, cfg = self.state, self.config
         b = p.block
-        if (p.sender != sender or b.round < 1 or b.parent_qc is None
-                or b.height is not None):
+        if b.round < 1 or b.parent_qc is None or b.height is not None:
             return self._drop("malformed_proposal")
         if sender != self.leader_of(b.round):
             return self._drop("wrong_leader")
-        if b.id != block_id_of(b.parent_qc, b.round, b.view, b.payload):
-            return self._drop("bad_block_digest")
-
         acts: list[OutputAction] = []
         if p.coin_qc is not None:
             acts += self._accept_coin(p.coin_qc)
-
+        if not self._accept_block(p, sender, acts):
+            return acts
         parent = b.parent_qc
-        if not self._verify(parent):
-            return self._drop("bad_parent_cert") + acts
-        if isinstance(parent, FallbackQC):
-            acts += self._register_fqc(parent)
-            if parent.view not in st.coin_history:
-                # endorsement undecidable until the view's coin arrives
-                return acts + self._buffer(("coinqc", parent.view), sender, p)
-            if not is_endorsed(parent, st.coin_history):
-                return self._drop("unendorsed_parent") + acts
-
-        self._store_body(b)
-        acts += self.lock_update(parent)
 
         # vote decision: first proposal from this round's leader only
         first_id = st.seen_proposals.setdefault((b.round, sender), b.id)
@@ -348,14 +342,32 @@ class Replica:
         return acts
 
     def handle_vote(self, v: Vote, sender: int) -> list[OutputAction]:
-        if v.voter != sender:
-            return self._drop("forged_vote")
         if self.leader_of(v.round + 1) != self.rid:
             return self._drop("misdirected_vote")
         key = (v.block_id, v.round, v.view)
         signers = self._collect(self.state.vote_shares, key, sender,
                                 self.config.quorum)
         return self.lock_update(QC(*key, signers)) if signers else []
+
+    def _accept_block(self, msg: Union[Proposal, FBProposal], sender: int,
+                      acts: list[OutputAction]) -> bool:
+        """Store a carried block and lock on its parent, adding the actions
+        to ``acts``.  False when a fallback parent waits for its view's coin
+        (the message is buffered) or is not endorsed."""
+        st = self.state
+        parent = msg.block.parent_qc
+        if isinstance(parent, FallbackQC):
+            acts += self._register_fqc(parent)
+            if parent.view not in st.coin_history:
+                # endorsement undecidable until the view's coin arrives
+                acts += self._buffer(("coinqc", parent.view), sender, msg)
+                return False
+            if not is_endorsed(parent, st.coin_history):
+                self._drop("unendorsed_parent")
+                return False
+        self._store_body(msg.block)
+        acts += self.lock_update(parent)
+        return True
 
     def lock_update(self, cert: ParentCert) -> list[OutputAction]:
         """Process a newly seen certificate: rank lock, high qc, round, commit."""
@@ -476,10 +488,6 @@ class Replica:
 
     def handle_timeout_msg(self, t: Timeout, sender: int) -> list[OutputAction]:
         st, cfg = self.state, self.config
-        if t.sender != sender:
-            return self._drop("forged_timeout")
-        if not self._verify(t.high_qc):
-            return self._drop("bad_timeout_cert")
         acts = self.lock_update(t.high_qc)
         if cfg.pacemaker == BASELINE_TC:
             if t.round is None:
@@ -502,8 +510,6 @@ class Replica:
     def handle_tc_relay(self, m: TCRelay, sender: int) -> list[OutputAction]:
         if self.config.pacemaker != BASELINE_TC:
             return self._drop("unexpected_tc")
-        if not self._verify(m.tc):
-            return self._drop("bad_tc")
         return self.advance_round(m.tc)
 
     # --- fallback ----------------------------------------------------------
@@ -512,8 +518,6 @@ class Replica:
         st, cfg = self.state, self.config
         if ftc.view < st.current_view or st.entered_fallback_view >= ftc.view:
             return []
-        if not self._verify(ftc):
-            return self._drop("bad_ftc")
         st.in_fallback = True
         st.current_view = ftc.view
         st.entered_fallback_view = ftc.view
@@ -525,13 +529,6 @@ class Replica:
         acts += self._redispatch(("enterfb", ftc.view))
         acts += self._redispatch(("view", ftc.view))
         return acts
-
-    def handle_ftc_relay(self, m: FTCRelay, sender: int) -> list[OutputAction]:
-        # entry is share-driven, and a height-1 vote checks the ticket its
-        # proposal carries, so a relayed ticket is only verified
-        if not self._verify(m.ftc):
-            return self._drop("bad_ftc")
-        return []
 
     def _propose_fallback(self, view: int, height: int, parent: ParentCert,
                           ftc: Optional[FallbackTC] = None) -> list[OutputAction]:
@@ -548,8 +545,7 @@ class Replica:
         key = (fqc.view, fqc.proposer, fqc.height)
         if key in st.fqc_by_key:
             return []
-        if (not self._verify(fqc)
-                or not 1 <= fqc.height <= cfg.fallback_top_height):
+        if not 1 <= fqc.height <= cfg.fallback_top_height:
             return self._drop("bad_fqc")
         st.fqc_by_key[key] = fqc
         st.fqc_by_block[fqc.block_id] = fqc
@@ -590,28 +586,14 @@ class Replica:
     def handle_fblock(self, m: FBProposal, sender: int) -> list[OutputAction]:
         st, cfg = self.state, self.config
         fb = m.block
-        if fb.proposer != sender:
-            return self._drop("forged_fblock")
         if (fb.height not in range(1, cfg.fallback_top_height + 1)
                 or fb.parent_qc is None):
             return self._drop("malformed_fblock")
-        if fb.id != block_id_of(fb.parent_qc, fb.round, fb.view, fb.payload,
-                                fb.height, fb.proposer):
-            return self._drop("bad_block_digest")
-
         acts: list[OutputAction] = []
         parent = fb.parent_qc
-        if not self._verify(parent):
-            return self._drop("bad_parent_cert") + acts
         if fb.height == 1:
-            if isinstance(parent, FallbackQC):
-                acts += self._register_fqc(parent)
-                if parent.view not in st.coin_history:
-                    return acts + self._buffer(("coinqc", parent.view), sender, m)
-                if not is_endorsed(parent, st.coin_history):
-                    return self._drop("unendorsed_parent") + acts
-            self._store_body(fb)
-            acts += self.lock_update(parent)
+            if not self._accept_block(m, sender, acts):
+                return acts
         else:
             if not isinstance(parent, FallbackQC) or parent.view != fb.view \
                     or parent.height != fb.height - 1:
@@ -629,8 +611,7 @@ class Replica:
             return acts
         if fb.height == 1:
             # the entry ticket of the block's view
-            if (m.ftc is None or m.ftc.view != fb.view
-                    or not self._verify(m.ftc)):
+            if m.ftc is None or m.ftc.view != fb.view:
                 return self._drop("bad_ftc") + acts
             if fb.round != parent.round + 1:
                 return acts
@@ -650,8 +631,6 @@ class Replica:
         return acts
 
     def handle_fvote(self, v: FBVote, sender: int) -> list[OutputAction]:
-        if v.voter != sender:
-            return self._drop("forged_vote")
         if v.proposer != self.rid:
             return self._drop("misdirected_vote")
         key = (v.block_id, v.round, v.view, v.height, v.proposer)
@@ -662,8 +641,6 @@ class Replica:
     def handle_fqc_relay(self, m: FQCRelay, sender: int) -> list[OutputAction]:
         st, cfg = self.state, self.config
         fqc = m.fqc
-        if not self._verify(fqc):
-            return self._drop("bad_fqc")
         if fqc.view > st.current_view:
             return self._buffer(("view", fqc.view), sender, m)
         acts: list[OutputAction] = []
@@ -682,8 +659,6 @@ class Replica:
             if m.coin_qc.view > st.current_view:
                 return self._buffer(("view", m.coin_qc.view), sender, m)
             return self._accept_coin(m.coin_qc)
-        if m.signer != sender:
-            return self._drop("forged_coin_share")
         if m.view < st.current_view:
             return []
         if m.view > st.current_view:
@@ -699,8 +674,6 @@ class Replica:
         st, cfg = self.state, self.config
         if coin.view in st.coin_history:
             return []
-        if not self._verify(coin):
-            return self._drop("bad_coin")
         st.coin_history[coin.view] = coin
         # _register_fqc keeps only heights 1..top, so this is every
         # certificate on the elected chain
@@ -732,8 +705,18 @@ class Replica:
         acts += self._redispatch(("coinqc", coin.view))
         return acts
 
-    _HANDLERS = {Proposal: handle_proposal, Vote: handle_vote,
-                 Timeout: handle_timeout_msg, TCRelay: handle_tc_relay,
-                 FTCRelay: handle_ftc_relay, FBProposal: handle_fblock,
-                 FBVote: handle_fvote, FQCRelay: handle_fqc_relay,
-                 CoinShare: handle_coin, CoinQCRelay: handle_coin}
+    # each message kind's handler and the field naming its author
+    _HANDLERS = {
+        Proposal: (handle_proposal, attrgetter("sender")),
+        Vote: (handle_vote, attrgetter("voter")),
+        Timeout: (handle_timeout_msg, attrgetter("sender")),
+        TCRelay: (handle_tc_relay, attrgetter("sender")),
+        # entry is share-driven, and a height-1 vote checks the ticket its
+        # proposal carries, so a relayed ticket needs nothing past the door
+        FTCRelay: (lambda self, m, sender: [], attrgetter("sender")),
+        FBProposal: (handle_fblock, attrgetter("block.proposer")),
+        FBVote: (handle_fvote, attrgetter("voter")),
+        FQCRelay: (handle_fqc_relay, attrgetter("sender")),
+        CoinShare: (handle_coin, attrgetter("signer")),
+        CoinQCRelay: (handle_coin, attrgetter("sender")),
+    }

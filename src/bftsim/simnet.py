@@ -256,7 +256,8 @@ class Trace:
     def from_jsonl(cls, path: str) -> "Trace":
         with open(path, "rb") as fh:
             trace = cls._read_header(fh, path)
-            sent: dict[int, WireMessage] = {}  # send q -> its message
+            # send q -> its message and endpoints
+            sent: dict[int, tuple[WireMessage, int, int]] = {}
             last_raw = last_msg = None
             for no, line in enumerate(fh, 2):
                 try:
@@ -274,14 +275,17 @@ class Trace:
                     if "sq" in rec:
                         if rec["sq"] not in sent:
                             raise ValueError(f"no send for sq {rec['sq']}")
-                        rec["m"] = sent.pop(rec["sq"])
+                        rec["m"], frm, to = sent.pop(rec["sq"])
+                        if (frm, to) != (rec["frm"], rec["to"]):
+                            raise ValueError(f"deliver disagrees with send "
+                                             f"{rec['sq']} ({frm} -> {to})")
                     elif "m" in rec:
                         if rec["m"] != last_raw:  # multicast sends repeat it
                             last_raw = rec["m"]
                             last_msg = decode_message(last_raw)
                         rec["m"] = last_msg
                         if kind == "send":
-                            sent[rec["q"]] = last_msg
+                            sent[rec["q"]] = (last_msg, rec["frm"], rec["to"])
                     elif kind == "deliver":
                         raise ValueError("deliver has neither m nor sq")
                 except (ValueError, KeyError, TypeError) as exc:

@@ -226,6 +226,16 @@ def test_replay_missing_file_exits_two(tmp_path):
     assert run_cli("replay", str(tmp_path / "absent.jsonl")) == 2
 
 
+def test_unusable_paths_exit_two(tmp_path, capsys):
+    cfg = write(tmp_path, STEADY)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (("check", str(tmp_path)), ("replay", str(tmp_path)),
+                 ("run", "--config", cfg, "--out", str(taken), "--quiet")):
+        assert run_cli(*argv) == 2, argv
+        assert capsys.readouterr().err.startswith("file error:"), argv
+
+
 def rewrite(tmp_path, lines, name="bad.jsonl"):
     path = tmp_path / name
     path.write_text("".join(line + "\n" for line in lines))
@@ -342,8 +352,13 @@ def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
     unknown_kind["kind"] = "teleport"
     dangling = json.loads(lines[first_sq])
     dangling["sq"] = 10 ** 9
+    # a deliver from another sender than the send it names
+    misrouted = json.loads(lines[first_sq])
+    misrouted["frm"] = next(j for j in range(4)
+                            if j not in (misrouted["frm"], misrouted["to"]))
     for k, line in ((1, "{not json"), (1, json.dumps(unknown_kind)),
-                    (first_sq, json.dumps(dangling))):
+                    (first_sq, json.dumps(dangling)),
+                    (first_sq, json.dumps(misrouted))):
         path = rewrite(tmp_path, lines[:k] + [line] + lines[k + 1:])
         assert_trace_error(capsys, path, ("check",))
         # replay hashes the stored bytes without decoding them: changed

@@ -1,8 +1,13 @@
-"""Replica state machine: vote, lock, commit, pacemakers, and fallback."""
+"""Replica state machine: the door, vote, lock, commit, pacemakers, and
+fallback."""
+
+import copy
+from dataclasses import replace
 
 import pytest
 
 from bftsim.core import (
+    MESSAGE_KINDS,
     ZERO_RANK,
     CoinQC,
     CoinQCRelay,
@@ -16,12 +21,15 @@ from bftsim.core import (
     Proposal,
     QC,
     Rank,
+    TCRelay,
     Timeout,
+    TimeoutCert,
     TxnBatch,
     Vote,
     decode_message,
     genesis_qc,
     make_block,
+    message_certs,
     rank_of,
 )
 from bftsim.crypto import elect_leader
@@ -422,8 +430,8 @@ def test_expiry_flips_mode_and_multicasts_view_share():
 def test_entry_requires_share_quorum_not_ftc():
     r, _ = boot(3)
     ftc = FallbackTC(0, QUORUM)
-    assert r.handle_ftc_relay(FTCRelay(ftc, 1), 1) == []
-    assert r.state.entered_fallback_view == -1  # verified, not entered
+    assert r.handle_message(FTCRelay(ftc, 1), 1) == []
+    assert r.state.entered_fallback_view == -1  # passed the door, not entered
     acts = enter_fb(r)
     assert r.state.in_fallback
     assert r.state.entered_fallback_view == 0
@@ -507,13 +515,14 @@ def test_fallback_vote_height_one_respects_rank_lock():
 
 def test_fallback_vote_height_one_requires_the_views_ticket():
     # no ticket, another view's ticket, and one with too few signers
-    for ticket in (None, FallbackTC(1, QUORUM), FallbackTC(0, frozenset({0}))):
+    for ticket, reason in ((None, "bad_ftc"), (FallbackTC(1, QUORUM), "bad_ftc"),
+                           (FallbackTC(0, frozenset({0})), "bad_cert")):
         r, _ = boot(3)
         enter_fb(r)
         fb = fb_block(1, 1, genesis_qc(4))
-        acts = r.handle_fblock(FBProposal(fb, ticket), 1)
+        acts = r.handle_message(FBProposal(fb, ticket), 1)
         assert not sends(acts, FBVote), ticket
-        assert r.state.dropped == {"bad_ftc": 1}
+        assert r.state.dropped == {reason: 1}
         assert r.state.fallback_voted_height[1] == 0
 
 
@@ -760,6 +769,71 @@ def test_two_chain_exit_commits_elected_pair():
     got = commits(acts)
     assert len(got) == 1 and list(got[0].block_ids) == [fqcs[0].block_id]
     assert r.state.locked_rank == Rank(0, True, 2)  # the certificate itself
+
+
+# --- the door: author, block id and certificates -----------------------------
+
+COIN = CoinQC(0, elect_leader(0, 0, 4), frozenset({0, 1}))
+
+# One message of each kind by an author, built from its certificate slots
+# (the defaults verify), so a carried block's id always matches its parent.
+DOOR = {
+    Proposal: ({"parent": genesis_qc(4), "coin_qc": COIN},
+               lambda a, c: Proposal(make_block(c["parent"], 1, 0,
+                                                TxnBatch("d", 1)),
+                                     a, c["coin_qc"])),
+    Vote: ({}, lambda a, c: Vote("b" * 32, 1, 0, a)),
+    Timeout: ({"high_qc": genesis_qc(4)},
+              lambda a, c: Timeout(None, 0, c["high_qc"], a)),
+    TCRelay: ({"tc": TimeoutCert(5, QUORUM)}, lambda a, c: TCRelay(c["tc"], a)),
+    FTCRelay: ({"ftc": FallbackTC(0, QUORUM)},
+               lambda a, c: FTCRelay(c["ftc"], a)),
+    FBProposal: ({"parent": genesis_qc(4), "ftc": FallbackTC(0, QUORUM)},
+                 lambda a, c: FBProposal(fb_block(a, 1, c["parent"]),
+                                         c["ftc"])),
+    FBVote: ({}, lambda a, c: FBVote("f" * 32, 1, 0, 1, 3, a)),
+    FQCRelay: ({"fqc": FallbackQC("f" * 32, 1, 0, 1, 1, QUORUM)},
+               lambda a, c: FQCRelay(c["fqc"], a)),
+    CoinShare: ({}, lambda a, c: CoinShare(0, a)),
+    CoinQCRelay: ({"coin_qc": COIN}, lambda a, c: CoinQCRelay(c["coin_qc"], a)),
+}
+
+
+def through_door(msg, sender):
+    """A fresh replica 3's actions and drop counts for ``msg`` from
+    ``sender``, and whether the rest of its state is unchanged."""
+    r, _ = boot(3)
+    before = copy.deepcopy(r.state)
+    acts = r.handle_message(msg, sender)
+    before.dropped = r.state.dropped
+    return acts, r.state.dropped, r.state == before
+
+
+def test_door_covers_every_message_kind():
+    assert set(Replica._HANDLERS) == set(MESSAGE_KINDS) == set(DOOR)
+
+
+def test_door_drops_a_message_its_sender_did_not_author():
+    for kind, (certs, make) in DOOR.items():
+        assert through_door(make(1, certs), 2) == ([], {"forged": 1}, True), kind
+
+
+def test_door_drops_an_under_signed_certificate():
+    for kind, (certs, make) in DOOR.items():
+        assert len(message_certs(make(1, certs))) == len(certs), kind
+        for slot, cert in certs.items():
+            short = replace(cert, signers=frozenset({0}))
+            msg = make(1, dict(certs, **{slot: short}))
+            assert through_door(msg, 1) == ([], {"bad_cert": 1}, True), \
+                (kind, slot)
+
+
+def test_door_drops_a_block_that_does_not_match_its_id():
+    for kind in (Proposal, FBProposal):
+        certs, make = DOOR[kind]
+        msg = make(1, certs)
+        msg = replace(msg, block=replace(msg.block, id="0" * 32))
+        assert through_door(msg, 1) == ([], {"bad_block_digest": 1}, True)
 
 
 # --- determinism soak against the simulator ---------------------------------
