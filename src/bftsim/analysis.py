@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
+from . import crypto
 from .core import (Block, CoinQC, CoinShare, FallbackQC, FBProposal, FBVote,
                    Proposal, QC, Vote, MESSAGE_SIZE_UNITS, genesis_block,
                    message_certs, message_variant)
@@ -76,8 +77,8 @@ def index(trace: Trace) -> TraceIndex:
     idx = TraceIndex()
     spec = trace.adversary
     n = trace.protocol.n
-    quorum = 2 * trace.protocol.f + 1
-    coin_quorum = trace.protocol.f + 1
+    quorum = crypto.quorum_threshold(trace.protocol.f)
+    coin_quorum = crypto.coin_threshold(trace.protocol.f)
     # crash faults are fail-stop, not byzantine; their commits count
     idx.honest = {i for i in range(n)
                   if isinstance(spec.fault_of(i), (Honest, Crash))}

@@ -98,16 +98,11 @@ class SetTimer:
 
 
 @dataclass(frozen=True)
-class CancelTimers:
-    pass
-
-
-@dataclass(frozen=True)
 class CommitNotice:
     block_ids: tuple[str, ...]  # newly committed, oldest first
 
 
-OutputAction = Union[Send, Multicast, SetTimer, CancelTimers, CommitNotice]
+OutputAction = Union[Send, Multicast, SetTimer, CommitNotice]
 
 
 # --- replica state ---------------------------------------------------------
@@ -125,7 +120,7 @@ class ReplicaState:
     in_fallback: bool = False
     fallback_voted_round: dict[int, int] = field(default_factory=dict)
     fallback_voted_height: dict[int, int] = field(default_factory=dict)
-    committed: list[str] = field(default_factory=list)
+    committed: dict[str, None] = field(default_factory=dict)  # in order
 
     # stores
     blocks: dict[str, Block] = field(default_factory=dict)
@@ -145,21 +140,19 @@ class ReplicaState:
     completion_marks: dict[int, set[int]] = field(default_factory=dict)
 
     # one-shot markers
-    seen_proposals: dict[tuple, str] = field(default_factory=dict)
+    seen_proposals: dict[int, str] = field(default_factory=dict)  # by round
     entered_fallback_view: int = -1
     reacted_f_heights: dict[int, set[int]] = field(default_factory=dict)
 
-    voting_stopped: bool = False
-    timer_round: Optional[int] = None
+    timer_round: Optional[int] = None  # None once the round's timer fired
 
-    # commit machinery
-    committed_set: set[str] = field(default_factory=set)
+    # certified or endorsed stored blocks not yet committed
     commit_frontier: set[str] = field(default_factory=set)
 
     # out-of-order buffers
     pending: dict[tuple, list[tuple[int, WireMessage]]] = field(default_factory=dict)
     pending_per_sender: dict[int, int] = field(default_factory=dict)
-    pending_rank_locks: dict[str, list[ParentCert]] = field(default_factory=dict)
+    pending_rank_locks: set[str] = field(default_factory=set)  # body awaited
 
     dropped: dict[str, int] = field(default_factory=dict)
 
@@ -228,36 +221,30 @@ class Replica:
     def _purge_stale_views(self) -> None:
         st = self.state
         v_cur = st.current_view
-        for key in [k for k in st.pending if k[0] in ("enterfb", "view", "coinqc") and k[1] < v_cur]:
+        # a block waiting for a view's coin waits past the view: the coin
+        # of a closed view is still accepted, and releases it
+        for key in [k for k in st.pending if k[0] != "coinqc" and k[1] < v_cur]:
             for sender, _ in st.pending.pop(key):
                 st.pending_per_sender[sender] -= 1
-                st.dropped["stale_view"] = st.dropped.get("stale_view", 0) + 1
+                self._drop("stale_view")
         for d in (st.timeout_view_shares, st.coin_shares):
             for v in [v for v in d if v < v_cur]:
                 del d[v]
-        # fallback blocks of closed views can no longer become endorsed
-        for bid in [b for b in st.commit_frontier
-                    if st.blocks[b].height is not None
-                    and st.blocks[b].view < v_cur
-                    and not self._certified_or_endorsed(b)]:
-            st.commit_frontier.discard(bid)
 
     def _store_body(self, block: Block) -> None:
         st = self.state
         if block.id in st.blocks:
             return
         st.blocks[block.id] = block
-        if st.pending_rank_locks.pop(block.id, None) is not None:
-            self._apply_lock_rank(block)
+        if block.id in st.pending_rank_locks:
+            st.pending_rank_locks.remove(block.id)
+            self._raise_lock(block.parent_qc)
         if self._certified_or_endorsed(block.id):
             st.commit_frontier.add(block.id)
 
-    def _apply_lock_rank(self, certified_body: Block) -> None:
-        # 3-chain lock: rank of the certificate inside the certified block
+    def _raise_lock(self, cert: Optional[ParentCert]) -> None:
         st = self.state
-        r = rank_of(certified_body.parent_qc, st.coin_history)
-        if r > st.locked_rank:
-            st.locked_rank = r
+        st.locked_rank = max(st.locked_rank, rank_of(cert, st.coin_history))
 
     def _register_qc(self, qc: QC) -> None:
         st = self.state
@@ -322,12 +309,12 @@ class Replica:
         parent = b.parent_qc
 
         # vote decision: first proposal from this round's leader only
-        first_id = st.seen_proposals.setdefault((b.round, sender), b.id)
+        first_id = st.seen_proposals.setdefault(b.round, b.id)
         if first_id != b.id:
             return self._drop("conflicting_proposal") + acts
         if b.round != st.current_round or b.view != st.current_view:
             return acts
-        if st.voting_stopped or b.round <= st.voted_round:
+        if st.timer_round is None or b.round <= st.voted_round:
             return acts
         if cfg.pacemaker == ASYNC_FALLBACK:
             if st.in_fallback:
@@ -380,48 +367,40 @@ class Replica:
             if not is_endorsed(cert, st.coin_history):
                 # only certificates usable as block parents move the lock
                 return acts
-        if cfg.variant == THREE_CHAIN:
-            body = st.blocks.get(cert.block_id)
-            if body is None:
-                st.pending_rank_locks.setdefault(cert.block_id, []).append(cert)
-            else:
-                self._apply_lock_rank(body)
+        if cfg.variant == TWO_CHAIN:
+            self._raise_lock(cert)
+        elif cert.block_id in st.blocks:
+            # 3-chain lock: the certificate inside the certified block
+            self._raise_lock(st.blocks[cert.block_id].parent_qc)
         else:
-            r = rank_of(cert, st.coin_history)
-            if r > st.locked_rank:
-                st.locked_rank = r
+            st.pending_rank_locks.add(cert.block_id)
         st.high_qc = max_cert(st.high_qc, cert, st.coin_history)
         acts += self.advance_round(cert)
         acts += self.try_commit()
         return acts
 
-    def advance_round(self, trigger) -> list[OutputAction]:
-        st, cfg = self.state, self.config
-        if isinstance(trigger, TimeoutCert):
-            if cfg.pacemaker != BASELINE_TC:
-                return []  # fallback pacemaker advances on certificates only
-            tc: Optional[TimeoutCert] = trigger
-        else:
-            tc = None
-        new_round = trigger.round + 1
-        if new_round <= st.current_round:
+    def advance_round(self, trigger: Union[ParentCert, TimeoutCert]
+                      ) -> list[OutputAction]:
+        # only the baseline pacemaker's paths pass a timeout certificate
+        st = self.state
+        if trigger.round + 1 <= st.current_round:
             return []
-        st.current_round = new_round
-        return self._enter_round(tc)
+        st.current_round = trigger.round + 1
+        return self._enter_round(
+            trigger if isinstance(trigger, TimeoutCert) else None)
 
     def _enter_round(self, tc: Optional[TimeoutCert]) -> list[OutputAction]:
         st, cfg = self.state, self.config
-        st.voting_stopped = False
         st.timer_round = st.current_round
-        acts: list[OutputAction] = [CancelTimers(),
-                                    SetTimer(st.current_round, cfg.timeout_duration)]
+        acts: list[OutputAction] = [SetTimer(st.current_round,
+                                             cfg.timeout_duration)]
         leader = self.leader_of(st.current_round)
         if tc is not None and leader != self.rid:
             acts.append(Send(leader, TCRelay(tc, self.rid)))
         if leader == self.rid:
             acts += self._propose()
-        for key in [k for k in st.seen_proposals if k[0] < st.current_round]:
-            del st.seen_proposals[key]
+        for rnd in [k for k in st.seen_proposals if k < st.current_round]:
+            del st.seen_proposals[rnd]
         return acts
 
     def try_commit(self) -> list[OutputAction]:
@@ -434,42 +413,36 @@ class Replica:
         return acts
 
     def _commit_target(self, top_id: str) -> Optional[str]:
+        """The base of a chain of ``fallback_top_height`` certified or
+        endorsed blocks, in one view at consecutive rounds, ending at
+        ``top_id``; None if there is no such chain or its base is committed."""
         st = self.state
-        blk = st.blocks.get(top_id)
-        if blk is None or blk.parent_qc is None:
-            return None
-        parent = st.blocks.get(blk.parent_qc.block_id)
-        if parent is None or not self._certified_or_endorsed(parent.id):
-            return None
-        if blk.round != parent.round + 1 or blk.view != parent.view:
-            return None
-        if self.config.variant == TWO_CHAIN:
-            return parent.id if parent.id not in st.committed_set else None
-        if parent.parent_qc is None:
-            return None
-        grand = st.blocks.get(parent.parent_qc.block_id)
-        if grand is None or not self._certified_or_endorsed(grand.id):
-            return None
-        if parent.round != grand.round + 1 or parent.view != grand.view:
-            return None
-        return grand.id if grand.id not in st.committed_set else None
+        blk = st.blocks[top_id]
+        for _ in range(self.config.fallback_top_height - 1):
+            if blk.parent_qc is None:  # genesis ends every chain
+                return None
+            parent = st.blocks.get(blk.parent_qc.block_id)
+            if (parent is None or not self._certified_or_endorsed(parent.id)
+                    or blk.round != parent.round + 1 or blk.view != parent.view):
+                return None
+            blk = parent
+        return blk.id if blk.id not in st.committed else None
 
     def _commit(self, target_id: str) -> list[OutputAction]:
         st = self.state
         chain: list[str] = []
         cur = target_id
-        while cur != self.genesis.id and cur not in st.committed_set:
+        while cur != self.genesis.id and cur not in st.committed:
             body = st.blocks.get(cur)
             if body is None:
                 return []  # ancestor body missing; retried when it arrives
             chain.append(cur)
-            cur = body.parent_qc.block_id if body.parent_qc else self.genesis.id
+            cur = body.parent_qc.block_id  # only genesis has none
         if not chain:
             return []
         chain.reverse()
-        st.committed.extend(chain)
-        st.committed_set.update(chain)
         for bid in chain:
+            st.committed[bid] = None
             st.commit_frontier.discard(bid)
         return [CommitNotice(tuple(chain))]
 
@@ -481,7 +454,6 @@ class Replica:
             return []
         st.timer_round = None
         if cfg.pacemaker == BASELINE_TC:
-            st.voting_stopped = True
             return [Multicast(Timeout(st.current_round, None, st.high_qc, self.rid))]
         st.in_fallback = True
         return [Multicast(Timeout(None, st.current_view, st.high_qc, self.rid))]
@@ -552,9 +524,7 @@ class Replica:
         if fqc.block_id in st.blocks and is_endorsed(fqc, st.coin_history):
             st.commit_frontier.add(fqc.block_id)
         acts: list[OutputAction] = []
-        in_own_fallback = (st.in_fallback and fqc.view == st.current_view
-                           and st.entered_fallback_view == fqc.view)
-        if in_own_fallback:
+        if st.entered_fallback_view == st.current_view == fqc.view:
             acts += self._fallback_reactions(fqc)
         if (cfg.variant == THREE_CHAIN and fqc.view == st.current_view
                 and fqc.height == cfg.fallback_top_height
@@ -602,8 +572,7 @@ class Replica:
             acts += self._register_fqc(parent)
 
         # vote decision
-        if not (st.in_fallback and st.entered_fallback_view == fb.view
-                and st.current_view == fb.view):
+        if not st.entered_fallback_view == st.current_view == fb.view:
             if fb.view >= st.current_view and st.entered_fallback_view < fb.view:
                 return acts + self._buffer(("enterfb", fb.view), sender, m)
             return acts  # stale view
@@ -697,8 +666,7 @@ class Replica:
             if st.timer_round != st.current_round:
                 # keep a timer live so an unlucky election retries the view
                 st.timer_round = st.current_round
-                acts += [CancelTimers(),
-                         SetTimer(st.current_round, cfg.timeout_duration)]
+                acts.append(SetTimer(st.current_round, cfg.timeout_duration))
             acts += self._redispatch(("view", st.current_view))
         else:
             acts += self.try_commit()

@@ -22,8 +22,8 @@ from . import crypto
 from .core import (FBProposal, Proposal, TxnBatch, WireMessage,
                    decode_message, encode_message, genesis_block, make_block,
                    message_size_units, message_variant)
-from .replica import (CancelTimers, CommitNotice, Multicast, ConfigError,
-                      OutputAction, Replica, ReplicaConfig, Send, SetTimer)
+from .replica import (CommitNotice, Multicast, ConfigError, OutputAction,
+                      Replica, ReplicaConfig, Send, SetTimer)
 
 TRACE_FORMAT = "bftsim-trace-v2"
 
@@ -418,7 +418,7 @@ class Simulation:
         self.rng = random.Random(config.run_seed)
         self.seq = itertools.count()
         self.heap: list[tuple] = []
-        self.alive_timer: dict[int, Optional[int]] = {}
+        self.alive_timer: dict[int, int] = {}  # rid -> its one live token
         self.harnesses = [
             _Harness(Replica(config, i), adversary.fault_of(i))
             for i in range(config.n)
@@ -450,9 +450,8 @@ class Simulation:
                 self._emit(to, self.harnesses[to].on_message(msg, frm, t), t)
             else:
                 rid, round, token = data
-                if self.alive_timer.get(rid) != token:
-                    continue  # cancelled or superseded
-                self.alive_timer[rid] = None
+                if self.alive_timer[rid] != token:
+                    continue  # superseded by a later SetTimer
                 self.trace.records.append(
                     {"t": t, "q": q, "kind": "timer_fire", "rid": rid,
                      "round": round})
@@ -475,8 +474,6 @@ class Simulation:
                 self.alive_timer[rid] = token
                 heapq.heappush(self.heap, (now + act.duration, next(self.seq),
                                            "timer", (rid, act.round, token)))
-            elif isinstance(act, CancelTimers):
-                self.alive_timer[rid] = None
             elif isinstance(act, CommitNotice):
                 self.trace.records.append(
                     {"t": now, "q": next(self.seq), "kind": "commit",

@@ -1,12 +1,15 @@
 """Safety checker, metrics, and fallback statistics."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from bftsim.core import (
     CoinQC,
     CoinQCRelay,
+    FallbackQC,
+    FQCRelay,
     Proposal,
     QC,
     Timeout,
@@ -192,6 +195,78 @@ def test_conflicting_elections_detected():
     rep = check_safety(tr)
     assert not rep.ok
     assert any("election" in v or "coin" in v for v in rep.violations)
+
+
+def _plant(tr, *msgs):
+    """Deliver each message to replica 1 after the last record."""
+    t = tr.records[-1]["t"]
+    for msg in msgs:
+        tr.records.append({"t": t, "q": 10 ** 9 + len(tr.records),
+                           "kind": "deliver", "frm": 0, "to": 1, "m": msg,
+                           "self": False})
+
+
+def _commits_of(tr, rid):
+    return [r for r in tr.records if r["kind"] == "commit" and r["rid"] == rid]
+
+
+def _elected_fqc(tr):
+    """A fallback certificate on the chain its view's coin elected."""
+    coins = {r["m"].coin_qc.view: r["m"].coin_qc.elected for r in tr.records
+             if isinstance(r.get("m"), CoinQCRelay)}
+    return next(r["m"].fqc for r in tr.records
+                if isinstance(r.get("m"), FQCRelay)
+                and coins.get(r["m"].fqc.view) == r["m"].fqc.proposer)
+
+
+def _certified(parent, rnd, view, height=None, proposer=None):
+    """A block body and a certificate for it, far from the run's views."""
+    b = make_block(parent, rnd, view, TxnBatch("planted", 1), height, proposer)
+    return Proposal(b, 0), Timeout(99, None, QC(b.id, rnd, view,
+                                                frozenset({1, 2, 3})), 3)
+
+
+FAR = 10 ** 6
+FAR_QC = QC("a" * 32, FAR, FAR, frozenset({1, 2, 3}))
+
+# (a fragment of the violation, how to plant it in a clean starved trace)
+PLANTED = [
+    ("committed a block twice",
+     lambda tr: tr.records.append(dict(_commits_of(tr, 0)[0], q=10 ** 9))),
+    ("log breaks chain",
+     lambda tr: tr.records.remove(_commits_of(tr, 0)[0])),
+    ("conflicting fallback certificates",
+     lambda tr: _plant(tr, FQCRelay(replace(_elected_fqc(tr),
+                                            block_id="f" * 32), 0))),
+    ("two endorsed fallback blocks",  # another height, so another chain slot
+     lambda tr: _plant(tr, FQCRelay(replace(
+         _elected_fqc(tr), block_id="f" * 32,
+         height=_elected_fqc(tr).height + FAR), 0))),
+    ("below its parent's view",
+     lambda tr: _plant(tr, *_certified(FAR_QC, FAR + 1, FAR - 1))),
+    ("does not directly extend its parent",
+     lambda tr: _plant(tr, *_certified(FAR_QC, FAR + 2, FAR))),
+    ("extends a fallback block without advancing",
+     lambda tr: _plant(tr, *_certified(
+         FallbackQC("a" * 32, FAR, FAR, 1, 0, frozenset({1, 2, 3})),
+         FAR + 1, FAR))),
+]
+
+
+@pytest.fixture(scope="module")
+def clean_starved():
+    tr = starved()
+    assert check_safety(tr).ok
+    return tr
+
+
+@pytest.mark.parametrize("fragment,plant", PLANTED,
+                         ids=[row[0] for row in PLANTED])
+def test_planted_violation_is_reported(clean_starved, fragment, plant):
+    tr = clone(clean_starved)
+    plant(tr)
+    rep = check_safety(tr)
+    assert any(fragment in v for v in rep.violations), rep.violations
 
 
 def test_vote_quorum_implies_certificate():

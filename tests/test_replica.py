@@ -2,10 +2,13 @@
 fallback."""
 
 import copy
+import inspect
+import re
 from dataclasses import replace
 
 import pytest
 
+from bftsim import replica
 from bftsim.core import (
     MESSAGE_KINDS,
     ZERO_RANK,
@@ -34,6 +37,7 @@ from bftsim.core import (
 )
 from bftsim.crypto import elect_leader
 from bftsim.replica import (
+    PENDING_CAP,
     CommitNotice,
     ConfigError,
     Multicast,
@@ -145,7 +149,7 @@ def test_init_nonleader_state_and_timer():
     assert st.current_view == 0
     assert st.high_qc == genesis_qc(4)
     assert not st.in_fallback
-    assert st.committed == []
+    assert list(st.committed) == []
     timers = [a for a in acts if isinstance(a, SetTimer)]
     assert len(timers) == 1 and timers[0].round == 1
     assert not multis(acts, Proposal)
@@ -341,7 +345,7 @@ def test_three_chain_commit_needs_three_consecutive():
     acts = feed(r, parts[3][0])  # certifies b3
     got = commits(acts)
     assert len(got) == 1 and list(got[0].block_ids) == [parts[0][0].id]
-    assert r.state.committed == [parts[0][0].id]
+    assert list(r.state.committed) == [parts[0][0].id]
     acts = feed(r, parts[4][0])  # round 5: the rotation's next leader
     assert list(commits(acts)[0].block_ids) == [parts[1][0].id]
 
@@ -362,7 +366,7 @@ def test_three_chain_gap_blocks_commit_then_ancestors_flow():
     got = commits(r.lock_update(final_qc))  # certifies b6: triple (4,5,6)
     assert len(got) == 1
     assert list(got[0].block_ids) == [b1.id, b2.id, tail[0][0].id]
-    assert r.state.committed == [b1.id, b2.id, tail[0][0].id]
+    assert list(r.state.committed) == [b1.id, b2.id, tail[0][0].id]
 
 
 def test_two_chain_commit_needs_two_consecutive():
@@ -385,7 +389,7 @@ def test_baseline_timeout_and_certificate_advance():
     assert len(outs) == 1
     t = outs[0].msg
     assert t.round == 1 and t.view is None and t.high_qc == genesis_qc(4)
-    assert r.state.voting_stopped
+    assert r.state.timer_round is None  # no more votes this round
     # a quorum of round shares forms a certificate and advances the round
     for s in (0, 1, 2):
         acts = r.handle_timeout_msg(Timeout(1, None, genesis_qc(4), s), s)
@@ -836,6 +840,194 @@ def test_door_drops_a_block_that_does_not_match_its_id():
         assert through_door(msg, 1) == ([], {"bad_block_digest": 1}, True)
 
 
+# --- every drop reason, through the door --------------------------------------
+
+
+def view_shares(view):
+    """A quorum of view-timeout shares: replica 3 enters that view's fallback."""
+    return [(Timeout(None, view, genesis_qc(4), s), s) for s in (0, 1, 2)]
+
+
+def round_shares(rnd):
+    return [(Timeout(rnd, None, genesis_qc(4), s), s) for s in (0, 1, 2)]
+
+
+(B1, QC1), (B2, _) = chain([1, 2])
+TICKET = FallbackTC(0, QUORUM)
+# replica 2's height-1 certificate; COIN elects replica 1
+LOSER = FallbackQC("e" * 32, 1, 0, 1, 2, QUORUM)
+assert COIN.elected == 1
+
+# (reason, config overrides, inputs to a fresh replica 3): the last input is
+# dropped for the reason and nothing else is
+DROPS = [
+    ("forged", {}, [(Vote(B1.id, 1, 0, 1), 2)]),
+    ("bad_block_digest", {}, [(Proposal(replace(B1, id="0" * 32), 0), 0)]),
+    ("bad_cert", {}, [(Timeout(None, 0, replace(QC1, signers=frozenset({0})),
+                               1), 1)]),
+    ("malformed_proposal", {},
+     [(Proposal(fb_block(0, 1, genesis_qc(4)), 0), 0)]),
+    ("wrong_leader", {}, [(Proposal(B1, 2), 2)]),
+    ("conflicting_proposal", {},
+     [(Proposal(B1, 0), 0),
+      (Proposal(make_block(genesis_qc(4), 1, 0, TxnBatch("twin", 1)), 0), 0)]),
+    # lock (0,F,1) from the 2-chain rule, then a round-3 block on genesis
+    ("lock_violation", {"variant": "two_chain", "pacemaker": "baseline_tc"},
+     [(Proposal(B1, 0), 0), (Proposal(B2, 0), 0), *round_shares(2),
+      (Proposal(make_block(genesis_qc(4), 3, 0, TxnBatch("low", 1)), 0), 0)]),
+    ("misdirected_vote", {}, [(Vote(B1.id, 1, 0, 1), 1)]),  # 0 leads round 2
+    ("misdirected_vote", {}, [(FBVote("f" * 32, 1, 0, 1, 1, 2), 2)]),
+    ("malformed_timeout", {"pacemaker": "baseline_tc"},
+     [(Timeout(None, 0, genesis_qc(4), 1), 1)]),
+    ("malformed_timeout", {}, [(Timeout(1, None, genesis_qc(4), 1), 1)]),
+    ("unexpected_tc", {}, [(TCRelay(TimeoutCert(1, QUORUM), 1), 1)]),
+    ("bad_fqc", {},
+     [(FQCRelay(FallbackQC("f" * 32, 4, 0, 4, 1, QUORUM), 1), 1)]),
+    ("malformed_fblock", {},  # above the top height
+     [(FBProposal(fb_block(1, 4, FallbackQC("f" * 32, 3, 0, 3, 1, QUORUM)),
+                  None), 1)]),
+    ("malformed_fblock", {},  # height 2 on a regular certificate
+     [(FBProposal(fb_block(1, 2, genesis_qc(4)), None), 1)]),
+    ("bad_ftc", {},
+     [*view_shares(0), (FBProposal(fb_block(1, 1, genesis_qc(4)), None), 1)]),
+    ("buffer_overflow", {},
+     [(CoinShare(v, 1), 1) for v in range(1, PENDING_CAP + 2)]),
+    # buffered for view 1's entry, purged when view 2's fallback starts
+    ("stale_view", {},
+     [(FBProposal(fb_block(1, 1, genesis_qc(4), view=1),
+                  FallbackTC(1, QUORUM)), 1), *view_shares(2)]),
+    ("unendorsed_parent", {},
+     [(CoinQCRelay(COIN, 0), 0),
+      (Proposal(make_block(LOSER, 2, 1, TxnBatch("u", 1)), 0), 0)]),
+]
+
+
+@pytest.mark.parametrize("reason,cfg,inputs", DROPS,
+                         ids=[row[0] for row in DROPS])
+def test_each_drop_reason(reason, cfg, inputs):
+    r, _ = boot(3, mk(**cfg))
+    for msg, sender in inputs:
+        r.handle_message(msg, sender)
+    assert r.state.dropped == {reason: 1}
+
+
+def test_drop_table_covers_every_reason():
+    reasons = set(re.findall(r'_drop\("(\w+)"\)', inspect.getsource(replica)))
+    assert {row[0] for row in DROPS} == reasons
+
+
+# --- out-of-order inputs --------------------------------------------------------
+
+COIN1 = CoinQC(1, elect_leader(1, 0, 4), frozenset({0, 1}))
+
+# a view-1 message for a replica in view 0, and what it leaves once handled
+VIEW_ONE = [
+    (FQCRelay(FallbackQC("f" * 32, 1, 1, 1, 2, QUORUM), 2),
+     lambda st: (1, 2, 1) in st.fqc_by_key),
+    (CoinShare(1, 2), lambda st: st.coin_shares.get(1) == {2}),
+    (CoinQCRelay(COIN1, 2),
+     lambda st: st.coin_history.get(1) == COIN1 and st.current_view == 2),
+]
+
+
+@pytest.mark.parametrize("msg,handled", VIEW_ONE,
+                         ids=[type(m).__name__ for m, _ in VIEW_ONE])
+def test_next_view_message_waits_for_the_view_change(msg, handled):
+    r, _ = boot(3)
+    assert r.handle_message(msg, 2) == []
+    assert r.state.pending == {("view", 1): [(2, msg)]}
+    assert not handled(r.state)
+    r.handle_message(CoinQCRelay(COIN, 0), 0)  # view 0's coin: on to view 1
+    assert r.state.pending == {} and r.state.pending_per_sender == {2: 0}
+    assert handled(r.state)
+
+
+WINNER = FallbackQC("e" * 32, 1, 0, 1, 1, QUORUM)  # elected by COIN
+ON_WINNER = [
+    (Proposal(make_block(WINNER, 2, 1, TxnBatch("next", 1)), 0), 0),
+    (FBProposal(fb_block(2, 1, WINNER, view=1), FallbackTC(1, QUORUM)), 2),
+]
+
+
+@pytest.mark.parametrize("msg,sender", ON_WINNER,
+                         ids=[type(m).__name__ for m, _ in ON_WINNER])
+def test_block_on_a_fallback_parent_waits_for_its_coin(msg, sender):
+    r, _ = boot(3)
+    assert r.handle_message(msg, sender) == []
+    assert r.state.pending == {("coinqc", 0): [(sender, msg)]}
+    assert msg.block.id not in r.state.blocks
+    acts = r.handle_message(CoinQCRelay(COIN, 0), 0)
+    assert msg.block.id in r.state.blocks
+    if isinstance(msg, Proposal):
+        assert sends(acts, Vote) == [Send(0, Vote(msg.block.id, 2, 1, 3))]
+        assert r.state.pending == {}
+    else:  # next it waits for the replica to enter view 1's fallback
+        assert r.state.pending == {("enterfb", 1): [(sender, msg)]}
+
+
+def test_fallback_certificate_without_its_coin_moves_no_lock():
+    r, _ = boot(3)
+    assert r.handle_message(Timeout(None, 0, WINNER, 1), 1) == []
+    st = r.state
+    assert st.fqc_by_key == {(0, 1, 1): WINNER}
+    assert (st.high_qc, st.locked_rank, st.current_round) == \
+        (genesis_qc(4), ZERO_RANK, 1)
+
+
+def test_coin_for_a_past_view_still_commits_its_chain():
+    # replica 1's view-0 chain reaches height 3 while replica 3 moves on to
+    # view 1; view 0's coin then endorses it, and its base commits
+    r, _ = boot(3)
+    for msg, sender in view_shares(0):
+        r.handle_message(msg, sender)
+    parent, ticket = genesis_qc(4), TICKET
+    for h in (1, 2, 3):
+        fb = fb_block(1, h, parent)
+        r.handle_message(FBProposal(fb, ticket), 1)
+        parent, ticket = FallbackQC(fb.id, h, 0, h, 1, QUORUM), None
+    r.handle_message(FQCRelay(parent, 1), 1)
+    for msg, sender in view_shares(1):
+        r.handle_message(msg, sender)
+    assert r.state.current_view == 1 and r.state.in_fallback
+    acts = r.handle_message(CoinQCRelay(COIN, 0), 0)
+    assert [c.block_ids for c in commits(acts)] == [(fb_block(1, 1,
+                                                              genesis_qc(4)).id,)]
+    assert r.state.current_view == 1 and r.state.in_fallback
+    assert multis(acts, CoinQCRelay)
+
+
+def test_commit_waits_for_a_missing_ancestor_body():
+    r, _ = boot(3)
+    parts = chain([1, 2, 3, 4, 5])
+    for b, _qc in parts[1:]:
+        assert not commits(feed(r, b))  # b2..b4 certified, b1 unseen
+    assert r.state.committed == {}
+    got = commits(feed(r, parts[0][0]))
+    assert [bid for c in got for bid in c.block_ids] == \
+        [parts[0][0].id, parts[1][0].id]
+
+
+def fallback_vote_on(block, ftc=None):
+    r, _ = boot(3)
+    for msg, sender in view_shares(0):
+        r.handle_message(msg, sender)
+    acts = r.handle_message(FBProposal(block, ftc), block.proposer)
+    return sends(acts, FBVote), r.state.dropped, r.state.fallback_voted_height
+
+
+def test_fallback_vote_rules_reject_malformed_chains():
+    own = FallbackQC("e" * 32, 1, 0, 1, 1, QUORUM)
+    for block, ftc in (
+            # height 1 skipping a round past its parent
+            (make_block(genesis_qc(4), 2, 0, TxnBatch("gap", 1), 1, 1), TICKET),
+            # height 2 on another proposer's chain, without adoption
+            (fb_block(1, 2, LOSER), None),
+            # height 2 skipping a round past its own height 1
+            (make_block(own, 3, 0, TxnBatch("gap", 1), 2, 1), None)):
+        votes, dropped, voted = fallback_vote_on(block, ftc)
+        assert (votes, dropped, voted[1]) == ([], {}, 0), block
+
+
 # --- determinism soak against the simulator ---------------------------------
 
 
@@ -877,4 +1069,4 @@ def test_replica_is_a_deterministic_state_machine():
         assert cur[3] >= prev[3]
         prev = cur
     assert seen == expected
-    assert r.state.committed == expected
+    assert list(r.state.committed) == expected

@@ -8,8 +8,8 @@ import pytest
 
 from bftsim.replica import ReplicaConfig
 from bftsim.simnet import (TRACE_FORMAT, AdversarySpec, Asynchronous, Crash,
-                           Equivocate, PartialSynchrony, Synchronous, Trace,
-                           run)
+                           Equivocate, MuteLeader, PartialSynchrony,
+                           Synchronous, Trace, run)
 
 STARVE = Asynchronous((1, 8), (("proposal", (60, 120)),))
 
@@ -34,6 +34,149 @@ GOLDEN = [
 ]
 
 
+PSYNC = PartialSynchrony(gst=80, delta=2, pre_gst_delay_bound=30)
+GRID_ADVERSARIES = {
+    "sync": AdversarySpec(Synchronous(1)),
+    "psync+equivocate": AdversarySpec(PSYNC, ((1, Equivocate()),)),
+    "starve+mute": AdversarySpec(STARVE, ((1, MuteLeader()),)),
+    "psync+crash": AdversarySpec(PSYNC, ((0, Crash(at=50)),)),
+}
+
+# (n, variant, pacemaker, adopt_foreign_fchains, adversary), v2 digest at
+# timeout 40, seed 1, horizon 200: every protocol combination under each
+# adversary, so a refactor that changes any run shows here
+GRID = [
+    ((4, "three_chain", "baseline_tc", False, "sync"),
+     "876e88a446ebb5b979a887e015803d6cb5bcc9935a02cdc766c1c24616f8f30b"),
+    ((4, "three_chain", "baseline_tc", False, "psync+equivocate"),
+     "3418ea1d881ab6820faa790d17a0cb9618a8fb36bcb5200deb9b07e01c9508f0"),
+    ((4, "three_chain", "baseline_tc", False, "starve+mute"),
+     "0c8acf4cfc464e94bd1ee37ca949bec0baed45ce299ed639d990630b3ab297ab"),
+    ((4, "three_chain", "baseline_tc", False, "psync+crash"),
+     "bc39ff6bd6aaa327947d7a0d833fca21a023b78cfa0a6ecf4cd495c08fe0476a"),
+    ((4, "three_chain", "baseline_tc", True, "sync"),
+     "db2945570646eca8a10aed9e3ea202c5f1cd84f943954702edbb9edc9b88a999"),
+    ((4, "three_chain", "baseline_tc", True, "psync+equivocate"),
+     "56b6729c8e01d1d033d65c60f0908d45ae962df71f9c925a98c485b003c18190"),
+    ((4, "three_chain", "baseline_tc", True, "starve+mute"),
+     "97ad97ec9726f0a69eab6b5ee26294799b94b13c8fff1b11df09a7730a54c3f4"),
+    ((4, "three_chain", "baseline_tc", True, "psync+crash"),
+     "2d04cff2c62cc1d1c99ac13b74a75b219b1010804e362f67a562c99bc9a107ca"),
+    ((4, "three_chain", "async_fallback", False, "sync"),
+     "1cb541caf5828f890db3ae510bbba11c8a07a084166e48d6697c59618d56968a"),
+    ((4, "three_chain", "async_fallback", False, "psync+equivocate"),
+     "182d51cf335cf0aec89f1e78eacb641497be6c3e37c7e603e195f7036fe148c0"),
+    ((4, "three_chain", "async_fallback", False, "starve+mute"),
+     "2d2f0ea16fb8414c349d8cf52d0aacc26bb7035197842bd082d1ba623e1dcbca"),
+    ((4, "three_chain", "async_fallback", False, "psync+crash"),
+     "4c3d96c4acf8a3b3b0ff05fb740a93ac1bd7601b8ffe77c68e92228a9d328468"),
+    ((4, "three_chain", "async_fallback", True, "sync"),
+     "bbe687a9758c5631793643dd02c140026c5d0db4f020ed37de4b6ff5c16988a3"),
+    ((4, "three_chain", "async_fallback", True, "psync+equivocate"),
+     "06a65437824faca360e7410a31366c9f12cd75fed7e6341425bcd0b1b26641e3"),
+    ((4, "three_chain", "async_fallback", True, "starve+mute"),
+     "978bc7a0d605409ddbea32ecbfb25bf6aebd60044795cb16b5e18756ca83b976"),
+    ((4, "three_chain", "async_fallback", True, "psync+crash"),
+     "f2b4b6f0aaafce7c6dbbe2dc3993f549883508e499ccd7afdb442c51561188d5"),
+    ((4, "two_chain", "baseline_tc", False, "sync"),
+     "dbd1b227b1e9f3460c7b017785a9fcbba097b7c820496e2402474f5a9651b9d0"),
+    ((4, "two_chain", "baseline_tc", False, "psync+equivocate"),
+     "dfcd0d1e1fe77a1caa393e8b106aff2d7daebbed3cba1074562796160f0e4a58"),
+    ((4, "two_chain", "baseline_tc", False, "starve+mute"),
+     "d91b75524ea0c5d2cb541952f3fcadf4995e124a5bc6e6f9d64445107bd65717"),
+    ((4, "two_chain", "baseline_tc", False, "psync+crash"),
+     "d44057bbdbf9a3f2a168d377750bdffecd4ff80219097d88a2a4bc98539499ce"),
+    ((4, "two_chain", "baseline_tc", True, "sync"),
+     "9c2cd590203a539d38dbb9e673586d0ea335f6592f3fa028df34301d81c343ae"),
+    ((4, "two_chain", "baseline_tc", True, "psync+equivocate"),
+     "94a0e6dbfbe0667ea913df8110b4e165cf07b1aa4a2313da005ae35cbe90498c"),
+    ((4, "two_chain", "baseline_tc", True, "starve+mute"),
+     "2990b4bc8da4cabec68bf08952bba6020a365d91dc0cbb8c7e47eace87e8ab86"),
+    ((4, "two_chain", "baseline_tc", True, "psync+crash"),
+     "7e0d6547a0315eb2915e034bf0bf623aff3ed34d0dacdeff43ed85529e1afab4"),
+    ((4, "two_chain", "async_fallback", False, "sync"),
+     "4ce56d4dd5e2ffb89b51b4469ed9f97afaa0ae33f9bf93255c79f4a429542f48"),
+    ((4, "two_chain", "async_fallback", False, "psync+equivocate"),
+     "b175c41397dc97dfdeb33dd954934efd957bb77d80dbd7434be761fc9c270892"),
+    ((4, "two_chain", "async_fallback", False, "starve+mute"),
+     "43184484f8965376ac920720d55e78fae6eda1ae24bd4a4f0434747ef747f899"),
+    ((4, "two_chain", "async_fallback", False, "psync+crash"),
+     "526f819374befdf3f3ac6560c105a12d4f70a149288f18666c9b952e67d0ed9f"),
+    ((4, "two_chain", "async_fallback", True, "sync"),
+     "bc90a42a5078d705fa3cecff0dc3a09fbd40291ec378703f49b436600d228e48"),
+    ((4, "two_chain", "async_fallback", True, "psync+equivocate"),
+     "9bf83061c0da59479dbb66b740ae993b656c6254633a76a9e3a3f7f09762065e"),
+    ((4, "two_chain", "async_fallback", True, "starve+mute"),
+     "24872cb0482354377f93e1b91a2a813f63360305b5445f5b3895656f7d813095"),
+    ((4, "two_chain", "async_fallback", True, "psync+crash"),
+     "9b12a5728859442b99befef5fa666addf82315e90b7bad5cd10105ed2a3b12bd"),
+    ((7, "three_chain", "baseline_tc", False, "sync"),
+     "e7c1da46996955180acbc91d566a71f03e1483a4bad027c183f8f92f29129cf8"),
+    ((7, "three_chain", "baseline_tc", False, "psync+equivocate"),
+     "0c95f270416e3c263a6c04a52d879601aa728f29dff817837ccd5de6425cb71f"),
+    ((7, "three_chain", "baseline_tc", False, "starve+mute"),
+     "7e8a3e2cdbf81440ae1e7f2478fa4a3b3ade94e9dbb1bf5f398f874ea329274a"),
+    ((7, "three_chain", "baseline_tc", False, "psync+crash"),
+     "f7bbe038f9596230210a4de8cb1c162d60a77263612b2597aa122cd82752792a"),
+    ((7, "three_chain", "baseline_tc", True, "sync"),
+     "f547c52c5f6299871fd6d549a5ec75100d911ed129f937ca21febc97c7ed678a"),
+    ((7, "three_chain", "baseline_tc", True, "psync+equivocate"),
+     "45adb20fe1a2c3cf0886bfcd4385b0324f9a826212230aaaf0c499101dea6ae7"),
+    ((7, "three_chain", "baseline_tc", True, "starve+mute"),
+     "b4d75c38241c27b74b51ff6ccec9bd2e0b966fd15d6d657c52556133a02a9474"),
+    ((7, "three_chain", "baseline_tc", True, "psync+crash"),
+     "f3a21a84c7137449f11c5e2a1239d23fe32a3f2b795a9d5751bdf3716bc8facb"),
+    ((7, "three_chain", "async_fallback", False, "sync"),
+     "7e05d58c57a409919357e0027aa0b07d929018b59bec020182e01d96215f6f57"),
+    ((7, "three_chain", "async_fallback", False, "psync+equivocate"),
+     "7bd42b8bff0240d355b60c1057cd1ad1f3c1516297745af4d97df3f3cf09b5fe"),
+    ((7, "three_chain", "async_fallback", False, "starve+mute"),
+     "92a3b3b375f7ba8556cf533885d6d61e5c0894962bc2804e656151b375c05b83"),
+    ((7, "three_chain", "async_fallback", False, "psync+crash"),
+     "ecf3187c17a3b1f5f89b7af0ffe313115172211d2aa05e4cf50cef977318abb2"),
+    ((7, "three_chain", "async_fallback", True, "sync"),
+     "3d1aaef0ec142db0f3efe4dd16429d1c95966bc3afd73039f63e7a216c3e76b1"),
+    ((7, "three_chain", "async_fallback", True, "psync+equivocate"),
+     "0fe576124a727a11108ca1386836da8ae24dfe51510c34cce29a2e713826889e"),
+    ((7, "three_chain", "async_fallback", True, "starve+mute"),
+     "bbfdf1e75131ded0fb94849a6921cd0a78e7356388f698f3c51acac03040c322"),
+    ((7, "three_chain", "async_fallback", True, "psync+crash"),
+     "bba40b19dfa88943cf84f4445758edaf9a05d8a4dbc95242814ba0709be0d974"),
+    ((7, "two_chain", "baseline_tc", False, "sync"),
+     "7f0abfb9b1498e66ac6fafa9a07eb31595e2838cc52731da8b1715c2555b1638"),
+    ((7, "two_chain", "baseline_tc", False, "psync+equivocate"),
+     "2169f9f49d22581c63098251239ad1a7225bb591cda0799e172042b7616b50f5"),
+    ((7, "two_chain", "baseline_tc", False, "starve+mute"),
+     "084a5dbccdf30435b5717fec688899acee1e8930877170c7720916a473b28fd7"),
+    ((7, "two_chain", "baseline_tc", False, "psync+crash"),
+     "3410365ca6a56c2ec0da1acf8110bd857081da0ab9abf7bdc375baff893fca5d"),
+    ((7, "two_chain", "baseline_tc", True, "sync"),
+     "b9301b752eb0be6c03352b66f8c577a189fcc46e62712879ea7c369b5e389713"),
+    ((7, "two_chain", "baseline_tc", True, "psync+equivocate"),
+     "e52e246e22fe026e2037445ce5910d5fac89db26f8fb22b384e1d353549f7f2f"),
+    ((7, "two_chain", "baseline_tc", True, "starve+mute"),
+     "543fcaa95fc0c3d99d37e43bb1797c0e1fa5d514af6169277085fca49c0dc6a8"),
+    ((7, "two_chain", "baseline_tc", True, "psync+crash"),
+     "771b40998b630a6962a082fded89a4f96c9f3f46d4914cb068f70bf16e3b5022"),
+    ((7, "two_chain", "async_fallback", False, "sync"),
+     "c344bc2d359933434a5ff8ba7f40038c402013727b64a7b87026cc8d56151398"),
+    ((7, "two_chain", "async_fallback", False, "psync+equivocate"),
+     "c57dd3fa33777117d1a2d96705fc99cbb5b5d8cf20e5a45505c818abb9d8ff97"),
+    ((7, "two_chain", "async_fallback", False, "starve+mute"),
+     "9775d4cdecea53b0832b279c2a3f342839668aef17afbfd402624272d5441cad"),
+    ((7, "two_chain", "async_fallback", False, "psync+crash"),
+     "8ad155b9a49251261018a499cdc08d76c774dcf1b6e78f17b607da16d574b7a9"),
+    ((7, "two_chain", "async_fallback", True, "sync"),
+     "638bec1e8c6385ea236ac6821bf7ee724cc0fdf1d9ebe3875ad1f01d5c8b363a"),
+    ((7, "two_chain", "async_fallback", True, "psync+equivocate"),
+     "6c5ae06d32e1e92d764d3306ed2f14b7b4d349a2e29dc0048932c26fbc599b19"),
+    ((7, "two_chain", "async_fallback", True, "starve+mute"),
+     "1aad12c8797de152b4805502f96babdb1b1b3da6ff7cb749f5a794b521277ea5"),
+    ((7, "two_chain", "async_fallback", True, "psync+crash"),
+     "6f5a6767ea94ccd74bff2dd20236e16aed273ff249b1042aee71aa26e34f626c"),
+]
+
+
 def trace_of(variant, pacemaker, adversary, horizon, seed, adopt=False):
     cfg = ReplicaConfig(n=4, f=1, variant=variant, pacemaker=pacemaker,
                         timeout_duration=40, adopt_foreign_fchains=adopt,
@@ -53,6 +196,15 @@ def test_golden_v2_digests(case, want, tmp_path):
     back = Trace.from_jsonl(str(path))
     assert back.digest() == want
     assert back.adversary == case[2] and back.horizon == case[3]
+
+
+@pytest.mark.parametrize("case,want", GRID)
+def test_grid_digests(case, want):
+    n, variant, pacemaker, adopt, adversary = case
+    cfg = ReplicaConfig(n=n, f=(n - 1) // 3, variant=variant,
+                        pacemaker=pacemaker, timeout_duration=40,
+                        adopt_foreign_fchains=adopt, run_seed=1)
+    assert run(cfg, GRID_ADVERSARIES[adversary], 200).digest() == want
 
 
 def test_digest_is_sha256_of_the_bytes_written(tmp_path):
