@@ -17,7 +17,7 @@ from .core import (Block, CoinQC, CoinShare, FallbackQC, FBProposal, FBVote,
                    Proposal, QC, Vote, MESSAGE_SIZE_UNITS, genesis_block,
                    message_certs, message_variant)
 from .replica import ASYNC_FALLBACK
-from .simnet import Crash, Honest, Trace
+from .simnet import Trace
 
 
 class NoFallbacks(ValueError):
@@ -79,9 +79,8 @@ def index(trace: Trace) -> TraceIndex:
     n = trace.protocol.n
     quorum = crypto.quorum_threshold(trace.protocol.f)
     coin_quorum = crypto.coin_threshold(trace.protocol.f)
-    # crash faults are fail-stop, not byzantine; their commits count
-    idx.honest = {i for i in range(n)
-                  if isinstance(spec.fault_of(i), (Honest, Crash))}
+    # a crash is fail-stop, not byzantine: its commits count
+    idx.honest = {i for i in range(n) if not spec.fault_of(i).byzantine}
 
     seen_certs: set = set()
     vote_tallies: dict[tuple, set[int]] = {}

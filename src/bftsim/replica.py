@@ -149,8 +149,9 @@ class ReplicaState:
     # certified or endorsed stored blocks not yet committed
     commit_frontier: set[str] = field(default_factory=set)
 
-    # out-of-order buffers
-    pending: dict[tuple, list[tuple[int, WireMessage]]] = field(default_factory=dict)
+    # early inputs, (sender, message) in arrival order, handled again on
+    # each fallback entry and each new coin, the steps that move the view
+    pending: list[tuple[int, WireMessage]] = field(default_factory=list)
     pending_per_sender: dict[int, int] = field(default_factory=dict)
     pending_rank_locks: set[str] = field(default_factory=set)  # body awaited
 
@@ -202,33 +203,30 @@ class Replica:
         fqc = st.fqc_by_block.get(block_id)
         return fqc is not None and is_endorsed(fqc, st.coin_history)
 
-    def _buffer(self, key: tuple, sender: int, msg: WireMessage) -> list[OutputAction]:
+    def _buffer(self, sender: int, msg: WireMessage) -> list[OutputAction]:
         st = self.state
         if st.pending_per_sender.get(sender, 0) >= PENDING_CAP:
             return self._drop("buffer_overflow")
-        st.pending.setdefault(key, []).append((sender, msg))
+        st.pending.append((sender, msg))
         st.pending_per_sender[sender] = st.pending_per_sender.get(sender, 0) + 1
         return []
 
-    def _redispatch(self, key: tuple) -> list[OutputAction]:
+    def _redispatch(self) -> list[OutputAction]:
+        """Handle every waiting input again, in arrival order.  The list is
+        swapped out first, so an input that is still early waits again; one
+        whose view has passed meets its handler's own past-view rule."""
         st = self.state
+        waiting, st.pending = st.pending, []
         acts: list[OutputAction] = []
-        for sender, msg in st.pending.pop(key, []):
+        for sender, msg in waiting:
             st.pending_per_sender[sender] -= 1
             acts += self.handle_message(msg, sender)
         return acts
 
     def _purge_stale_views(self) -> None:
         st = self.state
-        v_cur = st.current_view
-        # a block waiting for a view's coin waits past the view: the coin
-        # of a closed view is still accepted, and releases it
-        for key in [k for k in st.pending if k[0] != "coinqc" and k[1] < v_cur]:
-            for sender, _ in st.pending.pop(key):
-                st.pending_per_sender[sender] -= 1
-                self._drop("stale_view")
         for d in (st.timeout_view_shares, st.coin_shares):
-            for v in [v for v in d if v < v_cur]:
+            for v in [v for v in d if v < st.current_view]:
                 del d[v]
 
     def _store_body(self, block: Block) -> None:
@@ -347,7 +345,7 @@ class Replica:
             acts += self._register_fqc(parent)
             if parent.view not in st.coin_history:
                 # endorsement undecidable until the view's coin arrives
-                acts += self._buffer(("coinqc", parent.view), sender, msg)
+                acts += self._buffer(sender, msg)
                 return False
             if not is_endorsed(parent, st.coin_history):
                 self._drop("unendorsed_parent")
@@ -498,9 +496,7 @@ class Replica:
         self._purge_stale_views()
         acts: list[OutputAction] = [Multicast(FTCRelay(ftc, self.rid))]
         acts += self._propose_fallback(ftc.view, 1, st.high_qc, ftc)
-        acts += self._redispatch(("enterfb", ftc.view))
-        acts += self._redispatch(("view", ftc.view))
-        return acts
+        return acts + self._redispatch()
 
     def _propose_fallback(self, view: int, height: int, parent: ParentCert,
                           ftc: Optional[FallbackTC] = None) -> list[OutputAction]:
@@ -574,7 +570,7 @@ class Replica:
         # vote decision
         if not st.entered_fallback_view == st.current_view == fb.view:
             if fb.view >= st.current_view and st.entered_fallback_view < fb.view:
-                return acts + self._buffer(("enterfb", fb.view), sender, m)
+                return acts + self._buffer(sender, m)
             return acts  # stale view
         if fb.height <= st.fallback_voted_height[fb.proposer]:
             return acts
@@ -611,7 +607,7 @@ class Replica:
         st, cfg = self.state, self.config
         fqc = m.fqc
         if fqc.view > st.current_view:
-            return self._buffer(("view", fqc.view), sender, m)
+            return self._buffer(sender, m)
         acts: list[OutputAction] = []
         # distinct counter-signers of a chain top trigger the election
         if (cfg.variant == TWO_CHAIN and fqc.height == cfg.fallback_top_height
@@ -626,12 +622,12 @@ class Replica:
         st, cfg = self.state, self.config
         if isinstance(m, CoinQCRelay):
             if m.coin_qc.view > st.current_view:
-                return self._buffer(("view", m.coin_qc.view), sender, m)
+                return self._buffer(sender, m)
             return self._accept_coin(m.coin_qc)
         if m.view < st.current_view:
             return []
         if m.view > st.current_view:
-            return self._buffer(("view", m.view), sender, m)
+            return self._buffer(sender, m)
         signers = self._collect(st.coin_shares, m.view, sender,
                                 crypto.coin_threshold(cfg.f))
         if not signers:
@@ -667,11 +663,9 @@ class Replica:
                 # keep a timer live so an unlucky election retries the view
                 st.timer_round = st.current_round
                 acts.append(SetTimer(st.current_round, cfg.timeout_duration))
-            acts += self._redispatch(("view", st.current_view))
         else:
             acts += self.try_commit()
-        acts += self._redispatch(("coinqc", coin.view))
-        return acts
+        return acts + self._redispatch()
 
     # each message kind's handler and the field naming its author
     _HANDLERS = {

@@ -48,6 +48,8 @@ class TraceFormatError(ValueError):
 
 
 # --- adversary models -------------------------------------------------------
+# Each draws one unicast's delay from the run's rng, seeing only the message
+# variant and the clock, and reports its delay ranges to validate.
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,12 @@ class Synchronous:
     """Every message delayed uniformly in [1, delta]."""
 
     delta: int = 1
+
+    def delay(self, variant: str, now: int, rng) -> int:
+        return rng.randint(1, self.delta)
+
+    def ranges(self) -> tuple[tuple[int, int], ...]:
+        return ((1, self.delta),)
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,16 @@ class PartialSynchrony:
     delta: int = 1
     pre_gst_delay_bound: int = 30
 
+    def delay(self, variant: str, now: int, rng) -> int:
+        if now < self.gst:
+            # delivery by max(now, gst) + delta even if the draw overshoots
+            draw = now + rng.randint(1, self.pre_gst_delay_bound)
+            return min(draw, self.gst + rng.randint(1, self.delta)) - now
+        return rng.randint(1, self.delta)
+
+    def ranges(self) -> tuple[tuple[int, int], ...]:
+        return (1, self.delta), (1, self.pre_gst_delay_bound)
+
 
 @dataclass(frozen=True)
 class Asynchronous:
@@ -74,56 +92,79 @@ class Asynchronous:
     base_delay: tuple[int, int] = (1, 10)
     per_variant: DelayTable = ()
 
-    def range_for(self, variant: str) -> tuple[int, int]:
-        for name, rng in self.per_variant:
+    def delay(self, variant: str, now: int, rng) -> int:
+        for name, (lo, hi) in self.per_variant:
             if name == variant:
-                return rng
-        return self.base_delay
+                return rng.randint(lo, hi)
+        return rng.randint(*self.base_delay)
+
+    def ranges(self) -> tuple[tuple[int, int], ...]:
+        return (self.base_delay, *(rng for _, rng in self.per_variant))
 
 
 DelayTable = tuple[tuple[str, tuple[int, int]], ...]  # (variant, (lo, hi))
 AdversaryModel = Union[Synchronous, PartialSynchrony, Asynchronous]
 
 
-def adversary_delay(model: AdversaryModel, variant: str, now: int, rng) -> int:
-    """Delay for one unicast.  Deterministic given the rng state; the model
-    only ever sees the message variant, never its contents."""
-    if isinstance(model, Synchronous):
-        return rng.randint(1, model.delta)
-    if isinstance(model, PartialSynchrony):
-        if now < model.gst:
-            # delivery by max(now, gst) + delta even if the draw overshoots
-            draw = now + rng.randint(1, model.pre_gst_delay_bound)
-            return min(draw, model.gst + rng.randint(1, model.delta)) - now
-        return rng.randint(1, model.delta)
-    if isinstance(model, Asynchronous):
-        lo, hi = model.range_for(variant)
-        return rng.randint(lo, hi)
-    raise TypeError(f"unknown adversary model: {model!r}")
-
-
 # --- fault specs -------------------------------------------------------------
+# Each decides when its replica is down, how it rewrites the replica's
+# outputs, and whether it is Byzantine; the checker holds every other
+# replica's commits to safety.  ``byzantine`` is a class attribute, no field.
 
 
 @dataclass(frozen=True)
 class Honest:
-    pass
+    """Follows the protocol; the defaults every fault starts from."""
+
+    byzantine = False
+
+    def down(self, now: int) -> bool:
+        return False
+
+    def rewrite(self, actions: list[OutputAction], n: int) -> list[OutputAction]:
+        return actions
 
 
 @dataclass(frozen=True)
-class Crash:
+class Crash(Honest):
     at: int  # silent from this tick on
 
+    def down(self, now: int) -> bool:
+        return now >= self.at
+
 
 @dataclass(frozen=True)
-class MuteLeader:
+class MuteLeader(Honest):
     """Never sends proposals (regular or fallback); participates otherwise."""
 
+    byzantine = True
+
+    def rewrite(self, actions: list[OutputAction], n: int) -> list[OutputAction]:
+        return [a for a in actions  # a Send or Multicast carries a msg
+                if not isinstance(getattr(a, "msg", None),
+                                  (Proposal, FBProposal))]
+
 
 @dataclass(frozen=True)
-class Equivocate:
+class Equivocate(Honest):
     """As leader, sends conflicting proposals to the two halves of the
     network instead of one block to everyone."""
+
+    byzantine = True
+
+    def rewrite(self, actions: list[OutputAction], n: int) -> list[OutputAction]:
+        out: list[OutputAction] = []
+        for a in actions:
+            if not (isinstance(a, Multicast) and isinstance(a.msg, Proposal)):
+                out.append(a)
+                continue
+            p, b = a.msg, a.msg.block
+            alt = make_block(b.parent_qc, b.round, b.view,
+                             TxnBatch(b.payload.payload_id + "~alt",
+                                      b.payload.size_bytes))
+            twin = Proposal(alt, p.sender, p.coin_qc)
+            out += [Send(j, p if j < n // 2 else twin) for j in range(n)]
+        return out
 
 
 FaultSpec = Union[Honest, Crash, MuteLeader, Equivocate]
@@ -144,17 +185,14 @@ class AdversarySpec:
         rids = [r for r, _ in self.faults]
         if len(set(rids)) != len(rids):
             raise ConfigError("duplicate fault assignments")
-        byz = [r for r, s in self.faults if not isinstance(s, Honest)]
+        # every fault but an explicit honest entry counts, crash included
+        byz = [r for r, s in self.faults if s != Honest()]
         if len(byz) > config.f:
             raise ConfigError(f"{len(byz)} faulty replicas exceeds f={config.f}")
         for r in rids:
             if not 0 <= r < config.n:
                 raise ConfigError(f"fault for unknown replica {r}")
-        # delta and pre_gst_delay_bound are the upper ends of ranges from 1
-        d = vars(self.model)
-        ranges = [(1, d[k]) for k in ("delta", "pre_gst_delay_bound") if k in d]
-        ranges += [d["base_delay"]] if "base_delay" in d else []
-        for lo, hi in ranges + [rng for _, rng in d.get("per_variant", ())]:
+        for lo, hi in self.model.ranges():
             if not 1 <= lo <= hi:
                 raise ConfigError(f"bad delay range {lo}..{hi} in {self.model}")
 
@@ -346,7 +384,7 @@ class Trace:
         return self.meta["horizon"]
 
 
-# --- byzantine wrappers ------------------------------------------------------
+# --- fault harness -----------------------------------------------------------
 
 
 class _Harness:
@@ -356,50 +394,19 @@ class _Harness:
         self.replica = replica
         self.fault = fault
 
-    def _down(self, now: int) -> bool:
-        return isinstance(self.fault, Crash) and now >= self.fault.at
-
     def init(self, now: int) -> list[OutputAction]:
-        if self._down(now):
-            return []
-        return self.byzantine_step(self.replica.init(), now)
+        return self._step(now, self.replica.init)
 
     def on_message(self, msg: WireMessage, frm: int, now: int) -> list[OutputAction]:
-        if self._down(now):
-            return []
-        return self.byzantine_step(self.replica.handle_message(msg, frm), now)
+        return self._step(now, self.replica.handle_message, msg, frm)
 
     def on_timer(self, round: int, now: int) -> list[OutputAction]:
-        if self._down(now):
+        return self._step(now, self.replica.handle_timer_expiry, round)
+
+    def _step(self, now: int, handle, *args) -> list[OutputAction]:
+        if self.fault.down(now):
             return []
-        return self.byzantine_step(self.replica.handle_timer_expiry(round), now)
-
-    def byzantine_step(self, actions: list[OutputAction],
-                       now: int) -> list[OutputAction]:
-        if isinstance(self.fault, MuteLeader):
-            return [a for a in actions
-                    if not (isinstance(a, (Send, Multicast))
-                            and isinstance(getattr(a, "msg", None),
-                                           (Proposal, FBProposal)))]
-        if isinstance(self.fault, Equivocate):
-            out: list[OutputAction] = []
-            for a in actions:
-                if isinstance(a, Multicast) and isinstance(a.msg, Proposal):
-                    out += self._equivocate(a.msg)
-                else:
-                    out.append(a)
-            return out
-        return actions
-
-    def _equivocate(self, p: Proposal) -> list[OutputAction]:
-        b = p.block
-        alt = make_block(b.parent_qc, b.round, b.view,
-                         TxnBatch(b.payload.payload_id + "~alt",
-                                  b.payload.size_bytes))
-        twin = Proposal(alt, p.sender, p.coin_qc)
-        n = self.replica.config.n
-        half = n // 2
-        return [Send(j, p if j < half else twin) for j in range(n)]
+        return self.fault.rewrite(handle(*args), self.replica.config.n)
 
 
 # --- simulation --------------------------------------------------------------
@@ -416,6 +423,7 @@ class Simulation:
         self.adversary = adversary
         self.horizon = horizon
         self.rng = random.Random(config.run_seed)
+        self.delay = adversary.model.delay
         self.seq = itertools.count()
         self.heap: list[tuple] = []
         self.alive_timer: dict[int, int] = {}  # rid -> its one live token
@@ -488,8 +496,7 @@ class Simulation:
             heapq.heappush(self.heap, (now, next(self.seq), "deliver",
                                        (frm, to, msg, None)))
             return
-        delay = adversary_delay(self.adversary.model, message_variant(msg),
-                                now, self.rng)
+        delay = self.delay(message_variant(msg), now, self.rng)
         sq = next(self.seq)
         self.trace.records.append(
             {"t": now, "q": sq, "kind": "send", "frm": frm,

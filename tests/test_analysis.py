@@ -20,10 +20,13 @@ from bftsim.core import (
 )
 from bftsim.replica import ReplicaConfig
 from bftsim.simnet import (
+    FAULT_KINDS,
     AdversarySpec,
     Asynchronous,
+    ConfigError,
     Crash,
     Equivocate,
+    Honest,
     MuteLeader,
     Synchronous,
     Trace,
@@ -34,6 +37,7 @@ from bftsim.analysis import (
     check_safety,
     fallback_stats,
     fit_polynomial,
+    index,
     measure,
 )
 
@@ -140,6 +144,35 @@ def test_equivocating_leader_cannot_break_safety():
     tr = run(mk(run_seed=9), adv, 300)
     rep = check_safety(tr)
     assert rep.ok, rep.violations[:3]
+
+
+# each fault kind: (an instance, in the checker's honest set, counts
+# against f); a crash is fail-stop, so its commits are checked
+FAULT_TABLE = {
+    "honest": (Honest(), True, False),
+    "crash": (Crash(at=10), True, True),
+    "mute_leader": (MuteLeader(), False, True),
+    "equivocate": (Equivocate(), False, True),
+}
+
+
+def test_fault_table_covers_every_kind():
+    assert FAULT_TABLE.keys() == FAULT_KINDS.keys()
+
+
+@pytest.mark.parametrize("kind", FAULT_TABLE)
+def test_fault_kind_decides_honesty_and_budget(kind):
+    fault, honest, counts = FAULT_TABLE[kind]
+    assert type(fault) is FAULT_KINDS[kind]
+    tr = run(mk(), AdversarySpec(Synchronous(1), ((0, fault),)), 20)
+    assert index(tr).honest == ({0, 1, 2, 3} if honest else {1, 2, 3})
+    # f = 1: a second faulty replica exceeds the budget if the kind counts
+    pair = AdversarySpec(Synchronous(1), ((0, fault), (1, MuteLeader())))
+    if counts:
+        with pytest.raises(ConfigError, match="exceeds f=1"):
+            pair.validate(mk())
+    else:
+        pair.validate(mk())
 
 
 # --- safety checker: planted violations -------------------------------------
@@ -334,7 +367,6 @@ def test_fallback_stats_raises_without_fallbacks():
 def test_mute_leader_fallbacks_commit_only_on_honest_election():
     # with the only missing chain being the mute replica's, a completed
     # fallback commits in-view exactly when the coin names someone honest
-    from bftsim.analysis import index
     from bftsim.crypto import elect_leader
 
     mute = 3

@@ -149,7 +149,9 @@ def test_run_malformed_crash_tick_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("model", [
     "synchronous\ndelta = 0",
     "partial_synchrony\ngst = 50\npre_gst_delay_bound = 0",
+    "partial_synchrony\ngst = 50\ndelta = 0",
     "asynchronous\nbase_delay = 5..1",
+    "asynchronous\ndelay_proposal = 5..1",
 ])
 def test_run_bad_delay_range_exits_two(tmp_path, capsys, model):
     cfg = write(tmp_path, STEADY.replace("synchronous\ndelta = 1", model))

@@ -892,10 +892,6 @@ DROPS = [
      [*view_shares(0), (FBProposal(fb_block(1, 1, genesis_qc(4)), None), 1)]),
     ("buffer_overflow", {},
      [(CoinShare(v, 1), 1) for v in range(1, PENDING_CAP + 2)]),
-    # buffered for view 1's entry, purged when view 2's fallback starts
-    ("stale_view", {},
-     [(FBProposal(fb_block(1, 1, genesis_qc(4), view=1),
-                  FallbackTC(1, QUORUM)), 1), *view_shares(2)]),
     ("unendorsed_parent", {},
      [(CoinQCRelay(COIN, 0), 0),
       (Proposal(make_block(LOSER, 2, 1, TxnBatch("u", 1)), 0), 0)]),
@@ -935,11 +931,23 @@ VIEW_ONE = [
 def test_next_view_message_waits_for_the_view_change(msg, handled):
     r, _ = boot(3)
     assert r.handle_message(msg, 2) == []
-    assert r.state.pending == {("view", 1): [(2, msg)]}
+    assert r.state.pending == [(2, msg)]
     assert not handled(r.state)
     r.handle_message(CoinQCRelay(COIN, 0), 0)  # view 0's coin: on to view 1
-    assert r.state.pending == {} and r.state.pending_per_sender == {2: 0}
+    assert r.state.pending == [] and r.state.pending_per_sender == {2: 0}
     assert handled(r.state)
+
+
+def test_coin_relayed_early_is_kept_when_the_view_is_skipped():
+    # view 1's coin reaches replica 3 in view 0; view 2's fallback then
+    # starts, and the waiting coin still lands in the history
+    r, _ = boot(3)
+    assert r.handle_message(CoinQCRelay(COIN1, 2), 2) == []
+    for msg, sender in view_shares(2):
+        r.handle_message(msg, sender)
+    st = r.state
+    assert st.entered_fallback_view == 2 and st.coin_history == {1: COIN1}
+    assert st.pending == [] and st.dropped == {}
 
 
 WINNER = FallbackQC("e" * 32, 1, 0, 1, 1, QUORUM)  # elected by COIN
@@ -954,15 +962,19 @@ ON_WINNER = [
 def test_block_on_a_fallback_parent_waits_for_its_coin(msg, sender):
     r, _ = boot(3)
     assert r.handle_message(msg, sender) == []
-    assert r.state.pending == {("coinqc", 0): [(sender, msg)]}
+    assert r.state.pending == [(sender, msg)]
     assert msg.block.id not in r.state.blocks
     acts = r.handle_message(CoinQCRelay(COIN, 0), 0)
     assert msg.block.id in r.state.blocks
     if isinstance(msg, Proposal):
         assert sends(acts, Vote) == [Send(0, Vote(msg.block.id, 2, 1, 3))]
-        assert r.state.pending == {}
+        assert r.state.pending == []
     else:  # next it waits for the replica to enter view 1's fallback
-        assert r.state.pending == {("enterfb", 1): [(sender, msg)]}
+        assert r.state.pending == [(sender, msg)]
+        acts = [a for share in view_shares(1) for a in r.handle_message(*share)]
+        assert r.state.pending == []
+        assert sends(acts, FBVote) == \
+            [Send(2, FBVote(msg.block.id, 2, 1, 1, 2, 3))]
 
 
 def test_fallback_certificate_without_its_coin_moves_no_lock():

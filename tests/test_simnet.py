@@ -18,7 +18,6 @@ from bftsim.simnet import (
     PartialSynchrony,
     Synchronous,
     Trace,
-    adversary_delay,
     run,
 )
 
@@ -142,14 +141,14 @@ def test_asynchronous_per_variant_ranges():
 def test_adversary_delay_function_ranges():
     rng = random.Random(0)
     for _ in range(500):
-        assert 1 <= adversary_delay(Synchronous(4), "vote", 10, rng) <= 4
+        assert 1 <= Synchronous(4).delay("vote", 10, rng) <= 4
     m = PartialSynchrony(gst=100, delta=3, pre_gst_delay_bound=50)
     for now in (0, 60, 99):
         for _ in range(200):
-            d = adversary_delay(m, "vote", now, rng)
+            d = m.delay("vote", now, rng)
             assert now + d <= 103
     for _ in range(200):
-        assert 1 <= adversary_delay(m, "vote", 100, rng) <= 3
+        assert 1 <= m.delay("vote", 100, rng) <= 3
 
 
 # --- self delivery ----------------------------------------------------------

@@ -177,6 +177,25 @@ GRID = [
 ]
 
 
+# the three benchmark workloads at seed 1, restated from their scenario
+# files: (n, variant, pacemaker, timeout, adversary, horizon), v2 digest
+WORKLOADS = {
+    "steady_long": (
+        (4, "three_chain", "async_fallback", 50,
+         AdversarySpec(Synchronous(1)), 3000),
+        "2338d728c11d01e456cb01105b4f33e46ea04c11358ae1a5bf73a3cbaae8e77c"),
+    "starved_fallback": (
+        (22, "three_chain", "async_fallback", 40, AdversarySpec(STARVE), 300),
+        "08166149697fd129428c9327d5a72d8af5506ff40044d03e0c5c440cb6507628"),
+    "byzantine_sweep": (
+        (13, "two_chain", "baseline_tc", 50,
+         AdversarySpec(PartialSynchrony(gst=120, delta=2,
+                                        pre_gst_delay_bound=30),
+                       ((0, Equivocate()),)), 1500),
+        "35f220caa86e61b9cd766d53834c472143921db5afe69d3970dfff9445ac26a6"),
+}
+
+
 def trace_of(variant, pacemaker, adversary, horizon, seed, adopt=False):
     cfg = ReplicaConfig(n=4, f=1, variant=variant, pacemaker=pacemaker,
                         timeout_duration=40, adopt_foreign_fchains=adopt,
@@ -205,6 +224,15 @@ def test_grid_digests(case, want):
                         pacemaker=pacemaker, timeout_duration=40,
                         adopt_foreign_fchains=adopt, run_seed=1)
     assert run(cfg, GRID_ADVERSARIES[adversary], 200).digest() == want
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_digests(name):
+    (n, variant, pacemaker, timeout, adversary, horizon), want = WORKLOADS[name]
+    cfg = ReplicaConfig(n=n, f=(n - 1) // 3, variant=variant,
+                        pacemaker=pacemaker, timeout_duration=timeout,
+                        run_seed=1)
+    assert run(cfg, adversary, horizon).digest() == want
 
 
 def test_digest_is_sha256_of_the_bytes_written(tmp_path):
