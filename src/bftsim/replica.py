@@ -264,7 +264,8 @@ class Replica:
     def handle_message(self, msg: WireMessage, sender: int) -> list[OutputAction]:
         """The one door for every input: the message's author is the channel
         sender, a carried block matches its id, and every certificate it
-        carries verifies.  Handlers act on what passes."""
+        carries verifies, a fallback one at a height in 1..top.  Handlers act
+        on what passes."""
         cfg = self.config
         handler, author = self._HANDLERS[type(msg)]
         if author(msg) != sender:
@@ -277,6 +278,9 @@ class Replica:
             if not crypto.verify_certificate(cert, cfg.n, cfg.f,
                                              run_seed=cfg.run_seed):
                 return self._drop("bad_cert")
+            if (isinstance(cert, FallbackQC)
+                    and not 1 <= cert.height <= cfg.fallback_top_height):
+                return self._drop("bad_fqc")
         return handler(self, msg, sender)
 
     # --- steady state ------------------------------------------------------
@@ -513,8 +517,6 @@ class Replica:
         key = (fqc.view, fqc.proposer, fqc.height)
         if key in st.fqc_by_key:
             return []
-        if not 1 <= fqc.height <= cfg.fallback_top_height:
-            return self._drop("bad_fqc")
         st.fqc_by_key[key] = fqc
         st.fqc_by_block[fqc.block_id] = fqc
         if fqc.block_id in st.blocks and is_endorsed(fqc, st.coin_history):
@@ -640,8 +642,9 @@ class Replica:
         if coin.view in st.coin_history:
             return []
         st.coin_history[coin.view] = coin
-        # _register_fqc keeps only heights 1..top, so this is every
-        # certificate on the elected chain
+        # the door admits fallback certificates of heights 1..top and honest
+        # votes form no other, so this is every certificate on the elected
+        # chain
         chain = [st.fqc_by_key.get((coin.view, coin.elected, h))
                  for h in range(1, cfg.fallback_top_height + 1)]
         chain = [fqc for fqc in chain if fqc is not None]

@@ -16,6 +16,7 @@ import itertools
 import json
 import random
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from . import crypto
@@ -27,16 +28,33 @@ from .replica import (CommitNotice, Multicast, ConfigError, OutputAction,
 
 TRACE_FORMAT = "bftsim-trace-v2"
 
-# The fields each record kind must carry and their JSON types, as (names,
-# types).  A deliver also carries its message as "m" or names the send that
-# does as "sq".
-_RECORD_FIELDS = {kind: (("t", "q", *fields), (int, int, *fields.values()))
-                  for kind, fields in {
+# The fields each record kind must carry and their JSON types.  A deliver
+# also carries its message as "m" or names the send that does as "sq".
+_RECORD_FIELDS = {
     "send": {"frm": int, "to": int, "m": dict, "u": int},
     "deliver": {"frm": int, "to": int, "self": bool},
     "timer_fire": {"rid": int, "round": int},
     "commit": {"rid": int, "blocks": list, "log_len": int},
-}.items()}
+}
+_DELIVER_REFS = ({"m": dict}, {"sq": int})
+
+
+def _shape(kind: str, fields: dict) -> tuple:
+    """A record shape: its line as a format string with the keys sorted and
+    the kind baked in, a getter for the values the format takes, and the
+    field names and their types."""
+    fields = {"t": int, "q": int, "kind": str, **fields}
+    keys = sorted(fields)
+    fmt = ",".join(f'"kind":"{kind}"' if k == "kind" else f'"{k}":%s'
+                   for k in keys)
+    return ("{" + fmt + "}\n", itemgetter(*(k for k in keys if k != "kind")),
+            tuple(fields), tuple(fields.values()))
+
+
+# (kind, names its send by "sq") -> the shape its lines have
+_SHAPES = {(kind, "sq" in ref): _shape(kind, {**fields, **ref})
+           for kind, fields in _RECORD_FIELDS.items()
+           for ref in (_DELIVER_REFS if kind == "deliver" else ({},))}
 
 
 class HorizonTooSmall(ValueError):
@@ -256,18 +274,24 @@ class Trace:
     stored_digest: Optional[str] = None  # from a trace file header, if loaded
 
     def lines(self):
-        """One canonical line per record.  A deliver with an ``sq`` omits
-        ``m``: the send record it names carries the message."""
-        last_msg = last_enc = None
+        """One canonical line per record, formatted from its shape.  A
+        deliver with an ``sq`` omits ``m``: the send it names carries it."""
+        last_msg = text = None
+
+        def render(value) -> str:  # JSON text of a value other than an int
+            nonlocal last_msg, text
+            if type(value) is bool:
+                return "true" if value else "false"
+            if type(value) is list:
+                return _CANONICAL.encode(value)
+            if value is not last_msg:  # a multicast's sends are adjacent
+                last_msg, text = value, _CANONICAL.encode(encode_message(value))
+            return text
+
         for rec in self.records:
-            msg = rec.get("m")
-            if msg is not None and "sq" in rec:
-                rec = {k: v for k, v in rec.items() if k != "m"}
-            elif msg is not None:
-                if msg is not last_msg:  # a multicast's sends are adjacent
-                    last_msg, last_enc = msg, encode_message(msg)
-                rec = dict(rec, m=last_enc)
-            yield _line(rec)
+            fmt, values, _, _ = _SHAPES[rec["kind"], "sq" in rec]
+            yield (fmt % tuple([v if type(v) is int else render(v)
+                                for v in values(rec)])).encode()
 
     def digest(self) -> str:
         return self._stream(lambda line: None)
@@ -299,14 +323,17 @@ class Trace:
             last_raw = last_msg = None
             for no, line in enumerate(fh, 2):
                 try:
-                    rec = json.loads(line)
+                    rec = json.loads(line.decode())  # str: no encoding sniff
                     kind = rec["kind"]
-                    if kind not in _RECORD_FIELDS:
-                        raise ValueError(f"unknown kind {kind!r}")
-                    names, types = _RECORD_FIELDS[kind]
-                    if tuple(map(type, map(rec.get, names))) != types:
-                        raise ValueError(f"a {kind} record needs fields "
-                                         f"{names} of types {types}")
+                    shape = _SHAPES.get((kind, "sq" in rec))
+                    if shape is None:
+                        raise ValueError(f"unknown record shape: kind "
+                                         f"{kind!r}, sq {'sq' in rec}")
+                    _, _, names, types = shape
+                    if len(rec) != len(names) or tuple(
+                            map(type, map(rec.get, names))) != types:
+                        raise ValueError(f"a {kind} record needs exactly "
+                                         f"the fields {names} of types {types}")
                     if kind == "commit" and not all(
                             type(b) is str for b in rec["blocks"]):
                         raise ValueError("commit blocks must be ids")
@@ -324,8 +351,6 @@ class Trace:
                         rec["m"] = last_msg
                         if kind == "send":
                             sent[rec["q"]] = (last_msg, rec["frm"], rec["to"])
-                    elif kind == "deliver":
-                        raise ValueError("deliver has neither m nor sq")
                 except (ValueError, KeyError, TypeError) as exc:
                     raise TraceFormatError(f"{path} line {no}: {exc!r}")
                 trace.records.append(rec)

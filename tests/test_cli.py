@@ -358,9 +358,16 @@ def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
     misrouted = json.loads(lines[first_sq])
     misrouted["frm"] = next(j for j in range(4)
                             if j not in (misrouted["frm"], misrouted["to"]))
+    deliver = json.loads(lines[first_sq])
     for k, line in ((1, "{not json"), (1, json.dumps(unknown_kind)),
                     (first_sq, json.dumps(dangling)),
-                    (first_sq, json.dumps(misrouted))):
+                    (first_sq, json.dumps(misrouted)),
+                    # the writer formats each record from its kind's shape:
+                    # an sq of another type or a key outside it is refused
+                    (first_sq, json.dumps(dict(deliver,
+                                               sq=float(deliver["sq"])))),
+                    (first_sq, json.dumps(dict(deliver, sq=True))),
+                    (1, json.dumps(dict(json.loads(lines[1]), zz=1)))):
         path = rewrite(tmp_path, lines[:k] + [line] + lines[k + 1:])
         assert_trace_error(capsys, path, ("check",))
         # replay hashes the stored bytes without decoding them: changed

@@ -670,7 +670,7 @@ def test_forged_fqc_above_top_height_is_dropped():
         r, _ = boot(3, mk(variant=variant))
         top = r.config.fallback_top_height
         fqc = FallbackQC("x" * 32, top + 1, 0, top + 1, 1, QUORUM)
-        assert r.handle_fqc_relay(FQCRelay(fqc, 1), 1) == []
+        assert r.handle_message(FQCRelay(fqc, 1), 1) == []
         assert r.state.fqc_by_key == {}
         assert r.state.dropped == {"bad_fqc": 1}
 
@@ -910,6 +910,23 @@ def test_each_drop_reason(reason, cfg, inputs):
 def test_drop_table_covers_every_reason():
     reasons = set(re.findall(r'_drop\("(\w+)"\)', inspect.getsource(replica)))
     assert {row[0] for row in DROPS} == reasons
+
+
+def test_out_of_range_fallback_parent_is_dropped_once_at_the_door():
+    # a proposal on a height-4 certificate whose proposer view 0's coin
+    # elects: refused on arrival, it neither waits for the coin nor comes
+    # back on the fallback entry that re-handles waiting inputs
+    r, _ = boot(3)
+    bad = FallbackQC("e" * 32, 5, 0, 4, COIN.elected, QUORUM)
+    b = make_block(bad, 6, 1, TxnBatch("x", 1))
+    acts = []
+    for msg, sender in [(Proposal(b, r.leader_of(6)), r.leader_of(6)),
+                        *view_shares(0), (CoinQCRelay(COIN, 0), 0)]:
+        acts += r.handle_message(msg, sender)
+    st = r.state
+    assert st.dropped == {"bad_fqc": 1} and st.pending == []
+    assert st.high_qc == genesis_qc(4)
+    assert not sends(acts, Vote) and b.id not in st.blocks
 
 
 # --- out-of-order inputs --------------------------------------------------------

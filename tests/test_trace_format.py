@@ -1,5 +1,6 @@
-"""The v2 trace file: pinned digests, the bytes the digest covers, and
-deliveries that name their send instead of repeating the message."""
+"""The v2 trace file: pinned digests, the bytes the digest covers, the
+shape each record line is formatted from, and deliveries that name their
+send instead of repeating the message."""
 
 import hashlib
 import json
@@ -7,7 +8,8 @@ import json
 import pytest
 
 from bftsim.replica import ReplicaConfig
-from bftsim.simnet import (TRACE_FORMAT, AdversarySpec, Asynchronous, Crash,
+from bftsim.simnet import (_DELIVER_REFS, _RECORD_FIELDS, _SHAPES,
+                           TRACE_FORMAT, AdversarySpec, Asynchronous, Crash,
                            Equivocate, MuteLeader, PartialSynchrony,
                            Synchronous, Trace, run)
 
@@ -270,3 +272,36 @@ def test_deliver_names_its_send_instead_of_the_message(tmp_path):
     assert len(delivered) == len(by_sq)
     for r in delivered:
         assert r["m"] is send_at[r["sq"]]["m"]
+
+
+def test_every_record_shape_formats_as_canonical_json(tmp_path):
+    # the shapes are exactly those _RECORD_FIELDS describes: one per kind,
+    # and a deliver's with its message and with the sq of its send
+    derived = {(kind, "sq" in ref): {"t": int, "q": int, "kind": str,
+                                     **fields, **ref}
+               for kind, fields in _RECORD_FIELDS.items()
+               for ref in (_DELIVER_REFS if kind == "deliver" else ({},))}
+    assert {key: dict(zip(names, types))
+            for key, (_, _, names, types) in _SHAPES.items()} == derived
+    assert set(derived) == {(kind, False) for kind in _RECORD_FIELDS} | {
+        ("deliver", True)}
+
+    # a commit block id and a payload id that JSON must escape
+    path = tmp_path / "t.jsonl"
+    trace_of(*GOLDEN[0][0]).to_jsonl(str(path))
+    header, *lines = path.read_text().splitlines()
+    raw = [json.loads(line) for line in lines]
+    odd = 'q"\\é'
+    next(r for r in raw if r["kind"] == "commit")["blocks"][0] += odd
+    next(r for r in raw if r["kind"] == "send"
+         and r["m"]["kind"] == "proposal")["m"]["block"]["payload"][0] += odd
+    path.write_text("\n".join([header, *map(json.dumps, raw)]) + "\n")
+
+    back = Trace.from_jsonl(str(path))
+    assert {(r["kind"], "sq" in r) for r in raw} == set(_SHAPES)
+    escaped = 0
+    for want, line in zip(raw, back.lines(), strict=True):
+        text = json.dumps(want, sort_keys=True, separators=(",", ":"))
+        assert line == text.encode() + b"\n"
+        escaped += json.dumps(odd)[1:-1] in text
+    assert escaped == 2
