@@ -98,18 +98,19 @@ def index(trace: Trace) -> TraceIndex:
         if kind == "timer_fire":
             continue
         msg = rec["m"]
-        if isinstance(msg, (Proposal, FBProposal)):
-            b = msg.block
-            idx.bodies.setdefault(b.id, b)
-            idx.proposal_tick.setdefault(b.id, rec["t"])
-            if b.height == 1 and rec["frm"] in idx.honest:
-                idx.entered_views.add(b.view)
-        for cert in message_certs(msg):
-            if isinstance(cert, CoinQC):
-                idx.coins.setdefault(cert.view, set()).add(cert.elected)
-                idx.completed_views.add(cert.view)
-            elif isinstance(cert, (QC, FallbackQC)):
-                if cert not in seen_certs:
+        if "sq" not in rec:  # a deliver by sq repeats its send's message
+            if isinstance(msg, (Proposal, FBProposal)):
+                b = msg.block
+                idx.bodies.setdefault(b.id, b)
+                idx.proposal_tick.setdefault(b.id, rec["t"])
+                if b.height == 1 and rec["frm"] in idx.honest:
+                    idx.entered_views.add(b.view)
+            for cert in message_certs(msg):
+                if isinstance(cert, CoinQC):
+                    idx.coins.setdefault(cert.view, set()).add(cert.elected)
+                    idx.completed_views.add(cert.view)
+                elif isinstance(cert, (QC, FallbackQC)) and (
+                        cert not in seen_certs):
                     seen_certs.add(cert)
                     (idx.qcs if isinstance(cert, QC) else idx.fqcs).append(cert)
         # certificates implied by a quorum of votes at one recipient

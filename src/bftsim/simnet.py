@@ -15,6 +15,7 @@ import heapq
 import itertools
 import json
 import random
+import re
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -42,19 +43,34 @@ _DELIVER_REFS = ({"m": dict}, {"sq": int})
 def _shape(kind: str, fields: dict) -> tuple:
     """A record shape: its line as a format string with the keys sorted and
     the kind baked in, a getter for the values the format takes, and the
-    field names and their types."""
+    field names and their types in the same sorted order."""
     fields = {"t": int, "q": int, "kind": str, **fields}
     keys = sorted(fields)
     fmt = ",".join(f'"kind":"{kind}"' if k == "kind" else f'"{k}":%s'
                    for k in keys)
     return ("{" + fmt + "}\n", itemgetter(*(k for k in keys if k != "kind")),
-            tuple(fields), tuple(fields.values()))
+            tuple(keys), tuple(map(fields.get, keys)))
 
 
 # (kind, names its send by "sq") -> the shape its lines have
 _SHAPES = {(kind, "sq" in ref): _shape(kind, {**fields, **ref})
            for kind, fields in _RECORD_FIELDS.items()
            for ref in (_DELIVER_REFS if kind == "deliver" else ({},))}
+
+
+def _pattern(kind: str, fmt: str, names: tuple, types: tuple) -> tuple:
+    """A shape's canonical line as the source of a bytes pattern, and its
+    slots' keys and types.  A slot matches a canonical int or bool, or
+    captures the shape's one dict or list field from its bracket on: only
+    scalars follow it.  Compiled by from_jsonl, not by every import."""
+    keys, types = zip(*((k, t) for k, t in zip(names, types) if k != "kind"))
+    fill = tuple({int: "(-?(?:0|[1-9][0-9]*))", bool: "(true|false)",
+                  dict: r"(\{.*)", list: r"(\[.*)"}[t] for t in types)
+    return kind, (re.escape(fmt[:-1]) % fill + r"\n?").encode(), keys, types
+
+
+_PATTERNS = [_pattern(kind, fmt, names, types)
+             for (kind, _), (fmt, _, names, types) in _SHAPES.items()]
 
 
 class HorizonTooSmall(ValueError):
@@ -316,24 +332,49 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "Trace":
+        """Load a trace file.  A canonical record line is read by its
+        shape's pattern, any other is parsed whole and shape-checked."""
+        last_text = last_msg = None
+
+        def message(text: bytes) -> WireMessage:
+            nonlocal last_text, last_msg
+            if text != last_text:  # a multicast's sends are adjacent
+                last_msg = decode_message(json.loads(text.decode()))
+                last_text = text
+            return last_msg
+
+        read = {int: int, bool: b"true".__eq__, dict: message,
+                list: lambda text: json.loads(text.decode())}
+        patterns = [(k, re.compile(p).fullmatch, keys, [read[t] for t in ts])
+                    for k, p, keys, ts in _PATTERNS]
         with open(path, "rb") as fh:
             trace = cls._read_header(fh, path)
             # send q -> its message and endpoints
             sent: dict[int, tuple[WireMessage, int, int]] = {}
-            last_raw = last_msg = None
             for no, line in enumerate(fh, 2):
                 try:
-                    rec = json.loads(line.decode())  # str: no encoding sniff
-                    kind = rec["kind"]
-                    shape = _SHAPES.get((kind, "sq" in rec))
-                    if shape is None:
-                        raise ValueError(f"unknown record shape: kind "
-                                         f"{kind!r}, sq {'sq' in rec}")
-                    _, _, names, types = shape
-                    if len(rec) != len(names) or tuple(
-                            map(type, map(rec.get, names))) != types:
-                        raise ValueError(f"a {kind} record needs exactly "
-                                         f"the fields {names} of types {types}")
+                    for kind, match, keys, reads in patterns:
+                        if found := match(line):
+                            break
+                    try:
+                        rec = found and dict(zip(keys, [f(v) for f, v in zip(
+                            reads, found.groups())]), kind=kind)
+                    except json.JSONDecodeError:  # not exactly one JSON value
+                        rec = None
+                    if not rec:
+                        rec = json.loads(line.decode())  # str: no sniff
+                        kind = rec["kind"]
+                        shape = _SHAPES.get((kind, "sq" in rec))
+                        if shape is None:
+                            raise ValueError(f"unknown record shape: kind "
+                                             f"{kind!r}, sq {'sq' in rec}")
+                        _, _, names, types = shape
+                        if len(rec) != len(names) or tuple(
+                                map(type, map(rec.get, names))) != types:
+                            raise ValueError(f"a {kind} record needs exactly "
+                                             f"the fields {names} of types {types}")
+                        if "m" in rec:
+                            rec["m"] = decode_message(rec["m"])
                     if kind == "commit" and not all(
                             type(b) is str for b in rec["blocks"]):
                         raise ValueError("commit blocks must be ids")
@@ -341,16 +382,14 @@ class Trace:
                         if rec["sq"] not in sent:
                             raise ValueError(f"no send for sq {rec['sq']}")
                         rec["m"], frm, to = sent.pop(rec["sq"])
-                        if (frm, to) != (rec["frm"], rec["to"]):
+                        if (frm, to) != (rec["frm"], rec["to"]) or rec["self"]:
                             raise ValueError(f"deliver disagrees with send "
-                                             f"{rec['sq']} ({frm} -> {to})")
-                    elif "m" in rec:
-                        if rec["m"] != last_raw:  # multicast sends repeat it
-                            last_raw = rec["m"]
-                            last_msg = decode_message(last_raw)
-                        rec["m"] = last_msg
-                        if kind == "send":
-                            sent[rec["q"]] = (last_msg, rec["frm"], rec["to"])
+                                             f"{rec['sq']} ({frm} -> {to}, not self)")
+                    elif kind == "send":
+                        sent[rec["q"]] = (rec["m"], rec["frm"], rec["to"])
+                    elif kind == "deliver" and not (
+                            rec["self"] and rec["frm"] == rec["to"]):
+                        raise ValueError("a deliver with m must be to itself")
                 except (ValueError, KeyError, TypeError) as exc:
                     raise TraceFormatError(f"{path} line {no}: {exc!r}")
                 trace.records.append(rec)

@@ -359,6 +359,12 @@ def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
     misrouted["frm"] = next(j for j in range(4)
                             if j not in (misrouted["frm"], misrouted["to"]))
     deliver = json.loads(lines[first_sq])
+    # a self-delivery's message handed to another replica, with no send
+    first_self = next(k for k, line in enumerate(lines)
+                      if '"kind":"deliver","m":' in line)
+    self_delivery = json.loads(lines[first_self])
+    self_delivery.update(self=False, to=(self_delivery["to"] + 1) % 4)
+    canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     for k, line in ((1, "{not json"), (1, json.dumps(unknown_kind)),
                     (first_sq, json.dumps(dangling)),
                     (first_sq, json.dumps(misrouted)),
@@ -367,6 +373,10 @@ def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
                     (first_sq, json.dumps(dict(deliver,
                                                sq=float(deliver["sq"])))),
                     (first_sq, json.dumps(dict(deliver, sq=True))),
+                    # a deliver by sq is never a self-delivery, and only a
+                    # self-delivery carries m
+                    (first_sq, canonical(dict(deliver, self=True))),
+                    (first_self, canonical(self_delivery)),
                     (1, json.dumps(dict(json.loads(lines[1]), zz=1)))):
         path = rewrite(tmp_path, lines[:k] + [line] + lines[k + 1:])
         assert_trace_error(capsys, path, ("check",))

@@ -7,11 +7,13 @@ import json
 
 import pytest
 
+from bftsim import analysis, cli
+from bftsim.core import decode_message
 from bftsim.replica import ReplicaConfig
 from bftsim.simnet import (_DELIVER_REFS, _RECORD_FIELDS, _SHAPES,
                            TRACE_FORMAT, AdversarySpec, Asynchronous, Crash,
                            Equivocate, MuteLeader, PartialSynchrony,
-                           Synchronous, Trace, run)
+                           Synchronous, Trace, TraceFormatError, run)
 
 STARVE = Asynchronous((1, 8), (("proposal", (60, 120)),))
 
@@ -180,21 +182,28 @@ GRID = [
 
 
 # the three benchmark workloads at seed 1, restated from their scenario
-# files: (n, variant, pacemaker, timeout, adversary, horizon), v2 digest
+# files: (n, variant, pacemaker, timeout, adversary, horizon), v2 digest,
+# check_safety's lines, and the sha256 of measure's dict as sorted JSON
 WORKLOADS = {
     "steady_long": (
         (4, "three_chain", "async_fallback", 50,
          AdversarySpec(Synchronous(1)), 3000),
-        "2338d728c11d01e456cb01105b4f33e46ea04c11358ae1a5bf73a3cbaae8e77c"),
+        "2338d728c11d01e456cb01105b4f33e46ea04c11358ae1a5bf73a3cbaae8e77c",
+        ["safety: ok", "commits_checked: 5989", "certificates_checked: 3001"],
+        "b1a122fc8947d9c320680e8fd4ef424e4fc784379102fd2a7fef052561cd04d5"),
     "starved_fallback": (
         (22, "three_chain", "async_fallback", 40, AdversarySpec(STARVE), 300),
-        "08166149697fd129428c9327d5a72d8af5506ff40044d03e0c5c440cb6507628"),
+        "08166149697fd129428c9327d5a72d8af5506ff40044d03e0c5c440cb6507628",
+        ["safety: ok", "commits_checked: 66", "certificates_checked: 397"],
+        "3a1333094ed222618ef6bf7fa886f1702cdb63dab6995cced17ac43278c139a4"),
     "byzantine_sweep": (
         (13, "two_chain", "baseline_tc", 50,
          AdversarySpec(PartialSynchrony(gst=120, delta=2,
                                         pre_gst_delay_bound=30),
                        ((0, Equivocate()),)), 1500),
-        "35f220caa86e61b9cd766d53834c472143921db5afe69d3970dfff9445ac26a6"),
+        "35f220caa86e61b9cd766d53834c472143921db5afe69d3970dfff9445ac26a6",
+        ["safety: ok", "commits_checked: 2444", "certificates_checked: 385"],
+        "deee43d687f61300a85e32d850a3b80de52e1ec52c9b75e0ad2de04deaa6decd"),
 }
 
 
@@ -229,12 +238,22 @@ def test_grid_digests(case, want):
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
-def test_workload_digests(name):
-    (n, variant, pacemaker, timeout, adversary, horizon), want = WORKLOADS[name]
+def test_workload_digests(name, tmp_path):
+    case, want, safety, metrics = WORKLOADS[name]
+    n, variant, pacemaker, timeout, adversary, horizon = case
     cfg = ReplicaConfig(n=n, f=(n - 1) // 3, variant=variant,
                         pacemaker=pacemaker, timeout_duration=timeout,
                         run_seed=1)
-    assert run(cfg, adversary, horizon).digest() == want
+    tr = run(cfg, adversary, horizon)
+    assert tr.digest() == want
+    # the file loads back to the very records the run made
+    path = tmp_path / "t.jsonl"
+    tr.to_jsonl(str(path))
+    assert Trace.from_jsonl(str(path)).records == tr.records
+    idx = analysis.index(tr)
+    assert analysis.check_safety(tr, idx).lines() == safety
+    measured = json.dumps(analysis.measure(tr, idx).to_dict(), sort_keys=True)
+    assert hashlib.sha256(measured.encode()).hexdigest() == metrics
 
 
 def test_digest_is_sha256_of_the_bytes_written(tmp_path):
@@ -305,3 +324,92 @@ def test_every_record_shape_formats_as_canonical_json(tmp_path):
         assert line == text.encode() + b"\n"
         escaped += json.dumps(odd)[1:-1] in text
     assert escaped == 2
+
+
+def canonical_lines(tmp_path):
+    """The header and record lines of a trace holding every shape."""
+    path = tmp_path / "t.jsonl"
+    trace_of(*GOLDEN[0][0]).to_jsonl(str(path))
+    return path.read_text().splitlines()
+
+
+def load_last(tmp_path, lines, newline=True):
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(lines) + ("\n" if newline else ""))
+    return Trace.from_jsonl(str(path)).records[-1]
+
+
+def test_other_spellings_load_as_json_reads_them(tmp_path):
+    lines = canonical_lines(tmp_path)
+    base = Trace.from_jsonl(str(tmp_path / "t.jsonl")).records
+    other_m = next(json.loads(line)["m"] for line in lines[1:]
+                   if '"kind":"vote"' in line)
+    checked = set()
+    for k, line in enumerate(lines[1:], 1):
+        rec = json.loads(line)
+        shape = (rec["kind"], "sq" in rec)
+        if shape in checked:
+            continue
+        checked.add(shape)
+        # the shape's dict or list field, or else t, given twice: JSON
+        # takes the last
+        dup = next((key for key in ("m", "blocks") if key in rec), "t")
+        first = {"m": json.dumps(other_m), "blocks": "[]", "t": "999"}[dup]
+        at = line.index(f'"{dup}":')
+        t_at = line.rindex('"t":')  # t follows the dict or list field
+        variants = [
+            line,
+            json.dumps(rec, sort_keys=True),
+            json.dumps(dict(reversed(rec.items())), separators=(",", ":")),
+            line[:t_at] + '"t":-0' + line[t_at + 4 + len(str(rec["t"])):],
+            line[:at] + f'"{dup}":{first},' + line[at:],
+        ]
+        for text in variants:
+            want = json.loads(text)
+            if "m" in want:
+                want["m"] = decode_message(want["m"])
+            elif "sq" in want:
+                want["m"] = base[k - 1]["m"]
+            for newline in (True, False):
+                got = load_last(tmp_path, lines[:k] + [text], newline)
+                assert got == want, text
+                assert ({key: type(v) for key, v in got.items()}
+                        == {key: type(v) for key, v in want.items()})
+    assert checked == set(_SHAPES)
+
+
+def test_adjacent_sends_one_byte_apart_are_two_messages(tmp_path):
+    lines = canonical_lines(tmp_path)
+    k = next(k for k, line in enumerate(lines)
+             if '"kind":"send"' in line and '"signers":[0,1,2]' in line)
+    # the same send once more, one signer id changed
+    copy = json.loads(lines[k])
+    copy["q"] = 10 ** 9
+    text = json.dumps(copy, sort_keys=True, separators=(",", ":"))
+    twin = text.replace('"signers":[0,1,2]', '"signers":[0,1,3]', 1)
+    assert len(twin) == len(text)
+    first = Trace.from_jsonl(str(tmp_path / "t.jsonl")).records[k - 1]
+    got = load_last(tmp_path, lines[:k + 1] + [twin])
+    assert got["m"] == decode_message(json.loads(twin)["m"]) != first["m"]
+    # a copy spelling an integer as a float is refused, although the two
+    # messages compare equal as parsed JSON
+    floated = text.replace('"signers":[0,', '"signers":[0.0,', 1)
+    assert json.loads(floated)["m"] == json.loads(text)["m"]
+    with pytest.raises(TraceFormatError):
+        load_last(tmp_path, lines[:k + 1] + [floated])
+
+
+@pytest.mark.parametrize("kind,field,text", [
+    ("send", "m", "[]"), ("send", "m", "5"), ("commit", "blocks", "{}"),
+    ("timer_fire", "t", "01")])  # JSON has no leading zeros
+def test_canonical_line_with_a_bad_value_exits_two(kind, field, text,
+                                                   tmp_path, capsys):
+    lines = canonical_lines(tmp_path)
+    k = next(k for k, line in enumerate(lines)
+             if f'"kind":"{kind}"' in line)
+    rec = dict(json.loads(lines[k]), **{field: "@"})
+    line = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines[:k] + [line.replace('"@"', text)]) + "\n")
+    assert cli.main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("trace error:")
