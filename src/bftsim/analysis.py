@@ -70,10 +70,13 @@ class TraceIndex:
     commit_tick: dict[str, int] = field(default_factory=dict)
     entered_views: set[int] = field(default_factory=set)
     completed_views: set[int] = field(default_factory=set)
+    sends: int = 0
+    # deliveries over the network, by message variant
+    delivered: dict[str, int] = field(default_factory=dict)
 
 
 def index(trace: Trace) -> TraceIndex:
-    """One pass over the records, shared by check_safety and measure."""
+    """The one pass over the records, shared by check_safety and measure."""
     idx = TraceIndex()
     spec = trace.adversary
     n = trace.protocol.n
@@ -85,6 +88,11 @@ def index(trace: Trace) -> TraceIndex:
     seen_certs: set = set()
     vote_tallies: dict[tuple, set[int]] = {}
     coin_tallies: dict[tuple, set[int]] = {}
+
+    def certified(cert: Union[QC, FallbackQC]) -> None:
+        if cert not in seen_certs:
+            seen_certs.add(cert)
+            (idx.qcs if isinstance(cert, QC) else idx.fqcs).append(cert)
 
     for rec in trace.records:
         kind = rec["kind"]
@@ -98,6 +106,11 @@ def index(trace: Trace) -> TraceIndex:
         if kind == "timer_fire":
             continue
         msg = rec["m"]
+        if kind == "send":
+            idx.sends += 1
+        elif not rec["self"]:
+            variant = message_variant(msg)
+            idx.delivered[variant] = idx.delivered.get(variant, 0) + 1
         if "sq" not in rec:  # a deliver by sq repeats its send's message
             if isinstance(msg, (Proposal, FBProposal)):
                 b = msg.block
@@ -109,10 +122,8 @@ def index(trace: Trace) -> TraceIndex:
                 if isinstance(cert, CoinQC):
                     idx.coins.setdefault(cert.view, set()).add(cert.elected)
                     idx.completed_views.add(cert.view)
-                elif isinstance(cert, (QC, FallbackQC)) and (
-                        cert not in seen_certs):
-                    seen_certs.add(cert)
-                    (idx.qcs if isinstance(cert, QC) else idx.fqcs).append(cert)
+                elif isinstance(cert, (QC, FallbackQC)):
+                    certified(cert)
         # certificates implied by a quorum of votes at one recipient
         if kind == "deliver":
             if isinstance(msg, Vote):
@@ -120,17 +131,17 @@ def index(trace: Trace) -> TraceIndex:
                 tally = vote_tallies.setdefault(key, set())
                 tally.add(msg.voter)
                 if len(tally) == quorum:
-                    qc = QC(msg.block_id, msg.round, msg.view, frozenset(tally))
-                    idx.qcs.append(qc)
+                    certified(QC(msg.block_id, msg.round, msg.view,
+                                 frozenset(tally)))
             elif isinstance(msg, FBVote):
                 key = ("f", rec["to"], msg.block_id, msg.round, msg.view,
                        msg.height, msg.proposer)
                 tally = vote_tallies.setdefault(key, set())
                 tally.add(msg.voter)
                 if len(tally) == quorum:
-                    idx.fqcs.append(FallbackQC(msg.block_id, msg.round,
-                                               msg.view, msg.height,
-                                               msg.proposer, frozenset(tally)))
+                    certified(FallbackQC(msg.block_id, msg.round, msg.view,
+                                         msg.height, msg.proposer,
+                                         frozenset(tally)))
             elif isinstance(msg, CoinShare):
                 key = (rec["to"], msg.view)
                 tally = coin_tallies.setdefault(key, set())
@@ -248,20 +259,7 @@ def check_safety(trace: Trace, idx: Optional[TraceIndex] = None) -> SafetyReport
 
 def measure(trace: Trace, idx: Optional[TraceIndex] = None) -> MetricsReport:
     idx = idx or index(trace)
-    delivered = 0
-    units = 0
-    sends = 0
-    variant_counts: dict[str, int] = {}
-    for rec in trace.records:
-        kind = rec["kind"]
-        if kind == "send":
-            sends += 1
-        elif kind == "deliver" and not rec["self"]:
-            delivered += 1
-            variant = message_variant(rec["m"])
-            variant_counts[variant] = variant_counts.get(variant, 0) + 1
-            units += MESSAGE_SIZE_UNITS[variant]
-
+    delivered = sum(idx.delivered.values())
     committed = sorted(idx.commit_tick)
     histogram: dict[int, int] = {}
     latencies = []
@@ -276,12 +274,13 @@ def measure(trace: Trace, idx: Optional[TraceIndex] = None) -> MetricsReport:
     per_commit = delivered / len(committed) if committed else None
     return MetricsReport(
         messages_delivered=delivered,
-        size_units=units,
-        sends_total=sends,
+        size_units=sum(MESSAGE_SIZE_UNITS[v] * k
+                       for v, k in idx.delivered.items()),
+        sends_total=idx.sends,
         commits_total=len(committed),
         commit_latency_mean=mean,
         commit_latency_histogram=histogram,
-        variant_counts=variant_counts,
+        variant_counts=dict(idx.delivered),
         views_completed=len(idx.completed_views),
         messages_per_commit=per_commit,
     )

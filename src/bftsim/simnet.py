@@ -332,8 +332,8 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "Trace":
-        """Load a trace file.  A canonical record line is read by its
-        shape's pattern, any other is parsed whole and shape-checked."""
+        """Load a trace file.  Every record line must be its shape's
+        canonical line, and is read by that shape's pattern."""
         last_text = last_msg = None
 
         def message(text: bytes) -> WireMessage:
@@ -356,25 +356,11 @@ class Trace:
                     for kind, match, keys, reads in patterns:
                         if found := match(line):
                             break
-                    try:
-                        rec = found and dict(zip(keys, [f(v) for f, v in zip(
-                            reads, found.groups())]), kind=kind)
-                    except json.JSONDecodeError:  # not exactly one JSON value
-                        rec = None
-                    if not rec:
-                        rec = json.loads(line.decode())  # str: no sniff
-                        kind = rec["kind"]
-                        shape = _SHAPES.get((kind, "sq" in rec))
-                        if shape is None:
-                            raise ValueError(f"unknown record shape: kind "
-                                             f"{kind!r}, sq {'sq' in rec}")
-                        _, _, names, types = shape
-                        if len(rec) != len(names) or tuple(
-                                map(type, map(rec.get, names))) != types:
-                            raise ValueError(f"a {kind} record needs exactly "
-                                             f"the fields {names} of types {types}")
-                        if "m" in rec:
-                            rec["m"] = decode_message(rec["m"])
+                    else:
+                        raise ValueError("not a record shape's canonical line")
+                    # a captured m or blocks must be exactly one JSON value
+                    rec = dict(zip(keys, [f(v) for f, v in zip(
+                        reads, found.groups())]), kind=kind)
                     if kind == "commit" and not all(
                             type(b) is str for b in rec["blocks"]):
                         raise ValueError("commit blocks must be ids")

@@ -218,6 +218,24 @@ def test_conflicting_certificates_detected():
         rep.violations
 
 
+def test_each_certificate_is_checked_once():
+    tr = clone(steady())
+    idx = index(tr)
+    assert len(idx.qcs) == len(set(idx.qcs)) > 0
+    assert check_safety(tr).certificates_checked == len(set(idx.qcs))
+    # a twin block certified twice in one slot: by a quorum of votes at
+    # replica 1, then by the same certificate carried in a message
+    qc = idx.qcs[len(idx.qcs) // 2]
+    twin = make_block(genesis_qc(4), qc.round, qc.view, TxnBatch("twin", 1))
+    votes = [Vote(twin.id, qc.round, qc.view, voter) for voter in (1, 2, 3)]
+    forged = QC(twin.id, qc.round, qc.view, frozenset({1, 2, 3}))
+    _plant(tr, *votes, Timeout(99, None, forged, 3))
+    rep = check_safety(tr)
+    assert rep.certificates_checked == len(set(idx.qcs)) + 1
+    assert sum("two certified blocks" in v for v in rep.violations) == 1, \
+        rep.violations
+
+
 def test_conflicting_elections_detected():
     tr = clone(starved())
     coin = next(r["m"].coin_qc for r in tr.records

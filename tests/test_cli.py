@@ -244,11 +244,13 @@ def rewrite(tmp_path, lines, name="bad.jsonl"):
     return str(path)
 
 
-def assert_trace_error(capsys, path, commands=("check", "replay")):
+def assert_trace_error(capsys, path, commands=("check", "replay"), says=""):
+    """Each command exits 2 with a trace error that says ``says``."""
     for command in commands:
         assert run_cli(command, path) == 2, command
         captured = capsys.readouterr()
         assert captured.err.startswith("trace error:"), command
+        assert says in captured.err, (command, captured.err)
         assert "match" not in captured.out.lower()
 
 
@@ -301,27 +303,33 @@ def test_trace_header_bad_delay_range_exits_two(tmp_path, capsys):
     assert_trace_error(capsys, path)
 
 
+# a record line is its shape's canonical line: sorted keys, no spaces
+canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+NOT_CANONICAL = "not a record shape's canonical line"
+
+
 def edit_record(tmp_path, kind, edit, text=STEADY):
     """The trace of scenario ``text`` with its first ``kind`` record
-    changed by ``edit``."""
+    changed by ``edit`` and written back canonically."""
     lines = make_trace(tmp_path, text).read_text().splitlines()
     k = next(k for k, line in enumerate(lines) if f'"kind":"{kind}"' in line)
     rec = json.loads(lines[k])
     edit(rec)
-    return rewrite(tmp_path, lines[:k] + [json.dumps(rec)] + lines[k + 1:])
+    return rewrite(tmp_path, lines[:k] + [canonical(rec)] + lines[k + 1:])
 
 
 def test_deliver_missing_fields_exits_two_on_check(tmp_path, capsys):
     for edit in (lambda r: r.pop("to"),
                  lambda r: (r.pop("m", None), r.pop("sq", None))):
         path = edit_record(tmp_path, "deliver", edit)
-        assert_trace_error(capsys, path, ("check",))
+        assert_trace_error(capsys, path, ("check",), NOT_CANONICAL)
 
 
 def test_commit_blocks_not_a_list_exits_two_on_check(tmp_path, capsys):
-    for blocks in (7, [7]):
+    for blocks, says in ((7, NOT_CANONICAL),
+                         ([7], "commit blocks must be ids")):
         path = edit_record(tmp_path, "commit", lambda r: r.update(blocks=blocks))
-        assert_trace_error(capsys, path, ("check",))
+        assert_trace_error(capsys, path, ("check",), says)
 
 
 def test_message_field_of_wrong_type_exits_two_on_check(tmp_path, capsys):
@@ -332,18 +340,25 @@ def test_message_field_of_wrong_type_exits_two_on_check(tmp_path, capsys):
           "signers": [0, 1, 2]}
     tc = {"kind": "tc", "round": 1, "signers": [0, 1, 2]}
     coin = {"kind": "coin", "view": 0, "elected": 1, "signers": [0, 1]}
-    for text, kind, edit in (
-            (STEADY, "proposal", lambda r: parent(r).update(block_id=5)),
+    for text, kind, edit, says in (
+            (STEADY, "proposal", lambda r: parent(r).update(block_id=5),
+             "certificate fields hold"),
             (STEADY, "proposal",
-             lambda r: parent(r)["signers"].__setitem__(0, "0")),
-            (STEADY, "vote", lambda r: r["m"].update(round="1")),
-            (STEADY, "proposal", lambda r: r["m"]["block"].update(parent=tc)),
+             lambda r: parent(r)["signers"].__setitem__(0, "0"),
+             "are not ids"),
+            (STEADY, "vote", lambda r: r["m"].update(round="1"),
+             "message fields hold"),
+            (STEADY, "proposal", lambda r: r["m"]["block"].update(parent=tc),
+             "certificate slot holds {'kind': 'tc'"),
             (STEADY, "proposal",
-             lambda r: r["m"]["block"].update(parent=coin)),
-            (STARVED, "timeout", lambda r: r["m"].update(high_qc=tc)),
-            (STARVED, "ftc_relay", lambda r: r["m"].update(ftc=qc))):
+             lambda r: r["m"]["block"].update(parent=coin),
+             "certificate slot holds {'elected'"),
+            (STARVED, "timeout", lambda r: r["m"].update(high_qc=tc),
+             "certificate slot holds {'kind': 'tc'"),
+            (STARVED, "ftc_relay", lambda r: r["m"].update(ftc=qc),
+             "certificate slot holds {'block_id'")):
         path = edit_record(tmp_path, kind, edit, text)
-        assert_trace_error(capsys, path, ("check",))
+        assert_trace_error(capsys, path, ("check",), says)
 
 
 def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
@@ -364,22 +379,24 @@ def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
                       if '"kind":"deliver","m":' in line)
     self_delivery = json.loads(lines[first_self])
     self_delivery.update(self=False, to=(self_delivery["to"] + 1) % 4)
-    canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    for k, line in ((1, "{not json"), (1, json.dumps(unknown_kind)),
-                    (first_sq, json.dumps(dangling)),
-                    (first_sq, json.dumps(misrouted)),
-                    # the writer formats each record from its kind's shape:
-                    # an sq of another type or a key outside it is refused
-                    (first_sq, json.dumps(dict(deliver,
-                                               sq=float(deliver["sq"])))),
-                    (first_sq, json.dumps(dict(deliver, sq=True))),
-                    # a deliver by sq is never a self-delivery, and only a
-                    # self-delivery carries m
-                    (first_sq, canonical(dict(deliver, self=True))),
-                    (first_self, canonical(self_delivery)),
-                    (1, json.dumps(dict(json.loads(lines[1]), zz=1)))):
+    for k, line, says in (
+            (1, "{not json", NOT_CANONICAL),
+            (1, canonical(unknown_kind), NOT_CANONICAL),
+            (first_sq, canonical(dangling), "no send for sq"),
+            (first_sq, canonical(misrouted), "deliver disagrees"),
+            # the writer formats each record from its kind's shape: an sq
+            # of another type or a key outside it is refused
+            (first_sq, canonical(dict(deliver, sq=float(deliver["sq"]))),
+             NOT_CANONICAL),
+            (first_sq, canonical(dict(deliver, sq=True)), NOT_CANONICAL),
+            # a deliver by sq is never a self-delivery, and only a
+            # self-delivery carries m
+            (first_sq, canonical(dict(deliver, self=True)),
+             "deliver disagrees"),
+            (first_self, canonical(self_delivery), "must be to itself"),
+            (1, canonical(dict(json.loads(lines[1]), zz=1)), NOT_CANONICAL)):
         path = rewrite(tmp_path, lines[:k] + [line] + lines[k + 1:])
-        assert_trace_error(capsys, path, ("check",))
+        assert_trace_error(capsys, path, ("check",), says)
         # replay hashes the stored bytes without decoding them: changed
         # record bytes under an intact header are a mismatch
         assert run_cli("replay", path) == 1
@@ -397,8 +414,8 @@ def test_check_clean_trace_exits_zero(tmp_path, capsys):
 
 def test_check_flags_forged_commit(tmp_path, capsys):
     trace = make_trace(tmp_path)
-    forged = json.dumps({"t": 239, "q": 10 ** 9, "kind": "commit", "rid": 0,
-                         "blocks": ["f" * 32], "log_len": 999})
+    forged = canonical({"t": 239, "q": 10 ** 9, "kind": "commit", "rid": 0,
+                        "blocks": ["f" * 32], "log_len": 999})
     with open(trace, "a") as fh:
         fh.write(forged + "\n")
     assert run_cli("check", str(trace)) == 1

@@ -189,12 +189,12 @@ WORKLOADS = {
         (4, "three_chain", "async_fallback", 50,
          AdversarySpec(Synchronous(1)), 3000),
         "2338d728c11d01e456cb01105b4f33e46ea04c11358ae1a5bf73a3cbaae8e77c",
-        ["safety: ok", "commits_checked: 5989", "certificates_checked: 3001"],
+        ["safety: ok", "commits_checked: 5989", "certificates_checked: 1501"],
         "b1a122fc8947d9c320680e8fd4ef424e4fc784379102fd2a7fef052561cd04d5"),
     "starved_fallback": (
         (22, "three_chain", "async_fallback", 40, AdversarySpec(STARVE), 300),
         "08166149697fd129428c9327d5a72d8af5506ff40044d03e0c5c440cb6507628",
-        ["safety: ok", "commits_checked: 66", "certificates_checked: 397"],
+        ["safety: ok", "commits_checked: 66", "certificates_checked: 199"],
         "3a1333094ed222618ef6bf7fa886f1702cdb63dab6995cced17ac43278c139a4"),
     "byzantine_sweep": (
         (13, "two_chain", "baseline_tc", 50,
@@ -202,7 +202,7 @@ WORKLOADS = {
                                         pre_gst_delay_bound=30),
                        ((0, Equivocate()),)), 1500),
         "35f220caa86e61b9cd766d53834c472143921db5afe69d3970dfff9445ac26a6",
-        ["safety: ok", "commits_checked: 2444", "certificates_checked: 385"],
+        ["safety: ok", "commits_checked: 2444", "certificates_checked: 193"],
         "deee43d687f61300a85e32d850a3b80de52e1ec52c9b75e0ad2de04deaa6decd"),
 }
 
@@ -212,6 +212,11 @@ def trace_of(variant, pacemaker, adversary, horizon, seed, adopt=False):
                         timeout_duration=40, adopt_foreign_fchains=adopt,
                         run_seed=seed)
     return run(cfg, adversary, horizon)
+
+
+def canonical(rec) -> str:
+    """A record's line as the writer spells it: sorted keys, no spaces."""
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("case,want", GOLDEN)
@@ -314,13 +319,13 @@ def test_every_record_shape_formats_as_canonical_json(tmp_path):
     next(r for r in raw if r["kind"] == "commit")["blocks"][0] += odd
     next(r for r in raw if r["kind"] == "send"
          and r["m"]["kind"] == "proposal")["m"]["block"]["payload"][0] += odd
-    path.write_text("\n".join([header, *map(json.dumps, raw)]) + "\n")
+    path.write_text("\n".join([header, *map(canonical, raw)]) + "\n")
 
     back = Trace.from_jsonl(str(path))
     assert {(r["kind"], "sq" in r) for r in raw} == set(_SHAPES)
     escaped = 0
     for want, line in zip(raw, back.lines(), strict=True):
-        text = json.dumps(want, sort_keys=True, separators=(",", ":"))
+        text = canonical(want)
         assert line == text.encode() + b"\n"
         escaped += json.dumps(odd)[1:-1] in text
     assert escaped == 2
@@ -339,11 +344,12 @@ def load_last(tmp_path, lines, newline=True):
     return Trace.from_jsonl(str(path)).records[-1]
 
 
-def test_other_spellings_load_as_json_reads_them(tmp_path):
+def test_other_spellings_exit_two(tmp_path, capsys):
     lines = canonical_lines(tmp_path)
     base = Trace.from_jsonl(str(tmp_path / "t.jsonl")).records
     other_m = next(json.loads(line)["m"] for line in lines[1:]
                    if '"kind":"vote"' in line)
+    path = tmp_path / "edited.jsonl"
     checked = set()
     for k, line in enumerate(lines[1:], 1):
         rec = json.loads(line)
@@ -351,31 +357,40 @@ def test_other_spellings_load_as_json_reads_them(tmp_path):
         if shape in checked:
             continue
         checked.add(shape)
-        # the shape's dict or list field, or else t, given twice: JSON
-        # takes the last
-        dup = next((key for key in ("m", "blocks") if key in rec), "t")
-        first = {"m": json.dumps(other_m), "blocks": "[]", "t": "999"}[dup]
-        at = line.index(f'"{dup}":')
+        # the canonical line loads, and so does a t of -0: the int slot
+        # admits it
         t_at = line.rindex('"t":')  # t follows the dict or list field
-        variants = [
-            line,
-            json.dumps(rec, sort_keys=True),
-            json.dumps(dict(reversed(rec.items())), separators=(",", ":")),
-            line[:t_at] + '"t":-0' + line[t_at + 4 + len(str(rec["t"])):],
-            line[:at] + f'"{dup}":{first},' + line[at:],
-        ]
-        for text in variants:
-            want = json.loads(text)
-            if "m" in want:
-                want["m"] = decode_message(want["m"])
-            elif "sq" in want:
-                want["m"] = base[k - 1]["m"]
+        zero_t = line[:t_at] + '"t":-0' + line[t_at + 4 + len(str(rec["t"])):]
+        for text, want in ((line, base[k - 1]),
+                           (zero_t, dict(base[k - 1], t=0))):
             for newline in (True, False):
                 got = load_last(tmp_path, lines[:k] + [text], newline)
                 assert got == want, text
                 assert ({key: type(v) for key, v in got.items()}
                         == {key: type(v) for key, v in want.items()})
+        # spaces, keys in another order, or the shape's dict or list field,
+        # or else t, given twice
+        dup = next((key for key in ("m", "blocks") if key in rec), "t")
+        first = {"m": canonical(other_m), "blocks": "[]", "t": "999"}[dup]
+        at = line.index(f'"{dup}":')
+        for text in (json.dumps(rec, sort_keys=True),
+                     json.dumps(dict(reversed(rec.items())),
+                                separators=(",", ":")),
+                     line[:at] + f'"{dup}":{first},' + line[at:]):
+            for newline in (True, False):
+                path.write_text("\n".join(lines[:k] + [text])
+                                + ("\n" if newline else ""))
+                assert cli.main(["check", str(path)]) == 2, text
+                err = capsys.readouterr().err
+                assert err.startswith("trace error:"), err
+                assert f" line {k + 1}: " in err, err
     assert checked == set(_SHAPES)
+
+
+def test_measure_reads_only_the_index():
+    tr = trace_of(*GOLDEN[0][0])
+    assert (analysis.measure(Trace(tr.meta, []), analysis.index(tr))
+            == analysis.measure(tr))
 
 
 def test_adjacent_sends_one_byte_apart_are_two_messages(tmp_path):
@@ -385,7 +400,7 @@ def test_adjacent_sends_one_byte_apart_are_two_messages(tmp_path):
     # the same send once more, one signer id changed
     copy = json.loads(lines[k])
     copy["q"] = 10 ** 9
-    text = json.dumps(copy, sort_keys=True, separators=(",", ":"))
+    text = canonical(copy)
     twin = text.replace('"signers":[0,1,2]', '"signers":[0,1,3]', 1)
     assert len(twin) == len(text)
     first = Trace.from_jsonl(str(tmp_path / "t.jsonl")).records[k - 1]
@@ -408,7 +423,7 @@ def test_canonical_line_with_a_bad_value_exits_two(kind, field, text,
     k = next(k for k, line in enumerate(lines)
              if f'"kind":"{kind}"' in line)
     rec = dict(json.loads(lines[k]), **{field: "@"})
-    line = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    line = canonical(rec)
     path = tmp_path / "bad.jsonl"
     path.write_text("\n".join(lines[:k] + [line.replace('"@"', text)]) + "\n")
     assert cli.main(["check", str(path)]) == 2
