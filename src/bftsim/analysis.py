@@ -16,8 +16,8 @@ from . import crypto
 from .core import (Block, CoinQC, CoinShare, FallbackQC, FBProposal, FBVote,
                    Proposal, QC, Vote, MESSAGE_SIZE_UNITS, genesis_block,
                    message_certs, message_variant)
-from .replica import ASYNC_FALLBACK
-from .simnet import Trace
+from .replica import ASYNC_FALLBACK, ReplicaConfig
+from .simnet import AdversarySpec, Sink, Trace
 
 
 class NoFallbacks(ValueError):
@@ -75,15 +75,16 @@ class TraceIndex:
     delivered: dict[str, int] = field(default_factory=dict)
 
 
-def index(trace: Trace) -> TraceIndex:
-    """The one pass over the records, shared by check_safety and measure."""
+def indexer(config: ReplicaConfig,
+            adversary: AdversarySpec) -> tuple[TraceIndex, Sink]:
+    """The index of a run of ``config`` under ``adversary``, and the fold
+    that adds one record to it.  Records must come in trace order."""
     idx = TraceIndex()
-    spec = trace.adversary
-    n = trace.protocol.n
-    quorum = crypto.quorum_threshold(trace.protocol.f)
-    coin_quorum = crypto.coin_threshold(trace.protocol.f)
+    quorum = crypto.quorum_threshold(config.f)
+    coin_quorum = crypto.coin_threshold(config.f)
     # a crash is fail-stop, not byzantine: its commits count
-    idx.honest = {i for i in range(n) if not spec.fault_of(i).byzantine}
+    honest = idx.honest = {i for i in range(config.n)
+                           if not adversary.fault_of(i).byzantine}
 
     seen_certs: set = set()
     vote_tallies: dict[tuple, set[int]] = {}
@@ -94,17 +95,17 @@ def index(trace: Trace) -> TraceIndex:
             seen_certs.add(cert)
             (idx.qcs if isinstance(cert, QC) else idx.fqcs).append(cert)
 
-    for rec in trace.records:
+    def add(rec: dict) -> None:
         kind = rec["kind"]
         if kind == "commit":
             idx.commit_records += 1
-            if rec["rid"] in idx.honest:
+            if rec["rid"] in honest:
                 idx.logs.setdefault(rec["rid"], []).extend(rec["blocks"])
                 for bid in rec["blocks"]:
                     idx.commit_tick.setdefault(bid, rec["t"])
-            continue
+            return
         if kind == "timer_fire":
-            continue
+            return
         msg = rec["m"]
         if kind == "send":
             idx.sends += 1
@@ -116,7 +117,7 @@ def index(trace: Trace) -> TraceIndex:
                 b = msg.block
                 idx.bodies.setdefault(b.id, b)
                 idx.proposal_tick.setdefault(b.id, rec["t"])
-                if b.height == 1 and rec["frm"] in idx.honest:
+                if b.height == 1 and rec["frm"] in honest:
                     idx.entered_views.add(b.view)
             for cert in message_certs(msg):
                 if isinstance(cert, CoinQC):
@@ -148,6 +149,16 @@ def index(trace: Trace) -> TraceIndex:
                 tally.add(msg.signer)
                 if len(tally) == coin_quorum:
                     idx.completed_views.add(msg.view)
+
+    return idx, add
+
+
+def index(trace: Trace) -> TraceIndex:
+    """The one pass over a held trace's records, shared by check_safety
+    and measure."""
+    idx, add = indexer(trace.protocol, trace.adversary)
+    for rec in trace.records:
+        add(rec)
     return idx
 
 

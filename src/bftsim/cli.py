@@ -109,8 +109,13 @@ def cmd_sweep(args) -> int:
         runs = []
         for seed in seeds:
             pconf = replace(protocol, run_seed=seed)
-            trace = simnet.run(pconf, cfg.adversary, cfg.horizon)
-            idx = analysis.index(trace)
+            idx, add = analysis.indexer(pconf, cfg.adversary)
+            # records go straight into the index, unless they are held to
+            # be written; held ones are indexed after the run
+            trace = simnet.run(pconf, cfg.adversary, cfg.horizon,
+                               None if out_dir else add)
+            for rec in trace.records:
+                add(rec)
             safety = analysis.check_safety(trace, idx)
             metrics = analysis.measure(trace, idx)
             all_ok = all_ok and safety.ok
@@ -147,7 +152,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_replay(args) -> int:
     trace, recomputed = Trace.scan_jsonl(args.trace)
-    got = simnet.run(trace.protocol, trace.adversary, trace.horizon).digest()
+    got = simnet.replayed_digest(trace)
     # All three must agree: header digest, digest over the bytes as stored,
     # and the digest of a fresh deterministic re-run.
     match = got == trace.stored_digest == recomputed
@@ -161,8 +166,10 @@ def cmd_replay(args) -> int:
 
 
 def cmd_check(args) -> int:
-    trace = Trace.from_jsonl(args.trace)
-    safety = analysis.check_safety(trace)
+    header = Trace.read_header(args.trace)
+    idx, add = analysis.indexer(header.protocol, header.adversary)
+    trace = Trace.from_jsonl(args.trace, add)
+    safety = analysis.check_safety(trace, idx)
     lines = [f"trace: {args.trace}"] + safety.lines()
     _print(lines, args.quiet)
     return 0 if safety.ok else 1

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -224,6 +225,57 @@ def test_replay_detects_tampered_header(tmp_path, capsys):
     assert run_cli("replay", str(tampered)) == 1
 
 
+def test_replay_of_another_header_prints_the_true_digest(tmp_path, capsys):
+    # the hash starts from the stored header; a re-run that ends with
+    # another undelivered count cannot match it, and is run once more
+    original = make_trace(tmp_path)
+    stored = simnet.Trace.read_header(str(original))
+    true = simnet.run(stored.protocol, stored.adversary,
+                      stored.horizon).digest()
+    count = stored.meta["undelivered"]
+    for value in (count + 1, None, float(count), str(count)):
+        path = edit_header(tmp_path, lambda h: h.update(undelivered=value))
+        assert run_cli("replay", path) == 1, value
+        out = capsys.readouterr().out
+        assert f"replayed_digest: {true}\n" in out
+        assert "replay: MISMATCH" in out
+
+
+def test_replay_refuses_a_bad_file_before_simulating(tmp_path, capsys,
+                                                     monkeypatch):
+    data = make_trace(tmp_path).read_bytes()
+    bad_header = edit_header(tmp_path, lambda h: h.update(horizon="x"))
+    cut = tmp_path / "cut.jsonl"
+    cut.write_bytes(data[:len(data) // 2])
+
+    def simulate(*args):
+        raise AssertionError("simulated a trace it should refuse")
+    monkeypatch.setattr(simnet.Simulation, "run", simulate)
+    for path in (bad_header, str(cut)):
+        assert_trace_error(capsys, path, ("replay",))
+
+
+def test_check_and_replay_hold_no_trace(tmp_path):
+    cfg = write(tmp_path, STEADY.replace("horizon = 240", "horizon = 1000"))
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", cfg, "--out", str(out), "--quiet") == 0
+    path = str(out / "run-seed7.trace.jsonl")
+    stored = simnet.Trace.read_header(path)
+
+    def peak(work) -> int:
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peak(lambda: run_cli("check", path, "--quiet"))
+            < peak(lambda: simnet.Trace.from_jsonl(path)) / 2)
+    assert (peak(lambda: run_cli("replay", path, "--quiet"))
+            < peak(lambda: simnet.run(stored.protocol, stored.adversary,
+                                      stored.horizon)) / 2)
+
+
 def test_replay_missing_file_exits_two(tmp_path):
     assert run_cli("replay", str(tmp_path / "absent.jsonl")) == 2
 
@@ -245,13 +297,15 @@ def rewrite(tmp_path, lines, name="bad.jsonl"):
 
 
 def assert_trace_error(capsys, path, commands=("check", "replay"), says=""):
-    """Each command exits 2 with a trace error that says ``says``."""
+    """Each command exits 2 with a trace error that says ``says``; returns
+    the last error."""
     for command in commands:
         assert run_cli(command, path) == 2, command
         captured = capsys.readouterr()
         assert captured.err.startswith("trace error:"), command
         assert says in captured.err, (command, captured.err)
         assert "match" not in captured.out.lower()
+    return captured.err
 
 
 def test_truncated_trace_exits_two(tmp_path, capsys):
@@ -396,7 +450,9 @@ def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
             (first_self, canonical(self_delivery), "must be to itself"),
             (1, canonical(dict(json.loads(lines[1]), zz=1)), NOT_CANONICAL)):
         path = rewrite(tmp_path, lines[:k] + [line] + lines[k + 1:])
-        assert_trace_error(capsys, path, ("check",), says)
+        # check has folded the lines before it, and names the bad one
+        err = assert_trace_error(capsys, path, ("check",), says)
+        assert f" line {k + 1}: " in err, err
         # replay hashes the stored bytes without decoding them: changed
         # record bytes under an intact header are a mismatch
         assert run_cli("replay", path) == 1
@@ -442,6 +498,48 @@ def test_sweep_grid_with_linear_fit(tmp_path, capsys):
     assert "safety: ok" in summary.read_text()
     assert (out / "sweep-n4-seed1.trace.jsonl").exists()
     assert (out / "sweep-n7-seed2.trace.jsonl").exists()
+
+
+# sweep's per-n, fit and safety lines, for two grids
+SWEEPS = {
+    "steady": (SWEEP, [
+        "n=4 runs=2 mean_messages=720.0 mean_commits=118.0 "
+        "mean_messages_per_commit=6.102",
+        "n=7 runs=2 mean_messages=1440.0 mean_commits=118.0 "
+        "mean_messages_per_commit=12.203",
+        "fit_messages_per_commit_vs_n: slope=2.0339 intercept=-2.0339 "
+        "r2=1.000000",
+        "safety: ok"]),
+    "starved": (STARVED + SWEEP[len(STEADY):], [
+        "n=4 runs=2 mean_messages=309.5 mean_commits=4.0 "
+        "mean_messages_per_commit=77.375",
+        "n=7 runs=2 mean_messages=975.5 mean_commits=4.0 "
+        "mean_messages_per_commit=243.875",
+        "fit_messages_per_commit_vs_n: slope=55.5000 intercept=-144.6250 "
+        "r2=1.000000",
+        "safety: ok"])}
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweep_writes_what_run_writes(name, tmp_path, capsys):
+    # sweep indexes records as it simulates, and holds them only for --out
+    text, want = SWEEPS[name]
+    cfg = write(tmp_path, text)
+    out = tmp_path / "sweepout"
+    summaries = []
+    for argv in ((), ("--out", str(out))):
+        assert run_cli("sweep", "--config", cfg, *argv) == 0
+        summaries.append(capsys.readouterr().out.splitlines()[4:-1])
+    assert summaries == [want] * 2
+    for n in (4, 7):
+        sized = write(tmp_path, text.replace("n = 4\nf = 1",
+                                             f"n = {n}\nf = {(n - 1) // 3}"))
+        for seed in (1, 2):
+            run_out = tmp_path / f"run-n{n}"
+            assert run_cli("run", "--config", sized, "--seed", str(seed),
+                           "--out", str(run_out), "--quiet") == 0
+            assert ((out / f"sweep-n{n}-seed{seed}.trace.jsonl").read_bytes()
+                    == (run_out / f"run-seed{seed}.trace.jsonl").read_bytes())
 
 
 def test_sweep_seeds_override(tmp_path, capsys):

@@ -2,6 +2,7 @@
 shape each record line is formatted from, and deliveries that name their
 send instead of repeating the message."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -219,6 +220,20 @@ def canonical(rec) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
+def scenario_of(name):
+    """(config, adversary, horizon) of a workload or a GRID case."""
+    if name in WORKLOADS:
+        n, variant, pacemaker, timeout, adversary, horizon = WORKLOADS[name][0]
+        return (ReplicaConfig(n=n, f=(n - 1) // 3, variant=variant,
+                              pacemaker=pacemaker, timeout_duration=timeout,
+                              run_seed=1), adversary, horizon)
+    n, variant, pacemaker, adopt, adversary = name
+    return (ReplicaConfig(n=n, f=(n - 1) // 3, variant=variant,
+                          pacemaker=pacemaker, timeout_duration=40,
+                          adopt_foreign_fchains=adopt, run_seed=1),
+            GRID_ADVERSARIES[adversary], 200)
+
+
 @pytest.mark.parametrize("case,want", GOLDEN)
 def test_golden_v2_digests(case, want, tmp_path):
     tr = trace_of(*case)
@@ -235,21 +250,13 @@ def test_golden_v2_digests(case, want, tmp_path):
 
 @pytest.mark.parametrize("case,want", GRID)
 def test_grid_digests(case, want):
-    n, variant, pacemaker, adopt, adversary = case
-    cfg = ReplicaConfig(n=n, f=(n - 1) // 3, variant=variant,
-                        pacemaker=pacemaker, timeout_duration=40,
-                        adopt_foreign_fchains=adopt, run_seed=1)
-    assert run(cfg, GRID_ADVERSARIES[adversary], 200).digest() == want
+    assert run(*scenario_of(case)).digest() == want
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_workload_digests(name, tmp_path):
-    case, want, safety, metrics = WORKLOADS[name]
-    n, variant, pacemaker, timeout, adversary, horizon = case
-    cfg = ReplicaConfig(n=n, f=(n - 1) // 3, variant=variant,
-                        pacemaker=pacemaker, timeout_duration=timeout,
-                        run_seed=1)
-    tr = run(cfg, adversary, horizon)
+    _, want, safety, metrics = WORKLOADS[name]
+    tr = run(*scenario_of(name))
     assert tr.digest() == want
     # the file loads back to the very records the run made
     path = tmp_path / "t.jsonl"
@@ -259,6 +266,41 @@ def test_workload_digests(name, tmp_path):
     assert analysis.check_safety(tr, idx).lines() == safety
     measured = json.dumps(analysis.measure(tr, idx).to_dict(), sort_keys=True)
     assert hashlib.sha256(measured.encode()).hexdigest() == metrics
+
+
+# GRID cases covering each adversary, pacemaker and variant
+STREAMED_GRID = [(4, "three_chain", "baseline_tc", False, "psync+equivocate"),
+                 (4, "three_chain", "async_fallback", False, "sync"),
+                 (7, "two_chain", "baseline_tc", False, "starve+mute"),
+                 (7, "two_chain", "async_fallback", True, "psync+crash")]
+
+
+@pytest.mark.parametrize("name", [*WORKLOADS, *STREAMED_GRID])
+def test_streaming_equals_holding(name, tmp_path, capsys):
+    config, adversary, horizon = scenario_of(name)
+    held = run(config, adversary, horizon)
+    assert held.digest() == (WORKLOADS[name][1] if name in WORKLOADS
+                             else dict(GRID)[name])
+    want = analysis.index(held)
+    path = tmp_path / "t.jsonl"
+    held.to_jsonl(str(path))
+
+    # simulated into the fold, and read into it: no record is held
+    simulated, add = analysis.indexer(config, adversary)
+    assert run(config, adversary, horizon, add).records == []
+    read, add = analysis.indexer(config, adversary)
+    assert Trace.from_jsonl(str(path), add).records == []
+    for f in dataclasses.fields(analysis.TraceIndex):
+        assert getattr(simulated, f.name) == getattr(want, f.name), f.name
+        assert getattr(read, f.name) == getattr(want, f.name), f.name
+
+    # check reads into the fold and prints what the held trace gives
+    safety = analysis.check_safety(held, want)
+    assert cli.main(["check", str(path)]) == (0 if safety.ok else 1)
+    assert capsys.readouterr().out.splitlines() == [f"trace: {path}",
+                                                    *safety.lines()]
+    if name in WORKLOADS:
+        assert safety.lines() == WORKLOADS[name][2]
 
 
 def test_digest_is_sha256_of_the_bytes_written(tmp_path):
