@@ -14,8 +14,8 @@ from typing import Iterable, Optional, Union
 
 from . import crypto
 from .core import (Block, CoinQC, CoinShare, FallbackQC, FBProposal, FBVote,
-                   Proposal, QC, Vote, MESSAGE_SIZE_UNITS, genesis_block,
-                   message_certs, message_variant)
+                   Proposal, QC, Vote, MESSAGE_KINDS, MESSAGE_SIZE_UNITS,
+                   genesis_block, message_certs)
 from .replica import ASYNC_FALLBACK, ReplicaConfig
 from .simnet import AdversarySpec, Sink, Trace
 
@@ -85,37 +85,88 @@ def indexer(config: ReplicaConfig,
     # a crash is fail-stop, not byzantine: its commits count
     honest = idx.honest = {i for i in range(config.n)
                            if not adversary.fault_of(i).byzantine}
+    bodies = idx.bodies
 
     seen_certs: set = set()
-    vote_tallies: dict[tuple, set[int]] = {}
-    coin_tallies: dict[tuple, set[int]] = {}
+    # signers of the shares a recipient was delivered, per what they sign;
+    # a tally that reached its threshold is replaced by FULL
+    tallies: dict[tuple, set[int]] = {}
+    FULL: set[int] = set()
 
     def certified(cert: Union[QC, FallbackQC]) -> None:
         if cert not in seen_certs:
             seen_certs.add(cert)
             (idx.qcs if isinstance(cert, QC) else idx.fqcs).append(cert)
 
+    def tally(key: tuple, signer: int, threshold: int) -> frozenset:
+        """The signers under ``key`` the first time they reach
+        ``threshold``, else empty: later shares imply nothing new."""
+        signers = tallies.get(key)
+        if signers is FULL:
+            return frozenset()
+        if signers is None:
+            signers = tallies[key] = set()
+        signers.add(signer)
+        if len(signers) < threshold:
+            return frozenset()
+        tallies[key] = FULL
+        return frozenset(signers)
+
+    # certificates implied by a quorum of votes at one recipient
+    def vote(to: int, m: Vote) -> None:
+        if signers := tally(("v", to, m.block_id, m.round, m.view),
+                            m.voter, quorum):
+            certified(QC(m.block_id, m.round, m.view, signers))
+
+    def fb_vote(to: int, m: FBVote) -> None:
+        if signers := tally(("f", to, m.block_id, m.round, m.view, m.height,
+                             m.proposer), m.voter, quorum):
+            certified(FallbackQC(m.block_id, m.round, m.view, m.height,
+                                 m.proposer, signers))
+
+    def coin_share(to: int, m: CoinShare) -> None:
+        if tally(("c", to, m.view), m.signer, coin_quorum):
+            idx.completed_views.add(m.view)
+
+    # message type -> its variant, and what a delivery of it implies
+    implies = {Vote: vote, FBVote: fb_vote, CoinShare: coin_share}
+    on_deliver = {cls: (variant, implies.get(cls))
+                  for cls, (variant, _) in MESSAGE_KINDS.items()}
+    # the sender and message last scanned: a multicast's sends share one
+    # message object, whose body and certificates are scanned once
+    last_frm = last_msg = None
+
     def add(rec: dict) -> None:
+        nonlocal last_frm, last_msg
         kind = rec["kind"]
         if kind == "commit":
             idx.commit_records += 1
             if rec["rid"] in honest:
-                idx.logs.setdefault(rec["rid"], []).extend(rec["blocks"])
-                for bid in rec["blocks"]:
+                # each id as its block's body holds it: one string per
+                # block, not a copy per commit record read
+                blocks = [bodies[b].id if b in bodies else b
+                          for b in rec["blocks"]]
+                idx.logs.setdefault(rec["rid"], []).extend(blocks)
+                for bid in blocks:
                     idx.commit_tick.setdefault(bid, rec["t"])
             return
         if kind == "timer_fire":
             return
         msg = rec["m"]
+        implied = None
         if kind == "send":
             idx.sends += 1
-        elif not rec["self"]:
-            variant = message_variant(msg)
-            idx.delivered[variant] = idx.delivered.get(variant, 0) + 1
-        if "sq" not in rec:  # a deliver by sq repeats its send's message
+        else:
+            variant, implied = on_deliver[type(msg)]
+            if not rec["self"]:
+                idx.delivered[variant] = idx.delivered.get(variant, 0) + 1
+        # a deliver by sq repeats its send's message
+        if "sq" not in rec and not (msg is last_msg
+                                    and rec["frm"] == last_frm):
+            last_frm, last_msg = rec["frm"], msg
             if isinstance(msg, (Proposal, FBProposal)):
                 b = msg.block
-                idx.bodies.setdefault(b.id, b)
+                bodies.setdefault(b.id, b)
                 idx.proposal_tick.setdefault(b.id, rec["t"])
                 if b.height == 1 and rec["frm"] in honest:
                     idx.entered_views.add(b.view)
@@ -125,30 +176,8 @@ def indexer(config: ReplicaConfig,
                     idx.completed_views.add(cert.view)
                 elif isinstance(cert, (QC, FallbackQC)):
                     certified(cert)
-        # certificates implied by a quorum of votes at one recipient
-        if kind == "deliver":
-            if isinstance(msg, Vote):
-                key = ("v", rec["to"], msg.block_id, msg.round, msg.view)
-                tally = vote_tallies.setdefault(key, set())
-                tally.add(msg.voter)
-                if len(tally) == quorum:
-                    certified(QC(msg.block_id, msg.round, msg.view,
-                                 frozenset(tally)))
-            elif isinstance(msg, FBVote):
-                key = ("f", rec["to"], msg.block_id, msg.round, msg.view,
-                       msg.height, msg.proposer)
-                tally = vote_tallies.setdefault(key, set())
-                tally.add(msg.voter)
-                if len(tally) == quorum:
-                    certified(FallbackQC(msg.block_id, msg.round, msg.view,
-                                         msg.height, msg.proposer,
-                                         frozenset(tally)))
-            elif isinstance(msg, CoinShare):
-                key = (rec["to"], msg.view)
-                tally = coin_tallies.setdefault(key, set())
-                tally.add(msg.signer)
-                if len(tally) == coin_quorum:
-                    idx.completed_views.add(msg.view)
+        if implied:
+            implied(rec["to"], msg)
 
     return idx, add
 

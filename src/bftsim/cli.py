@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 from typing import Optional
 
 from . import analysis, simnet
-from .replica import ConfigError
+from .replica import ConfigError, ReplicaConfig
 from .scenario import (ScenarioConfig, format_faults, format_model,
                        parse_int_list, parse_scenario)
 from .simnet import Trace
@@ -87,42 +87,127 @@ def cmd_run(args) -> int:
     return 0 if safety.ok else 1
 
 
+def _sweep_run(cfg: ScenarioConfig, protocol: ReplicaConfig,
+               path: Optional[str]) -> tuple[bool, analysis.MetricsReport]:
+    """One grid point: its safety verdict and metrics.  The records go
+    straight into the index, unless they are held to be written to
+    ``path``; held ones are indexed after the run."""
+    idx, add = analysis.indexer(protocol, cfg.adversary)
+    trace = simnet.run(protocol, cfg.adversary, cfg.horizon,
+                       None if path else add)
+    for rec in trace.records:
+        add(rec)
+    safety = analysis.check_safety(trace, idx)
+    metrics = analysis.measure(trace, idx)
+    if path:
+        trace.to_jsonl(path)
+    return safety.ok, metrics
+
+
+def _in_children(func, calls: list[tuple]) -> list:
+    """``func(*args)`` for each of ``calls``, in order.  Each call runs in
+    its own forked child, at most one per usable CPU at a time, and pickles
+    its result or exception back through a pipe.  A child's exception is
+    raised here, with its type, once every child is reaped.  With room for
+    one child, or no sched_getaffinity, the calls run in this process.
+    The CLI starts no threads, so a forked child holds no lock mid-use."""
+    try:
+        width = min(len(calls), len(os.sched_getaffinity(0)))
+    except AttributeError:  # only platforms with fork have sched_getaffinity
+        width = 1
+    if width <= 1:
+        return [func(*args) for args in calls]
+    import pickle
+    import select
+
+    results: list = [None] * len(calls)
+    failed: dict[int, BaseException] = {}
+    running: dict[int, tuple[int, int, list[bytes]]] = {}  # fd -> i, pid, data
+    todo = iter(enumerate(calls))
+    try:
+        while True:
+            while not failed and len(running) < width and (
+                    (nxt := next(todo, None)) is not None):
+                i, args = nxt
+                r, w = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # the child: never return, never flush stdio
+                    status = 1
+                    try:
+                        os.close(r)
+                        for fd in running:
+                            os.close(fd)
+                        try:
+                            data = pickle.dumps((True, func(*args)))
+                        except Exception as exc:
+                            data = pickle.dumps((False, exc))
+                        with os.fdopen(w, "wb") as fh:
+                            fh.write(data)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(w)
+                running[r] = (i, pid, [])
+            if not running:
+                break
+            for fd in select.select(list(running), [], [])[0]:
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    running[fd][2].append(chunk)
+                    continue
+                # the pipe is at EOF: the child is done writing
+                os.close(fd)
+                i, pid, data = running.pop(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code != 0 or not data:
+                    failed[i] = ChildProcessError(
+                        f"sweep run {i + 1} ended without a result "
+                        f"(exit status {code})")
+                    continue
+                ok, value = pickle.loads(b"".join(data))
+                if ok:
+                    results[i] = value
+                else:
+                    failed[i] = value
+    finally:
+        # only reached with children running if this process was
+        # interrupted; each ends at its next write or when its run ends
+        for fd, (_, pid, _) in running.items():
+            os.close(fd)
+            os.waitpid(pid, 0)
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 def cmd_sweep(args) -> int:
     cfg = parse_scenario(args.config)
     seeds = parse_int_list(args.seeds) if args.seeds else (
         cfg.sweep_seeds or [cfg.protocol.run_seed])
     n_values = cfg.sweep_n or [cfg.protocol.n]
     out_dir = args.out or cfg.out_dir
+    # the whole grid is checked before any run starts
+    protocols = {}
+    for n in n_values:
+        protocols[n] = replace(cfg.protocol, n=n, f=(n - 1) // 3)
+        simnet.validate(protocols[n], cfg.adversary, cfg.horizon)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+    # a point the grid lists twice runs once, and counts twice
+    points = list(dict.fromkeys((n, seed) for n in n_values for seed in seeds))
+    results = dict(zip(points, _in_children(_sweep_run, [
+        (cfg, replace(protocols[n], run_seed=seed),
+         out_dir and os.path.join(out_dir, f"sweep-n{n}-seed{seed}.trace.jsonl"))
+        for n, seed in points])))
 
     lines = ["command: sweep",
              f"scenario: {args.config}",
              f"seeds: {','.join(map(str, seeds))}",
              f"n_values: {','.join(map(str, n_values))}"]
-    all_ok = True
+    all_ok = all(ok for ok, _ in results.values())
     mean_mpc: list[tuple[int, float]] = []
     for n in n_values:
-        f = (n - 1) // 3
-        protocol = replace(cfg.protocol, n=n, f=f)
-        protocol.validate()
-        runs = []
-        for seed in seeds:
-            pconf = replace(protocol, run_seed=seed)
-            idx, add = analysis.indexer(pconf, cfg.adversary)
-            # records go straight into the index, unless they are held to
-            # be written; held ones are indexed after the run
-            trace = simnet.run(pconf, cfg.adversary, cfg.horizon,
-                               None if out_dir else add)
-            for rec in trace.records:
-                add(rec)
-            safety = analysis.check_safety(trace, idx)
-            metrics = analysis.measure(trace, idx)
-            all_ok = all_ok and safety.ok
-            runs.append(metrics)
-            if out_dir:
-                trace.to_jsonl(os.path.join(out_dir,
-                                            f"sweep-n{n}-seed{seed}.trace.jsonl"))
+        runs = [results[n, seed][1] for seed in seeds]
         mean_msgs = sum(r.messages_delivered for r in runs) / len(runs)
         mean_commits = sum(r.commits_total for r in runs) / len(runs)
         mpc = [r.messages_per_commit for r in runs

@@ -485,13 +485,19 @@ class _Harness:
 # --- simulation --------------------------------------------------------------
 
 
+def validate(config: ReplicaConfig, adversary: AdversarySpec,
+             horizon: int) -> None:
+    """Raise ConfigError or HorizonTooSmall unless the run can start."""
+    config.validate()
+    adversary.validate(config)
+    if horizon < 1:
+        raise HorizonTooSmall(f"horizon {horizon} precedes the first event")
+
+
 class Simulation:
     def __init__(self, config: ReplicaConfig, adversary: AdversarySpec,
                  horizon: int):
-        config.validate()
-        adversary.validate(config)
-        if horizon < 1:
-            raise HorizonTooSmall(f"horizon {horizon} precedes the first event")
+        validate(config, adversary, horizon)
         self.config = config
         self.adversary = adversary
         self.horizon = horizon

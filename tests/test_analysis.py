@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from bftsim import analysis
 from bftsim.core import (
     CoinQC,
     CoinQCRelay,
@@ -355,6 +356,48 @@ def test_two_delivered_votes_do_not_imply_certificate():
     rep = check_safety(tr)
     assert not rep.ok
     assert any("no certificate evidence" in v for v in rep.violations)
+
+
+def test_a_full_tally_implies_one_certificate():
+    # votes past the quorum, and a repeated one, form no second certificate
+    base = steady(horizon=20)
+    tr = Trace(dict(base.meta), [])
+    b1 = make_block(genesis_qc(4), 1, 0, TxnBatch("solo", 8))
+    for q, voter in enumerate((1, 2, 3, 0, 1, 2)):
+        tr.records.append({"t": 2, "q": q, "kind": "deliver", "frm": voter,
+                           "to": 0, "m": Vote(b1.id, 1, 0, voter),
+                           "self": voter == 0})
+    assert index(tr).qcs == [QC(b1.id, 1, 0, frozenset({1, 2, 3}))]
+
+
+def test_a_multicast_is_scanned_once(monkeypatch):
+    # a multicast's sends share one message object: its certificates are
+    # scanned once, not once per recipient
+    tr = steady()
+    scanned = []
+    real = analysis.message_certs
+    monkeypatch.setattr(analysis, "message_certs",
+                        lambda m: scanned.append(m) or real(m))
+    want = index(tr)
+    carried = [(r["frm"], r["m"]) for r in tr.records
+               if r["kind"] != "commit" and "m" in r and "sq" not in r]
+    fresh = [m for k, (frm, m) in enumerate(carried)
+             if k == 0 or not (m is carried[k - 1][1]
+                               and frm == carried[k - 1][0])]
+    assert len(fresh) < len(carried)
+    assert scanned == fresh
+    monkeypatch.setattr(analysis, "message_certs", real)
+    assert index(tr) == want
+
+
+def test_logs_share_one_string_per_block(tmp_path):
+    path = tmp_path / "t.jsonl"
+    steady().to_jsonl(str(path))
+    idx = index(Trace.from_jsonl(str(path)))
+    assert len(idx.logs) == 4 and len(idx.logs[0]) > 0
+    # each replica's log holds its block's own id, not a copy
+    for log in idx.logs.values():
+        assert all(bid is idx.bodies[bid].id for bid in log)
 
 
 # --- fallback statistics -----------------------------------------------------

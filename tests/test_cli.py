@@ -1,6 +1,7 @@
 """Command-line harness: subcommands, exit codes, artifacts, reports."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bftsim import cli, simnet
+from bftsim import analysis, cli, simnet
 from bftsim.replica import ReplicaConfig
 
 STEADY = """
@@ -559,6 +560,154 @@ def test_sweep_fits_only_distinct_sizes(tmp_path, capsys):
     cfg = write(tmp_path, SWEEP.replace("n_values = 4, 7", "n_values = 4, 4"))
     assert run_cli("sweep", "--config", cfg) == 0
     assert "fit_messages_per_commit_vs_n" not in capsys.readouterr().out
+
+
+def test_sweep_checks_the_whole_grid_before_any_run(tmp_path, capsys,
+                                                   monkeypatch):
+    # replica 5 exists at n=7 but not at n=4
+    text = (SWEEP.replace("n = 4\nf = 1", "n = 7\nf = 2")
+            .replace("delta = 1", "delta = 1\nfaults = 5:crash@100")
+            .replace("n_values = 4, 7", "n_values = 7, 4"))
+    cfg = write(tmp_path, text)
+
+    def no_run(self, sink=None):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(simnet.Simulation, "run", no_run)
+    assert run_cli("sweep", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "unknown replica 5" in err
+
+
+def cpus(monkeypatch, k):
+    """Make sweep see ``k`` usable CPUs, whatever the machine has."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_runs_a_repeated_point_once(tmp_path, capsys, monkeypatch):
+    cpus(monkeypatch, 1)  # runs are counted in this process
+    runs, writes = [], []
+    real_run, real_write = simnet.run, simnet.Trace.to_jsonl
+
+    def counted_run(config, *args):
+        runs.append((config.n, config.run_seed))
+        return real_run(config, *args)
+
+    def counted_write(self, path):
+        writes.append(path)
+        return real_write(self, path)
+    monkeypatch.setattr(simnet, "run", counted_run)
+    monkeypatch.setattr(simnet.Trace, "to_jsonl", counted_write)
+
+    def sweep(text, out):
+        assert run_cli("sweep", "--config", write(tmp_path, text),
+                       "--out", str(out)) == 0
+        return capsys.readouterr().out.splitlines()[4:-1]
+
+    # a point listed twice counts twice: each mean is its own value
+    twice = [line.replace("runs=1", "runs=2") for line in sweep(
+        SWEEP.replace("seeds = 1..2", "seeds = 1"), tmp_path / "once")]
+    n4, _, _, safe = SWEEPS["steady"][1]
+    for old, new, points, want in (
+            ("n_values = 4, 7", "n_values = 4, 4", [(4, 1), (4, 2)],
+             [n4, n4, safe]),
+            ("seeds = 1..2", "seeds = 1,1", [(4, 1), (7, 1)], twice)):
+        runs.clear()
+        writes.clear()
+        out = tmp_path / new[0]
+        assert sweep(SWEEP.replace(old, new), out) == want
+        assert runs == points
+        assert writes == [str(out / f"sweep-n{n}-seed{seed}.trace.jsonl")
+                          for n, seed in points]
+
+
+def test_sweep_output_is_the_same_at_every_width(tmp_path, capsys,
+                                                 monkeypatch):
+    cfg = write(tmp_path, SWEEP)
+    seen = []
+    for k in (1, 2, 4):
+        cpus(monkeypatch, k)
+        out = tmp_path / f"cpus{k}"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 0
+        assert_no_child_left()
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[-1].startswith("generated_at:")
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        summary = files.pop("sweep-summary.txt").decode().splitlines()
+        assert summary == stdout
+        assert len(files) == 4
+        seen.append((stdout[:-1], files))
+    assert seen[0][0][4:] == SWEEPS["steady"][1]
+    assert seen[1] == seen[0] and seen[2] == seen[0]
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_sweep_exit_codes_hold_in_children(k, tmp_path, capsys, monkeypatch):
+    cpus(monkeypatch, k)
+    cfg = write(tmp_path, SWEEP)
+    real_check = analysis.check_safety
+
+    def violated(trace, idx):
+        report = real_check(trace, idx)
+        report.violations.append("planted")
+        report.ok = False
+        return report
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "check_safety", violated)
+        assert run_cli("sweep", "--config", cfg) == 1
+    assert_no_child_left()
+    assert "safety: VIOLATION" in capsys.readouterr().out
+
+    out = tmp_path / "out"
+    first = out / "sweep-n4-seed1.trace.jsonl"
+    real_write = simnet.Trace.to_jsonl
+
+    def unwritable(self, path):
+        if path == str(first):
+            raise PermissionError(13, "planted", path)
+        return real_write(self, path)
+    with monkeypatch.context() as m:
+        m.setattr(simnet.Trace, "to_jsonl", unwritable)
+        assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 2
+    assert_no_child_left()
+    captured = capsys.readouterr()
+    assert captured.err == f"file error: [Errno 13] planted: '{first}'\n"
+    assert captured.out == ""
+    # no run starts once one has failed: the last point never has a slot
+    assert not (out / "sweep-n7-seed2.trace.jsonl").exists()
+
+
+def test_sweep_child_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
+    cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def die(trace, idx):
+        assert os.getpid() != parent, "the run is not in a child"
+        os._exit(0)
+    monkeypatch.setattr(analysis, "measure", die)
+    assert run_cli("sweep", "--config", write(tmp_path, SWEEP)) == 2
+    assert_no_child_left()
+    err = capsys.readouterr().err
+    assert err.startswith("file error: sweep run 1 ended without a result")
+
+
+def test_sweep_children_leave_stdio_to_the_parent(tmp_path):
+    # text buffered before the fork is written once, by the parent
+    cfg = write(tmp_path, SWEEP)
+    script = ("import os, sys\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "sys.stdout.write('buffered\\n')\n"
+              "from bftsim import cli\n"
+              f"sys.exit(cli.main(['sweep', '--config', {cfg!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("buffered") == 1
+    assert proc.stdout.count("safety: ok") == 1
 
 
 # --- packaging ----------------------------------------------------------------
