@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import product
-from typing import Mapping, Optional, Union, get_args, get_type_hints
+from typing import (Mapping, NamedTuple, Optional, Union, get_args,
+                    get_type_hints)
 
 ReplicaId = int
 BlockId = str  # 128-bit hex digest
@@ -20,11 +22,10 @@ BlockId = str  # 128-bit hex digest
 ORIGIN_DIGEST = "origin"  # stand-in parent digest for the genesis block
 
 
-@dataclass(frozen=True, order=True)
-class Rank:
+class Rank(NamedTuple):
     """Total order over certificates: (view, endorsed, round) lexicographic.
 
-    Field order matters: dataclass ordering compares view first, then the
+    Field order matters: tuple ordering compares view first, then the
     endorsed flag (False < True), then round.  An endorsed fallback
     certificate therefore outranks every same-view regular certificate.
     """
@@ -119,6 +120,15 @@ class Block:
     payload: TxnBatch
     height: Optional[int] = None
     proposer: Optional[ReplicaId] = None
+
+    @cached_property
+    def id_matches(self) -> bool:
+        """Whether ``id`` is the digest of the other fields.  The value is
+        frozen, so each block object hashes itself once, however many
+        replicas a multicast hands it to."""
+        return self.id == block_id_of(self.parent_qc, self.round, self.view,
+                                      self.payload, self.height,
+                                      self.proposer)
 
 
 def cert_digest(cert: Optional[Certificate]) -> str:

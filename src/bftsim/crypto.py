@@ -10,6 +10,7 @@ unavailable until f+1 shares for the view exist.
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 
 from .core import CoinQC, Certificate, ReplicaId
 
@@ -31,11 +32,16 @@ def elect_leader(view: int, run_seed: CoinSeed, n: int) -> ReplicaId:
     return int.from_bytes(digest[:8], "big") % n
 
 
+@cache
+def replica_ids(n: int) -> frozenset[ReplicaId]:
+    return frozenset(range(n))
+
+
 def verify_certificate(cert: Certificate, n: int, f: int, *,
                        run_seed: CoinSeed) -> bool:
     """Structural validity: signer count meets the kind's threshold, signers
     are real replica ids, and a coin certificate names the right winner."""
-    if not all(0 <= s < n for s in cert.signers):
+    if not cert.signers <= replica_ids(n):
         return False
     if isinstance(cert, CoinQC):
         return (len(cert.signers) >= coin_threshold(f)

@@ -20,7 +20,7 @@ from .core import (Block, CoinQC, CoinQCRelay, CoinShare, FallbackQC,
                    FallbackTC, FBProposal, FBVote, FQCRelay, FTCRelay,
                    ParentCert, Proposal, QC, Rank, TCRelay, Timeout,
                    TimeoutCert, TxnBatch, Vote, WireMessage, ZERO_RANK,
-                   block_id_of, genesis_block, genesis_qc, is_endorsed,
+                   genesis_block, genesis_qc, is_endorsed,
                    make_block, max_cert, message_certs, rank_of)
 
 THREE_CHAIN = "three_chain"
@@ -32,6 +32,8 @@ ASYNC_FALLBACK = "async_fallback"
 PACEMAKERS = (BASELINE_TC, ASYNC_FALLBACK)
 
 PENDING_CAP = 1024  # buffered out-of-order messages per peer
+
+BROKEN = ""  # the commit target of a chain that can never complete
 
 
 class ConfigError(ValueError):
@@ -146,7 +148,7 @@ class ReplicaState:
 
     timer_round: Optional[int] = None  # None once the round's timer fired
 
-    # certified or endorsed stored blocks not yet committed
+    # certified or endorsed stored blocks whose chains are not yet settled
     commit_frontier: set[str] = field(default_factory=set)
 
     # early inputs, (sender, message) in arrival order, handled again on
@@ -271,8 +273,7 @@ class Replica:
         if author(msg) != sender:
             return self._drop("forged")
         b = getattr(msg, "block", None)
-        if b is not None and b.id != block_id_of(b.parent_qc, b.round, b.view,
-                                                 b.payload, b.height, b.proposer):
+        if b is not None and not b.id_matches:
             return self._drop("bad_block_digest")
         for cert in message_certs(msg):
             if not crypto.verify_certificate(cert, cfg.n, cfg.f,
@@ -406,29 +407,42 @@ class Replica:
         return acts
 
     def try_commit(self) -> list[OutputAction]:
+        """Commit the base of each frontier top's chain.  A top leaves the
+        frontier once its chain is settled, its base committed or the chain
+        broken for good, since its walk can commit nothing more."""
         st = self.state
         acts: list[OutputAction] = []
         for top_id in sorted(st.commit_frontier):
-            target = self._commit_target(top_id)
-            if target is not None:
-                acts += self._commit(target)
+            base = self._commit_target(top_id)
+            if base is None:
+                continue
+            if base != BROKEN:
+                acts += self._commit(base)
+                if base not in st.committed:
+                    continue  # an ancestor body is missing
+            st.commit_frontier.discard(top_id)
         return acts
 
     def _commit_target(self, top_id: str) -> Optional[str]:
         """The base of a chain of ``fallback_top_height`` certified or
         endorsed blocks, in one view at consecutive rounds, ending at
-        ``top_id``; None if there is no such chain or its base is committed."""
+        ``top_id``.  None while a parent body or certificate may still
+        arrive; BROKEN if a round or view gap breaks the chain, or it
+        reaches genesis, which ends every chain and commits nothing."""
         st = self.state
         blk = st.blocks[top_id]
         for _ in range(self.config.fallback_top_height - 1):
-            if blk.parent_qc is None:  # genesis ends every chain
-                return None
+            if blk.parent_qc is None:
+                return BROKEN
             parent = st.blocks.get(blk.parent_qc.block_id)
-            if (parent is None or not self._certified_or_endorsed(parent.id)
-                    or blk.round != parent.round + 1 or blk.view != parent.view):
+            if parent is None:
+                return None
+            if blk.round != parent.round + 1 or blk.view != parent.view:
+                return BROKEN
+            if not self._certified_or_endorsed(parent.id):
                 return None
             blk = parent
-        return blk.id if blk.id not in st.committed else None
+        return BROKEN if blk.parent_qc is None else blk.id
 
     def _commit(self, target_id: str) -> list[OutputAction]:
         st = self.state

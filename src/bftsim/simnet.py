@@ -90,6 +90,19 @@ class TraceFormatError(ValueError):
 # variant and the clock, and reports its delay ranges to validate.
 
 
+def draw(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)`` by CPython's own algorithm, pinned here so
+    that traces do not depend on how ``random`` implements it: take
+    width.bit_length() bits until they fall below the width.  A width of 1
+    still consumes a draw."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return lo + r
+
+
 @dataclass(frozen=True)
 class Synchronous:
     """Every message delayed uniformly in [1, delta]."""
@@ -97,7 +110,7 @@ class Synchronous:
     delta: int = 1
 
     def delay(self, variant: str, now: int, rng) -> int:
-        return rng.randint(1, self.delta)
+        return draw(rng, 1, self.delta)
 
     def ranges(self) -> tuple[tuple[int, int], ...]:
         return ((1, self.delta),)
@@ -114,9 +127,9 @@ class PartialSynchrony:
     def delay(self, variant: str, now: int, rng) -> int:
         if now < self.gst:
             # delivery by max(now, gst) + delta even if the draw overshoots
-            draw = now + rng.randint(1, self.pre_gst_delay_bound)
-            return min(draw, self.gst + rng.randint(1, self.delta)) - now
-        return rng.randint(1, self.delta)
+            late = now + draw(rng, 1, self.pre_gst_delay_bound)
+            return min(late, self.gst + draw(rng, 1, self.delta)) - now
+        return draw(rng, 1, self.delta)
 
     def ranges(self) -> tuple[tuple[int, int], ...]:
         return (1, self.delta), (1, self.pre_gst_delay_bound)
@@ -133,8 +146,8 @@ class Asynchronous:
     def delay(self, variant: str, now: int, rng) -> int:
         for name, (lo, hi) in self.per_variant:
             if name == variant:
-                return rng.randint(lo, hi)
-        return rng.randint(*self.base_delay)
+                return draw(rng, lo, hi)
+        return draw(rng, *self.base_delay)
 
     def ranges(self) -> tuple[tuple[int, int], ...]:
         return (self.base_delay, *(rng for _, rng in self.per_variant))
@@ -569,16 +582,17 @@ class Simulation:
 
     def _emit(self, rid: int, actions: list[OutputAction], now: int) -> None:
         for act in actions:
-            if isinstance(act, Send):
+            kind = type(act)
+            if kind is Send:
                 self._send(rid, (act.to,), act.msg, now)
-            elif isinstance(act, Multicast):
+            elif kind is Multicast:
                 self._send(rid, self.multicast_to[rid], act.msg, now)
-            elif isinstance(act, SetTimer):
+            elif kind is SetTimer:
                 token = next(self.seq)
                 self.alive_timer[rid] = token
                 heapq.heappush(self.heap, (now + act.duration, next(self.seq),
                                            "timer", (rid, act.round, token)))
-            elif isinstance(act, CommitNotice):
+            elif kind is CommitNotice:
                 self.record(
                     {"t": now, "q": next(self.seq), "kind": "commit",
                      "rid": rid, "blocks": list(act.block_ids),

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from bftsim import replica
+from bftsim import core, replica
 from bftsim.core import (
     MESSAGE_KINDS,
     ZERO_RANK,
@@ -30,6 +30,7 @@ from bftsim.core import (
     TxnBatch,
     Vote,
     decode_message,
+    encode_message,
     genesis_qc,
     make_block,
     message_certs,
@@ -346,6 +347,8 @@ def test_three_chain_commit_needs_three_consecutive():
     got = commits(acts)
     assert len(got) == 1 and list(got[0].block_ids) == [parts[0][0].id]
     assert list(r.state.committed) == [parts[0][0].id]
+    # b3's base is committed, and b2's and b1's chains reach genesis
+    assert r.state.commit_frontier == set()
     acts = feed(r, parts[4][0])  # round 5: the rotation's next leader
     assert list(commits(acts)[0].block_ids) == [parts[1][0].id]
 
@@ -362,6 +365,7 @@ def test_three_chain_gap_blocks_commit_then_ancestors_flow():
     for b, _qc in tail:
         seen += commits(feed(r, b))
     assert seen == []  # the 2-to-4 gap leaves no consecutive triple yet
+    assert r.state.commit_frontier == set()  # b4's and b5's chains broke
     final_qc = tail[-1][1]
     got = commits(r.lock_update(final_qc))  # certifies b6: triple (4,5,6)
     assert len(got) == 1
@@ -377,6 +381,51 @@ def test_two_chain_commit_needs_two_consecutive():
     acts = r.handle_proposal(Proposal(parts[2][0], 0), 0)  # certifies b2
     got = commits(acts)
     assert len(got) == 1 and list(got[0].block_ids) == [parts[0][0].id]
+
+
+def test_a_view_gap_settles_its_tops():
+    # b2 and b3 of view 1 on a view-0 parent: b3's chain breaks below b2
+    r, _ = boot(3)
+    (b1, qc1), = chain([1])
+    (b2, qc2), (b3, qc3) = chain([2, 3], view=1, start_parent=qc1)
+    for b, qc in ((b1, qc1), (b2, qc2), (b3, qc3)):
+        r._store_body(b)
+        r._register_qc(qc)
+    assert r.state.commit_frontier == {b1.id, b2.id, b3.id}
+    assert r.try_commit() == []
+    assert r.state.commit_frontier == set()
+
+
+def test_a_top_waits_for_its_parent_certificate():
+    r, _ = boot(3, mk(variant="two_chain"))
+    (b1, qc1), (b2, qc2) = chain([1, 2])
+    r._store_body(b1)
+    r._store_body(b2)
+    r._register_qc(qc2)  # b2 certified, its parent b1 not yet
+    assert r.try_commit() == []
+    assert r.state.commit_frontier == {b2.id}
+    r._register_qc(qc1)
+    assert r.try_commit() == [CommitNotice((b1.id,))]
+    assert r.state.commit_frontier == set()
+
+
+def test_steady_long_walks_each_chain_about_once(monkeypatch):
+    # the steady_long workload at seed 1: 20,978 walks when no top left the
+    # frontier
+    from bftsim.simnet import AdversarySpec, Synchronous, run
+
+    walks = []
+    commit_target = Replica._commit_target
+
+    def counted(self, top_id):
+        walks.append(top_id)
+        return commit_target(self, top_id)
+
+    monkeypatch.setattr(Replica, "_commit_target", counted)
+    trace = run(mk(run_seed=1), AdversarySpec(Synchronous(1)), 3000)
+    assert trace.digest() == \
+        "2338d728c11d01e456cb01105b4f33e46ea04c11358ae1a5bf73a3cbaae8e77c"
+    assert len(walks) <= 12_000
 
 
 # --- baseline pacemaker -----------------------------------------------------
@@ -840,6 +889,38 @@ def test_door_drops_a_block_that_does_not_match_its_id():
         assert through_door(msg, 1) == ([], {"bad_block_digest": 1}, True)
 
 
+def test_a_forged_block_id_is_dropped_by_every_recipient():
+    # one multicast object, its block's id checked once and the verdict
+    # shared by every copy
+    (b1, _), = chain([1])
+    msg = Proposal(replace(b1, id="0" * 32), 0)
+    for rid in (1, 2, 3):
+        r, _ = boot(rid)
+        assert r.handle_message(msg, 0) == []
+        assert r.state.dropped == {"bad_block_digest": 1}
+        assert msg.block.id not in r.state.blocks
+
+
+def test_a_block_id_is_hashed_once_per_block_object(monkeypatch):
+    _, acts = boot(0)
+    msg, = [a.msg for a in multis(acts, Proposal)]
+    copy_msg = decode_message(encode_message(msg))  # another Block object
+    peers = [boot(rid)[0] for rid in (1, 2, 3, 1, 2, 3)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return block_id_of(*args)
+
+    block_id_of = core.block_id_of
+    monkeypatch.setattr(core, "block_id_of", counted)
+    monkeypatch.setattr(replica, "block_id_of", counted, raising=False)
+    for m, r in zip([msg] * 3 + [copy_msg] * 3, peers):
+        r.handle_message(m, 0)
+        assert msg.block.id in r.state.blocks and r.state.dropped == {}
+    assert len(calls) == 2
+
+
 # --- every drop reason, through the door --------------------------------------
 
 
@@ -1031,6 +1112,7 @@ def test_commit_waits_for_a_missing_ancestor_body():
     for b, _qc in parts[1:]:
         assert not commits(feed(r, b))  # b2..b4 certified, b1 unseen
     assert r.state.committed == {}
+    assert r.state.commit_frontier == {b.id for b, _ in parts[1:4]}
     got = commits(feed(r, parts[0][0]))
     assert [bid for c in got for bid in c.block_ids] == \
         [parts[0][0].id, parts[1][0].id]

@@ -18,6 +18,7 @@ from bftsim.simnet import (
     PartialSynchrony,
     Synchronous,
     Trace,
+    draw,
     run,
 )
 
@@ -149,6 +150,34 @@ def test_adversary_delay_function_ranges():
             assert now + d <= 103
     for _ in range(200):
         assert 1 <= m.delay("vote", 100, rng) <= 3
+
+
+DRAW_RANGES = [(1, 1), (1, 2), (1, 3), (1, 8), (1, 30), (60, 120),
+               *((5, 5 + 2 ** k) for k in range(7))]
+
+
+def test_draw_is_randint():
+    # the same values and the same rng state as random.randint, range by
+    # range, interleaved across ranges, and as PartialSynchrony draws them
+    for seed in range(50):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for lo, hi in DRAW_RANGES:
+            assert [draw(ours, lo, hi) for _ in range(20)] == \
+                [ref.randint(lo, hi) for _ in range(20)], (seed, lo, hi)
+        for _ in range(20):
+            assert [draw(ours, lo, hi) for lo, hi in DRAW_RANGES] == \
+                [ref.randint(lo, hi) for lo, hi in DRAW_RANGES], seed
+        for bound, delta in ((30, 1), (30, 2), (8, 3)):
+            m = PartialSynchrony(gst=100, delta=delta,
+                                 pre_gst_delay_bound=bound)
+            for now in (0, 50, 99, 100, 150):
+                if now < 100:
+                    late = now + ref.randint(1, bound)
+                    want = min(late, 100 + ref.randint(1, delta)) - now
+                else:
+                    want = ref.randint(1, delta)
+                assert m.delay("vote", now, ours) == want, (seed, now)
+        assert ours.getstate() == ref.getstate()
 
 
 # --- self delivery ----------------------------------------------------------
