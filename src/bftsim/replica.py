@@ -362,6 +362,9 @@ class Replica:
     def lock_update(self, cert: ParentCert) -> list[OutputAction]:
         """Process a newly seen certificate: rank lock, high qc, round, commit."""
         st, cfg = self.state, self.config
+        if cert is st.high_qc:
+            # registered, locked on and advanced to when it became high_qc
+            return self.try_commit()
         acts: list[OutputAction] = []
         if isinstance(cert, QC):
             self._register_qc(cert)

@@ -17,7 +17,6 @@ import json
 import random
 import re
 from dataclasses import asdict, dataclass, field
-from operator import itemgetter
 from typing import (Callable, Optional, Union, get_args, get_origin,
                     get_type_hints)
 
@@ -44,15 +43,27 @@ _RECORD_FIELDS = {
 _DELIVER_REFS = ({"m": dict}, {"sq": int})
 
 
+# A slot's placeholder in a shape's template, and the pattern of its
+# canonical text: an int or bool, or the shape's one dict or list field,
+# captured from its bracket on, since only scalars follow it.
+_SLOTS = {int: ("%d", "(-?(?:0|[1-9][0-9]*))"), bool: ("%s", "(true|false)"),
+          dict: ("%s", r"(\{.*)"), list: ("%s", r"(\[.*)")}
+
+
 def _shape(kind: str, fields: dict) -> tuple:
-    """A record shape: its line as a format string with the keys sorted and
-    the kind baked in, a getter for the values the format takes, and the
-    field names and their types in the same sorted order."""
+    """A record shape: its canonical line as a bytes template and as the
+    source of a bytes pattern, both with the keys sorted and the kind baked
+    in, and the field names and their types in the same sorted order."""
     fields = {"t": int, "q": int, "kind": str, **fields}
     keys = sorted(fields)
-    fmt = ",".join(f'"kind":"{kind}"' if k == "kind" else f'"{k}":%s'
-                   for k in keys)
-    return ("{" + fmt + "}\n", itemgetter(*(k for k in keys if k != "kind")),
+    def part(key: str) -> tuple[str, str]:
+        if key == "kind":
+            return f'"kind":"{kind}"', re.escape(f'"kind":"{kind}"')
+        placeholder, text = _SLOTS[fields[key]]
+        return f'"{key}":{placeholder}', re.escape(f'"{key}":') + text
+
+    template, pattern = map(",".join, zip(*map(part, keys)))
+    return (("{%s}\n" % template).encode(), (r"\{%s\}\n?" % pattern).encode(),
             tuple(keys), tuple(map(fields.get, keys)))
 
 
@@ -60,21 +71,6 @@ def _shape(kind: str, fields: dict) -> tuple:
 _SHAPES = {(kind, "sq" in ref): _shape(kind, {**fields, **ref})
            for kind, fields in _RECORD_FIELDS.items()
            for ref in (_DELIVER_REFS if kind == "deliver" else ({},))}
-
-
-def _pattern(kind: str, fmt: str, names: tuple, types: tuple) -> tuple:
-    """A shape's canonical line as the source of a bytes pattern, and its
-    slots' keys and types.  A slot matches a canonical int or bool, or
-    captures the shape's one dict or list field from its bracket on: only
-    scalars follow it.  Compiled by from_jsonl, not by every import."""
-    keys, types = zip(*((k, t) for k, t in zip(names, types) if k != "kind"))
-    fill = tuple({int: "(-?(?:0|[1-9][0-9]*))", bool: "(true|false)",
-                  dict: r"(\{.*)", list: r"(\[.*)"}[t] for t in types)
-    return kind, (re.escape(fmt[:-1]) % fill + r"\n?").encode(), keys, types
-
-
-_PATTERNS = [_pattern(kind, fmt, names, types)
-             for (kind, _), (fmt, _, names, types) in _SHAPES.items()]
 
 
 class HorizonTooSmall(ValueError):
@@ -295,26 +291,40 @@ def _conforms(value, hint) -> bool:
 
 
 def _formatter():
-    """A function from a record to its canonical line, formatted from its
-    shape.  A deliver with an ``sq`` omits ``m``: the send it names carries
-    it.  Each message is encoded once: a multicast's sends are adjacent, so
-    the text of the last message is kept."""
+    """A function from a record to its canonical line, its values filled
+    into its shape's template.  A deliver with an ``sq`` omits ``m``: the
+    send it names carries it.  Each message is encoded once: a multicast's
+    sends are adjacent, so the bytes of the last message are kept."""
+    send, by_m, by_sq, timer_fire, commit = (
+        _SHAPES[shape][0] for shape in (("send", False), ("deliver", False),
+                                        ("deliver", True),
+                                        ("timer_fire", False),
+                                        ("commit", False)))
+    boolean = (b"false", b"true")
     last_msg = text = None
 
-    def render(value) -> str:  # JSON text of a value other than an int
+    def message(msg: WireMessage) -> bytes:
         nonlocal last_msg, text
-        if type(value) is bool:
-            return "true" if value else "false"
-        if type(value) is list:
-            return _CANONICAL.encode(value)
-        if value is not last_msg:
-            last_msg, text = value, _CANONICAL.encode(encode_message(value))
+        if msg is not last_msg:
+            last_msg = msg
+            text = _CANONICAL.encode(encode_message(msg)).encode()
         return text
 
     def line(rec: dict) -> bytes:
-        fmt, values, _, _ = _SHAPES[rec["kind"], "sq" in rec]
-        return (fmt % tuple([v if type(v) is int else render(v)
-                             for v in values(rec)])).encode()
+        kind = rec["kind"]
+        if kind == "deliver":
+            if "sq" in rec:
+                return by_sq % (rec["frm"], rec["q"], boolean[rec["self"]],
+                                rec["sq"], rec["t"], rec["to"])
+            return by_m % (rec["frm"], message(rec["m"]), rec["q"],
+                           boolean[rec["self"]], rec["t"], rec["to"])
+        if kind == "send":
+            return send % (rec["frm"], message(rec["m"]), rec["q"], rec["t"],
+                           rec["to"], rec["u"])
+        if kind == "commit":
+            return commit % (_CANONICAL.encode(rec["blocks"]).encode(),
+                             rec["log_len"], rec["q"], rec["rid"], rec["t"])
+        return timer_fire % (rec["q"], rec["rid"], rec["round"], rec["t"])
 
     return line
 
@@ -361,9 +371,13 @@ class Trace:
     def from_jsonl(cls, path: str, sink: Optional[Sink] = None) -> "Trace":
         """Load a trace file, handing each record to ``sink`` as it is read;
         with no sink, the returned trace holds them.  Every record line must
-        be its shape's canonical line, and is read by that shape's pattern.
-        Only sends not yet delivered are kept, to resolve an ``sq``."""
+        be its shape's canonical line: its kind picks the shape's pattern,
+        and the shape's reader converts each captured value and checks the
+        record.  Only sends not yet delivered are kept, to resolve an
+        ``sq``."""
         last_text = last_msg = None
+        # send q -> its message and endpoints
+        sent: dict[int, tuple[WireMessage, int, int]] = {}
 
         def message(text: bytes) -> WireMessage:
             nonlocal last_text, last_msg
@@ -372,40 +386,65 @@ class Trace:
                 last_text = text
             return last_msg
 
-        read = {int: int, bool: b"true".__eq__, dict: message,
-                list: lambda text: json.loads(text.decode())}
-        patterns = [(k, re.compile(p).fullmatch, keys, [read[t] for t in ts])
-                    for k, p, keys, ts in _PATTERNS]
+        def send(frm, m, q, t, to, u) -> dict:
+            frm, m, q, to = int(frm), message(m), int(q), int(to)
+            sent[q] = m, frm, to
+            return {"frm": frm, "kind": "send", "m": m, "q": q, "t": int(t),
+                    "to": to, "u": int(u)}
+
+        def by_sq(frm, q, self, sq, t, to) -> dict:
+            frm, sq, to = int(frm), int(sq), int(to)
+            if sq not in sent:
+                raise ValueError(f"no send for sq {sq}")
+            m, sent_frm, sent_to = sent.pop(sq)
+            if (sent_frm, sent_to) != (frm, to) or self == b"true":
+                raise ValueError(f"deliver disagrees with send {sq} "
+                                 f"({sent_frm} -> {sent_to}, not self)")
+            return {"frm": frm, "kind": "deliver", "m": m, "q": int(q),
+                    "self": False, "sq": sq, "t": int(t), "to": to}
+
+        def by_m(frm, m, q, self, t, to) -> dict:
+            frm, m, to = int(frm), message(m), int(to)
+            if self != b"true" or frm != to:
+                raise ValueError("a deliver with m must be to itself")
+            return {"frm": frm, "kind": "deliver", "m": m, "q": int(q),
+                    "self": True, "t": int(t), "to": to}
+
+        def timer_fire(q, rid, round, t) -> dict:
+            return {"kind": "timer_fire", "q": int(q), "rid": int(rid),
+                    "round": int(round), "t": int(t)}
+
+        def commit(blocks, log_len, q, rid, t) -> dict:
+            # the captured list must be exactly one JSON value, of ids
+            blocks = json.loads(blocks.decode())
+            if not all(type(b) is str for b in blocks):
+                raise ValueError("commit blocks must be ids")
+            return {"blocks": blocks, "kind": "commit",
+                    "log_len": int(log_len), "q": int(q), "rid": int(rid),
+                    "t": int(t)}
+
+        readers = {("send", False): send, ("deliver", True): by_sq,
+                   ("deliver", False): by_m, ("timer_fire", False): timer_fire,
+                   ("commit", False): commit}
+        # what tells the shapes apart: the kind and the key after it, as
+        # in deliver","m
+        by_tag = {f'{kind}","{names[names.index("kind") + 1]}'.encode():
+                  (re.compile(pattern).fullmatch, readers[kind, by_sq])
+                  for (kind, by_sq), (_, pattern, names, _) in _SHAPES.items()}
+        no_shape = (lambda line: None, None)
         with open(path, "rb") as fh:
             trace = cls._read_header(fh, path)
             sink = sink or trace.records.append
-            # send q -> its message and endpoints
-            sent: dict[int, tuple[WireMessage, int, int]] = {}
             for no, line in enumerate(fh, 2):
                 try:
-                    for kind, match, keys, reads in patterns:
-                        if found := match(line):
-                            break
-                    else:
+                    # a commit's blocks come before its kind, but a list
+                    # of ids cannot hold the text "kind":"
+                    at = line.find(b'"kind":"') + 8
+                    match, read = by_tag.get(
+                        line[at:line.find(b'":', at)], no_shape)
+                    if not (found := match(line)):
                         raise ValueError("not a record shape's canonical line")
-                    # a captured m or blocks must be exactly one JSON value
-                    rec = dict(zip(keys, [f(v) for f, v in zip(
-                        reads, found.groups())]), kind=kind)
-                    if kind == "commit" and not all(
-                            type(b) is str for b in rec["blocks"]):
-                        raise ValueError("commit blocks must be ids")
-                    if "sq" in rec:
-                        if rec["sq"] not in sent:
-                            raise ValueError(f"no send for sq {rec['sq']}")
-                        rec["m"], frm, to = sent.pop(rec["sq"])
-                        if (frm, to) != (rec["frm"], rec["to"]) or rec["self"]:
-                            raise ValueError(f"deliver disagrees with send "
-                                             f"{rec['sq']} ({frm} -> {to}, not self)")
-                    elif kind == "send":
-                        sent[rec["q"]] = (rec["m"], rec["frm"], rec["to"])
-                    elif kind == "deliver" and not (
-                            rec["self"] and rec["frm"] == rec["to"]):
-                        raise ValueError("a deliver with m must be to itself")
+                    rec = read(*found.groups())
                 except (ValueError, KeyError, TypeError) as exc:
                     raise TraceFormatError(f"{path} line {no}: {exc!r}")
                 sink(rec)

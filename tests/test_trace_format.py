@@ -3,13 +3,16 @@ shape each record line is formatted from, and deliveries that name their
 send instead of repeating the message."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bftsim import analysis, cli
-from bftsim.core import decode_message
+from bftsim import analysis, cli, core, replica
+from bftsim.core import decode_message, encode_message, message_variant
 from bftsim.replica import ReplicaConfig
 from bftsim.simnet import (_DELIVER_REFS, _RECORD_FIELDS, _SHAPES,
                            TRACE_FORMAT, AdversarySpec, Asynchronous, Crash,
@@ -268,6 +271,23 @@ def test_workload_digests(name, tmp_path):
     assert hashlib.sha256(measured.encode()).hexdigest() == metrics
 
 
+def test_a_held_high_qc_is_not_ranked_again(monkeypatch):
+    # lock_update returns at once for the certificate it made high_qc:
+    # byzantine_sweep ranked 19,553 certificates before it did
+    calls = []
+    rank_of = core.rank_of
+
+    def counted(*args):
+        calls.append(args)
+        return rank_of(*args)
+
+    monkeypatch.setattr(core, "rank_of", counted)
+    monkeypatch.setattr(replica, "rank_of", counted)
+    assert (run(*scenario_of("byzantine_sweep")).digest()
+            == WORKLOADS["byzantine_sweep"][1])
+    assert len(calls) == 12_254
+
+
 # GRID cases covering each adversary, pacemaker and variant
 STREAMED_GRID = [(4, "three_chain", "baseline_tc", False, "psync+equivocate"),
                  (4, "three_chain", "async_fallback", False, "sync"),
@@ -470,3 +490,142 @@ def test_canonical_line_with_a_bad_value_exits_two(kind, field, text,
     path.write_text("\n".join(lines[:k] + [line.replace('"@"', text)]) + "\n")
     assert cli.main(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith("trace error:")
+
+
+# --- the codec against an independent oracle ---------------------------------
+# simnet writes out each shape's reader and writer by hand; the records
+# here are drawn from _SHAPES' names and types, which pins them to it
+
+# Tier-1 search: the same examples every run, and no example database
+CODEC_SEARCH = settings(derandomize=True, database=None, max_examples=150,
+                        deadline=None)
+INTS = st.sampled_from((0, -1, 2 ** 31, -(2 ** 40), 2 ** 70)) | st.integers()
+
+
+@functools.cache
+def workload_messages():
+    """A few messages of each variant from each seed-1 workload's trace."""
+    by_variant = {}
+    for name in WORKLOADS:
+        for rec in run(*scenario_of(name)).records:
+            if "m" in rec:
+                kept = by_variant.setdefault((name, message_variant(rec["m"])),
+                                             [])
+                if len(kept) < 4 and rec["m"] not in kept:
+                    kept.append(rec["m"])
+    return [m for kept in by_variant.values() for m in kept]
+
+
+def codec_records():
+    """Records of every shape, each field drawn by its type in _SHAPES.  A
+    deliver naming its send also holds the send's message, as a simulated
+    one does."""
+    values = {int: INTS, bool: st.booleans(),
+              dict: st.sampled_from(workload_messages()),
+              list: st.lists(st.text(max_size=40), max_size=4)}
+
+    def of_shape(shape):
+        kind, by_sq = shape
+        _, _, names, types = _SHAPES[shape]
+        fields = {name: st.just(kind) if name == "kind" else values[t]
+                  for name, t in zip(names, types)}
+        if by_sq:
+            fields["m"] = values[dict]
+        return st.fixed_dictionaries(fields)
+
+    return st.sampled_from(sorted(_SHAPES)).flatmap(of_shape)
+
+
+def oracle_parts(rec):
+    """The record's line as json.dumps spells it, key by key."""
+    plain = dict(rec)
+    if "sq" in rec:
+        del plain["m"]  # the send it names carries it
+    elif "m" in rec:
+        plain["m"] = encode_message(rec["m"])
+    return [f'"{k}":' + json.dumps(v, sort_keys=True, separators=(",", ":"))
+            for k, v in sorted(plain.items())]
+
+
+def write_lines(path, meta, rec, line):
+    """A trace of ``line`` for ``rec``, after the send a deliver by sq names.
+    Returns the number of the line."""
+    head = [json.dumps(dict(meta, digest="0" * 64)).encode() + b"\n"]
+    if "sq" in rec:
+        send = {"frm": rec["frm"], "kind": "send", "m": rec["m"],
+                "q": rec["sq"], "t": 0, "to": rec["to"], "u": 1}
+        head += Trace(meta, [send]).lines()
+    path.write_bytes(b"".join(head) + line)
+    return len(head) + 1
+
+
+def is_consistent(rec):
+    """Whether the reader takes the record: only a self-delivery carries
+    m, and a deliver by sq is never one."""
+    if rec["kind"] != "deliver":
+        return True
+    return not rec["self"] if "sq" in rec else (
+        rec["self"] and rec["frm"] == rec["to"])
+
+
+def test_codec_matches_an_independent_oracle(tmp_path):
+    meta = run(ReplicaConfig(n=4, f=1), AdversarySpec(Synchronous(1)), 1).meta
+    path = tmp_path / "t.jsonl"
+
+    @CODEC_SEARCH
+    @given(codec_records())
+    def check(rec):
+        (line,) = Trace(meta, [rec]).lines()
+        assert line == ("{" + ",".join(oracle_parts(rec)) + "}\n").encode()
+        no = write_lines(path, meta, rec, line)
+        read = []
+        if is_consistent(rec):
+            Trace.from_jsonl(str(path), read.append)
+            assert read[-1] == rec
+            assert ({k: type(v) for k, v in read[-1].items()}
+                    == {k: type(v) for k, v in rec.items()})
+        else:
+            with pytest.raises(TraceFormatError, match=f" line {no}: "):
+                Trace.from_jsonl(str(path), read.append)
+
+    check()
+
+
+def edited(parts, edit, at, types):
+    """The line of ``parts`` with one edit that breaks canonical form."""
+    parts = list(parts)
+    key = parts[at][1:parts[at].index('":')]
+    value = parts[at][len(key) + 3:]
+    if edit == "space":
+        parts[at] = f'"{key}": {value}'
+    elif edit == "float" and types[key] is int:
+        parts[at] = f'"{key}":{value}.0'
+    elif edit in ("float", "True"):
+        parts[at] = f'"{key}":True'
+    elif edit == "drop":
+        del parts[at]
+    elif edit == "add":
+        parts.insert(at, '"zz":1')
+    else:  # swap two keys
+        parts[at - 1], parts[at] = parts[at], parts[at - 1]
+    return ("{" + ",".join(parts) + "}\n").encode()
+
+
+def test_one_edit_off_canonical_form_names_its_line(tmp_path):
+    meta = run(ReplicaConfig(n=4, f=1), AdversarySpec(Synchronous(1)), 1).meta
+    path = tmp_path / "t.jsonl"
+
+    # every edit at every key of each drawn record
+    @settings(CODEC_SEARCH, max_examples=40)
+    @given(codec_records())
+    def check(rec):
+        _, _, names, types = _SHAPES[rec["kind"], "sq" in rec]
+        parts = oracle_parts(rec)
+        for edit in ("space", "float", "True", "drop", "add", "swap"):
+            for at in range(len(parts)):
+                line = edited(parts, edit, at, dict(zip(names, types)))
+                no = write_lines(path, meta, rec, line)
+                with pytest.raises(TraceFormatError, match=f" line {no}: "):
+                    Trace.from_jsonl(str(path), lambda rec: None)
+
+    check()
