@@ -141,7 +141,7 @@ def cert_digest(cert: Optional[Certificate]) -> str:
     """
     if cert is None:
         return ORIGIN_DIGEST
-    kind, names, *_ = _codec(_CERT_CODEC, cert, "certificate")
+    kind, names, *_ = _codec(cert, CERT_KINDS, "certificate")
     return "|".join([kind, *[str(getattr(cert, n)) for n in names]])
 
 
@@ -320,43 +320,28 @@ def _fields(cls) -> tuple[tuple[str, ...], tuple, bool, frozenset]:
     return tuple(plain), tuple(certs), block, frozenset(product(*types))
 
 
-def _tables(kinds: dict) -> tuple[dict, dict]:
-    """type -> (kind, plain, certs, block, types) and kind -> (type, ...)."""
-    by_type = {cls: (kind, *_fields(cls)) for cls, kind in kinds.items()}
-    return by_type, {kind: (cls, *rest) for cls, (kind, *rest) in by_type.items()}
-
-
-_CERT_CODEC, _CERT_BY_KIND = _tables(CERT_KINDS)
-_MESSAGE_CODEC, _MESSAGE_BY_KIND = _tables(
-    {cls: kind for cls, (kind, _) in MESSAGE_KINDS.items()})
+# type -> (kind, plain, certs, block, types), and kind -> (type, ...)
+_CODEC = {cls: (kind, *_fields(cls)) for cls, kind in {
+    **CERT_KINDS, **{cls: kind for cls, (kind, _) in MESSAGE_KINDS.items()}
+}.items()}
+_BY_KIND = {kind: (cls, *rest) for cls, (kind, *rest) in _CODEC.items()}
 _BLOCK_PLAIN, ((_, _PARENT_KINDS),), _, _BLOCK_TYPES = _fields(Block)
 
 
-def _codec(table: dict, obj, what: str) -> tuple:
-    try:
-        return table[type(obj)]
-    except KeyError:
-        raise TypeError(f"not a {what}: {obj!r}") from None
-
-
-def _by_kind(table: dict, kind: str, what: str) -> tuple:
-    try:
-        return table[kind]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown {what} kind: {kind!r}") from None
+def _codec(obj, kinds: dict, what: str) -> tuple:
+    """The codec entry of ``obj``, which must be one of ``kinds``."""
+    if type(obj) not in kinds:
+        raise TypeError(f"not a {what}: {obj!r}")
+    return _CODEC[type(obj)]
 
 
 def message_variant(msg: WireMessage) -> str:
-    return _codec(_MESSAGE_CODEC, msg, "wire message")[0]
-
-
-def message_size_units(msg: WireMessage) -> int:
-    return MESSAGE_SIZE_UNITS[message_variant(msg)]
+    return _codec(msg, MESSAGE_KINDS, "wire message")[0]
 
 
 def message_certs(msg: WireMessage) -> list[Certificate]:
     """The certificates a message carries, its block's parent first."""
-    _, _, names, block, _ = _codec(_MESSAGE_CODEC, msg, "wire message")
+    _, _, names, block, _ = _codec(msg, MESSAGE_KINDS, "wire message")
     certs = []
     if block and msg.block.parent_qc is not None:  # None only for genesis
         certs.append(msg.block.parent_qc)
@@ -367,16 +352,29 @@ def message_certs(msg: WireMessage) -> list[Certificate]:
     return certs
 
 
-# --- JSON plumbing for trace files ----------------------------------------
-
-
-def encode_cert(cert: Optional[Certificate]) -> Optional[dict]:
-    if cert is None:
+def _encode(obj) -> Optional[dict]:
+    """The JSON dict of a certificate or message (None for an empty slot).
+    A regular block goes under "block", a fallback block's body under
+    "inner" with its height and proposer beside it."""
+    if obj is None:
         return None
-    kind, names, *_ = _codec(_CERT_CODEC, cert, "certificate")
-    d = {n: getattr(cert, n) for n in names}
+    cls = type(obj)
+    kind, plain, certs, block, _ = _CODEC[cls]
+    d = {n: getattr(obj, n) for n in plain}
     d["kind"] = kind
-    d["signers"] = sorted(cert.signers)
+    if cls in CERT_KINDS:
+        d["signers"] = sorted(obj.signers)
+    for n, _ in certs:
+        d[n] = _encode(getattr(obj, n))
+    if block:
+        b = obj.block
+        body = {"id": b.id, "parent": _encode(b.parent_qc), "round": b.round,
+                "view": b.view, "payload": [b.payload.payload_id,
+                                            b.payload.size_bytes]}
+        if b.height is None:
+            d["block"] = body
+        else:
+            d.update(inner=body, height=b.height, proposer=b.proposer)
     return d
 
 
@@ -389,66 +387,44 @@ def _plain(d: dict, names: tuple, types: frozenset, what: str) -> dict:
     return kw
 
 
-def decode_cert(d: Optional[dict]) -> Optional[Certificate]:
-    if d is None:
+def _decode(d: Optional[dict], kinds):
+    """The certificate or message ``d`` encodes, which must be of one of the
+    classes ``kinds``: a message, or what a certificate slot's annotation
+    admits (the class ``NoneType`` for an empty optional slot)."""
+    if d is None and type(None) in kinds:
         return None
-    cls, names, _, _, types = _by_kind(_CERT_BY_KIND, d["kind"], "certificate")
-    signers = d["signers"]
-    if type(signers) is not list or not {*map(type, signers)} <= {int}:
-        raise ValueError(f"certificate signers {signers!r} are not ids")
-    return cls(signers=frozenset(signers),
-               **_plain(d, names, types, "certificate"))
-
-
-def _decode_slot(d: Optional[dict], kinds: frozenset) -> Optional[Certificate]:
-    """The certificate in a slot whose annotation admits ``kinds`` (the
-    class ``NoneType`` for an empty optional slot)."""
-    cert = decode_cert(d)
-    if type(cert) not in kinds:
+    try:
+        cls, plain, certs, block, types = _BY_KIND[d["kind"]]
+    except (KeyError, TypeError):  # no kind, or not one of ours
+        cls = None
+    if cls not in kinds:
+        if kinds is MESSAGE_KINDS:
+            raise ValueError(f"unknown message kind: {d['kind']!r}")
         raise ValueError(f"certificate slot holds {d!r}")
-    return cert
-
-
-def _encode_block(b: Block, d: dict) -> None:
-    """Write ``b`` into message dict ``d``: a regular block under "block", a
-    fallback block's body under "inner" with its height and proposer
-    beside it."""
-    body = {"id": b.id, "parent": encode_cert(b.parent_qc), "round": b.round,
-            "view": b.view, "payload": [b.payload.payload_id,
-                                        b.payload.size_bytes]}
-    if b.height is None:
-        d["block"] = body
-    else:
-        d.update(inner=body, height=b.height, proposer=b.proposer)
-
-
-def _decode_block(d: dict) -> Block:
-    fallback = "inner" in d
-    body = d["inner"] if fallback else d["block"]
-    flat = dict(body, payload=TxnBatch(*body["payload"]),
-                height=d["height"] if fallback else None,
-                proposer=d["proposer"] if fallback else None)
-    return Block(parent_qc=_decode_slot(body["parent"], _PARENT_KINDS),
-                 **_plain(flat, _BLOCK_PLAIN, _BLOCK_TYPES, "block"))
+    if cls in CERT_KINDS:
+        signers = d["signers"]
+        if type(signers) is not list or not {*map(type, signers)} <= {int}:
+            raise ValueError(f"certificate signers {signers!r} are not ids")
+        return cls(signers=frozenset(signers),
+                   **_plain(d, plain, types, "certificate"))
+    kw = _plain(d, plain, types, "message")
+    for n, admits in certs:
+        kw[n] = _decode(d[n], admits)
+    if block:
+        fallback = "inner" in d
+        body = d["inner"] if fallback else d["block"]
+        flat = dict(body, payload=TxnBatch(*body["payload"]),
+                    height=d["height"] if fallback else None,
+                    proposer=d["proposer"] if fallback else None)
+        kw["block"] = Block(parent_qc=_decode(body["parent"], _PARENT_KINDS),
+                            **_plain(flat, _BLOCK_PLAIN, _BLOCK_TYPES, "block"))
+    return cls(**kw)
 
 
 def encode_message(msg: WireMessage) -> dict:
-    kind, plain, certs, block, _ = _codec(_MESSAGE_CODEC, msg, "wire message")
-    d = {n: getattr(msg, n) for n in plain}
-    d["kind"] = kind
-    for n, _ in certs:
-        d[n] = encode_cert(getattr(msg, n))
-    if block:
-        _encode_block(msg.block, d)
-    return d
+    _codec(msg, MESSAGE_KINDS, "wire message")
+    return _encode(msg)
 
 
 def decode_message(d: dict) -> WireMessage:
-    cls, plain, certs, block, types = _by_kind(_MESSAGE_BY_KIND, d["kind"],
-                                               "message")
-    kw = _plain(d, plain, types, "message")
-    for n, kinds in certs:
-        kw[n] = _decode_slot(d[n], kinds)
-    if block:
-        kw["block"] = _decode_block(d)
-    return cls(**kw)
+    return _decode(d, MESSAGE_KINDS)

@@ -445,7 +445,7 @@ class Trace:
                     if not (found := match(line)):
                         raise ValueError("not a record shape's canonical line")
                     rec = read(*found.groups())
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     raise TraceFormatError(f"{path} line {no}: {exc!r}")
                 sink(rec)
         return trace
@@ -487,7 +487,8 @@ class Trace:
                 raise TypeError("horizon is not int")
             trace.protocol.validate()
             adversary.validate(trace.protocol)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError,
+                RecursionError) as exc:
             raise TraceFormatError(f"{path}: bad header: {exc!r}")
         return trace
 

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 from scipy import stats
 
+from bftsim.cli import _in_children
 from bftsim.core import Proposal, Vote
 from bftsim.crypto import elect_leader
 from bftsim.replica import ReplicaConfig
@@ -55,8 +56,7 @@ def announce(capsys, line):
 def test_criterion_1_safety_across_byzantine_matrix(capsys):
     # every safety property must hold across adversaries, faults, sizes,
     # variants and pacemakers; >= 500 seeded runs
-    runs = violations = 0
-    for n in (4, 7):
+    def cell(n, variant, pacemaker):
         f = (n - 1) // 3
         byz = [0] if f == 1 else [0, n // 2 + 1]
         fault_menu = [
@@ -69,22 +69,28 @@ def test_criterion_1_safety_across_byzantine_matrix(capsys):
             (PartialSynchrony(gst=120, delta=2, pre_gst_delay_bound=30), 400),
             (starve_proposals(), 400),
         ]
-        for variant in ("three_chain", "two_chain"):
-            for pacemaker in ("baseline_tc", "async_fallback"):
-                for model, horizon in models:
-                    for faults in fault_menu:
-                        for seed in (1, 2, 3, 4, 5, 6, 7):
-                            c = cfg(n=n, variant=variant,
-                                    pacemaker=pacemaker, seed=seed)
-                            trace = run(c, AdversarySpec(model, faults),
-                                        horizon)
-                            rep = check_safety(trace)
-                            runs += 1
-                            if not rep.ok:
-                                violations += len(rep.violations)
-                                assert rep.ok, (n, variant, pacemaker, model,
-                                                faults, seed,
-                                                rep.violations[:3])
+        runs = violations = 0
+        for model, horizon in models:
+            for faults in fault_menu:
+                for seed in (1, 2, 3, 4, 5, 6, 7):
+                    c = cfg(n=n, variant=variant, pacemaker=pacemaker,
+                            seed=seed)
+                    rep = check_safety(run(c, AdversarySpec(model, faults),
+                                           horizon))
+                    runs += 1
+                    if not rep.ok:
+                        violations += len(rep.violations)
+                        assert rep.ok, (n, variant, pacemaker, model, faults,
+                                        seed, rep.violations[:3])
+        return runs, violations
+
+    # one forked child per cell, as many at a time as there are CPUs; a
+    # failed assertion is raised here
+    counts = _in_children(cell, [
+        (n, variant, pacemaker) for n in (4, 7)
+        for variant in ("three_chain", "two_chain")
+        for pacemaker in ("baseline_tc", "async_fallback")])
+    runs, violations = map(sum, zip(*counts))
     assert runs >= 500
     announce(capsys, f"ACCEPTANCE 1 PASS - safety: {runs} byzantine runs, "
                      f"{violations} violations")

@@ -460,6 +460,23 @@ def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
         assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_json_nested_past_the_recursion_limit_exits_two(tmp_path, capsys):
+    lines = make_trace(tmp_path).read_text().splitlines()
+    deep = "[" * 100_000 + "]" * 100_000
+    header = rewrite(tmp_path, ['{"x":%s}' % deep] + lines[1:])
+    assert_trace_error(capsys, header, says="bad header")
+    # a send's message and a commit's blocks
+    for kind, key, value in (("send", "m", '{"x":%s}' % deep),
+                             ("commit", "blocks", deep)):
+        k = next(k for k, line in enumerate(lines)
+                 if f'"kind":"{kind}"' in line)
+        line = canonical(dict(json.loads(lines[k]), **{key: "@"}))
+        path = rewrite(tmp_path, lines[:k] + [line.replace('"@"', value)]
+                       + lines[k + 1:])
+        err = assert_trace_error(capsys, path, ("check",), "RecursionError")
+        assert f" line {k + 1}: " in err, err
+
+
 # --- check --------------------------------------------------------------------
 
 

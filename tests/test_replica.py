@@ -609,6 +609,22 @@ def test_fallback_vote_heights_strictly_increase_per_proposer():
     assert sends(r.handle_fblock(FBProposal(fb2, None), 1), FBVote)
 
 
+def test_adopting_fallback_vote_rounds_strictly_increase_per_proposer():
+    r, _ = boot(3, mk(variant="two_chain"))
+    ftc = enter_with_ticket(r)
+    (_, qc1), = chain([1])
+    fb1 = fb_block(1, 1, qc1)  # round 2
+    assert sends(r.handle_fblock(FBProposal(fb1, ftc), 1), FBVote)
+    # proposer 1's height 2 on proposer 2's height-1 certificate at round
+    # 1: a higher height, but no higher round than its vote at height 1
+    fb1_other = fb_block(2, 1, genesis_qc(4))
+    fqc1_other = FallbackQC(fb1_other.id, fb1_other.round, 0, 1, 2, QUORUM)
+    fb2 = fb_block(1, 2, fqc1_other)
+    assert fb2.round == fb1.round
+    assert not sends(r.handle_fblock(FBProposal(fb2, None), 1), FBVote)
+    assert r.state.fallback_voted_height[1] == 1
+
+
 def test_fallback_vote_requires_entry():
     r, _ = boot(3)
     fb = fb_block(1, 1, genesis_qc(4))

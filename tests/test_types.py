@@ -35,7 +35,6 @@ from bftsim.core import (
     is_endorsed,
     make_block,
     max_cert,
-    message_size_units,
     message_variant,
     rank_of,
 )
@@ -208,8 +207,6 @@ def test_message_size_units_table():
         "coin_share": 1,
         "coin_qc_relay": 1,
     }
-    for m in _one_of_each_message():
-        assert message_size_units(m) == MESSAGE_SIZE_UNITS[message_variant(m)]
 
 
 def test_message_variant_rejects_non_messages():
