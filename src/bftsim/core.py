@@ -1,7 +1,7 @@
 """Core protocol data types.
 
 Blocks, certificates, wire messages, the rank total order that the
-voting/locking rules compare certificates by, and one codec for trace
+voting/locking rules compare certificates by, and one text codec for trace
 files and digests, driven by each class's kind tag and fields.  Everything
 here is an immutable value object; replicas replace state wholesale
 instead of mutating shared structures.
@@ -10,10 +10,12 @@ instead of mutating shared structures.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, fields
-from functools import cached_property
-from itertools import product
-from typing import (Mapping, NamedTuple, Optional, Union, get_args,
+from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
+from operator import index
+from typing import (Callable, Mapping, NamedTuple, Optional, Union, get_args,
                     get_type_hints)
 
 ReplicaId = int
@@ -141,8 +143,8 @@ def cert_digest(cert: Optional[Certificate]) -> str:
     """
     if cert is None:
         return ORIGIN_DIGEST
-    kind, names, *_ = _codec(cert, CERT_KINDS, "certificate")
-    return "|".join([kind, *[str(getattr(cert, n)) for n in names]])
+    kind, plain, *_ = _codec(cert, CERT_KINDS, "certificate")
+    return "|".join([kind, *[str(getattr(cert, n)) for n, _ in plain]])
 
 
 def _digest(parts: str) -> str:
@@ -299,15 +301,20 @@ MESSAGE_VARIANTS = tuple(MESSAGE_SIZE_UNITS)
 
 
 # --- one codec for certificates and messages --------------------------------
+# Each class gets a writer and a reader, each one expression generated from
+# the codec table: field names, kinds and constant text, never a value read
+# from a trace.  The writer fills a template whose keys are sorted and whose
+# kind is baked in.  The reader builds the object from parsed JSON with no
+# type walk, and a text is taken only if the writer gives back exactly that
+# text: the one comparison checks every value's type and spelling.
 
 
-def _fields(cls) -> tuple[tuple[str, ...], tuple, bool, frozenset]:
-    """A dataclass's plain fields, its certificate fields with the classes
-    each may hold (both in declaration order, signers left out), whether it
-    carries a block, and each tuple of types its plain fields may hold
-    (Optional: either)."""
+def _fields(cls) -> tuple[tuple, tuple, bool]:
+    """A dataclass's plain fields with the types each may hold (Optional:
+    either), its certificate fields with the classes each may hold (both in
+    declaration order, signers left out), and whether it carries a block."""
     hints = get_type_hints(cls)
-    plain, certs, block, types = [], [], False, []
+    plain, certs, block = [], [], False
     for f in fields(cls):
         args = get_args(hints[f.name]) or (hints[f.name],)
         if Block in args:
@@ -315,17 +322,17 @@ def _fields(cls) -> tuple[tuple[str, ...], tuple, bool, frozenset]:
         elif CERT_KINDS.keys() & set(args):
             certs.append((f.name, frozenset(args)))
         elif f.name != "signers":
-            plain.append(f.name)
-            types.append(args)
-    return tuple(plain), tuple(certs), block, frozenset(product(*types))
+            plain.append((f.name, args))
+    return tuple(plain), tuple(certs), block
 
 
-# type -> (kind, plain, certs, block, types), and kind -> (type, ...)
+# type -> (kind, plain, certs, block), which the writers and readers below
+# are made from, and kind -> type
 _CODEC = {cls: (kind, *_fields(cls)) for cls, kind in {
     **CERT_KINDS, **{cls: kind for cls, (kind, _) in MESSAGE_KINDS.items()}
 }.items()}
-_BY_KIND = {kind: (cls, *rest) for cls, (kind, *rest) in _CODEC.items()}
-_BLOCK_PLAIN, ((_, _PARENT_KINDS),), _, _BLOCK_TYPES = _fields(Block)
+_BY_KIND = {kind: cls for cls, (kind, *_) in _CODEC.items()}
+_, ((_, _PARENT_KINDS),), _ = _fields(Block)
 
 
 def _codec(obj, kinds: dict, what: str) -> tuple:
@@ -341,7 +348,7 @@ def message_variant(msg: WireMessage) -> str:
 
 def message_certs(msg: WireMessage) -> list[Certificate]:
     """The certificates a message carries, its block's parent first."""
-    _, _, names, block, _ = _codec(msg, MESSAGE_KINDS, "wire message")
+    _, _, names, block = _codec(msg, MESSAGE_KINDS, "wire message")
     certs = []
     if block and msg.block.parent_qc is not None:  # None only for genesis
         certs.append(msg.block.parent_qc)
@@ -352,79 +359,137 @@ def message_certs(msg: WireMessage) -> list[Certificate]:
     return certs
 
 
-def _encode(obj) -> Optional[dict]:
-    """The JSON dict of a certificate or message (None for an empty slot).
-    A regular block goes under "block", a fallback block's body under
-    "inner" with its height and proposer beside it."""
-    if obj is None:
-        return None
-    cls = type(obj)
-    kind, plain, certs, block, _ = _CODEC[cls]
-    d = {n: getattr(obj, n) for n in plain}
-    d["kind"] = kind
+def _slot(cert: Optional[Certificate]) -> str:
+    if cert is None:
+        return "null"
+    try:
+        return _writer(type(cert))(cert)
+    except (TypeError, OverflowError):
+        raise ValueError(f"certificate fields hold {vars(cert)!r}") from None
+
+
+def _signers(signers: frozenset) -> str:
+    try:  # a sorted list of ints prints as JSON once its spaces go
+        return str(sorted(map(index, signers))).replace(" ", "")
+    except TypeError:
+        raise ValueError(
+            f"certificate signers {signers!r} are not ids") from None
+
+
+# a value's placeholder and expression, by the types its field may hold
+_FORMATS = {(int,): ("%d", "o.{}"), (str,): ("%s", "esc(o.{})"),
+            (int, type(None)): ("%s", '("null" if o.{0} is None '
+                                      'else "%d" % o.{0})')}
+_BODY = "%s", "%r %% (%s)" % (
+    '{"id":%s,"parent":%s,"payload":[%s,%d],"round":%d,"view":%d}',
+    "esc(o.block.id), slot(o.block.parent_qc), "
+    "esc(o.block.payload.payload_id), o.block.payload.size_bytes, "
+    "o.block.round, o.block.view")
+
+
+def _fill(cls, fallback: bool) -> str:
+    """The expression of the text of an object ``o`` of ``cls``.  A regular
+    block goes under "block", a fallback block's body under "inner" with
+    its height and proposer beside it."""
+    kind, plain, certs, block = _CODEC[cls]
+    parts = {"kind": (f'"{kind}"', "")}  # key -> (template text, expression)
+    for name, types in plain:
+        placeholder, expression = _FORMATS[types]
+        parts[name] = placeholder, expression.format(name)
+    parts.update((name, ("%s", f"slot(o.{name})")) for name, _ in certs)
     if cls in CERT_KINDS:
-        d["signers"] = sorted(obj.signers)
-    for n, _ in certs:
-        d[n] = _encode(getattr(obj, n))
+        parts["signers"] = "%s", "signers(o.signers)"
     if block:
-        b = obj.block
-        body = {"id": b.id, "parent": _encode(b.parent_qc), "round": b.round,
-                "view": b.view, "payload": [b.payload.payload_id,
-                                            b.payload.size_bytes]}
-        if b.height is None:
-            d["block"] = body
-        else:
-            d.update(inner=body, height=b.height, proposer=b.proposer)
-    return d
+        parts.update({"inner": _BODY, "height": ("%d", "o.block.height"),
+                      "proposer": ("%d", "o.block.proposer")} if fallback
+                     else {"block": _BODY})
+    keys = sorted(parts)
+    template = "{%s}" % ",".join(f'"{k}":{parts[k][0]}' for k in keys)
+    return "%r %% (%s,)" % (template, ", ".join(
+        parts[k][1] for k in keys if parts[k][1]))
 
 
-def _plain(d: dict, names: tuple, types: frozenset, what: str) -> dict:
-    """``d``'s values for the plain fields ``names``, if their types are a
-    combination the fields' annotations allow."""
-    kw = {n: d[n] for n in names}
-    if tuple(map(type, kw.values())) not in types:
-        raise ValueError(f"{what} fields hold {kw!r}")
-    return kw
+@cache  # made on first use, so that an import makes none
+def _writer(cls) -> Callable[[object], str]:
+    """The function from an object of ``cls`` to its canonical text."""
+    text = _fill(cls, False)
+    if _CODEC[cls][3]:  # a block: regular, or fallback if it has a height
+        text = f"{text} if o.block.height is None else {_fill(cls, True)}"
+    return eval(f"lambda o: {text}", {"esc": encode_basestring_ascii,
+                                      "slot": _slot, "signers": _signers})
 
 
-def _decode(d: Optional[dict], kinds):
-    """The certificate or message ``d`` encodes, which must be of one of the
-    classes ``kinds``: a message, or what a certificate slot's annotation
-    admits (the class ``NoneType`` for an empty optional slot)."""
-    if d is None and type(None) in kinds:
+def _block(d: dict) -> Block:
+    """The block of a parsed message: a regular one under "block", or a
+    fallback one's body under "inner" with its height and proposer beside
+    it."""
+    body, height, proposer = ((d["inner"], d["height"], d["proposer"])
+                              if "inner" in d else (d["block"], None, None))
+    return Block(body["id"], _build(body["parent"], _PARENT_KINDS),
+                 body["round"], body["view"], TxnBatch(*body["payload"]),
+                 height, proposer)
+
+
+@cache
+def _reader(cls) -> Callable[[dict], object]:
+    """The function from an object of ``cls`` as parsed JSON to the object:
+    its fields in declaration order, as parsed, for the writer to check."""
+    slots = dict(_CODEC[cls][2])
+    values = [f"build(d[{n!r}], slots[{n!r}])" if n in slots
+              else {"signers": 'frozenset(d["signers"])',
+                    "block": "block(d)"}.get(n, f"d[{n!r}]")
+              for n in (f.name for f in fields(cls))]
+    return eval(f"lambda d: cls({', '.join(values)})",
+                {"cls": cls, "block": _block, "build": _build, "slots": slots})
+
+
+def _build(d, admits):
+    """The certificate or message the parsed JSON ``d`` spells, which must
+    be of one of the classes ``admits``: a message, or what a certificate
+    slot's annotation admits (the class ``NoneType`` for an empty optional
+    slot)."""
+    if d is None and type(None) in admits:
         return None
     try:
-        cls, plain, certs, block, types = _BY_KIND[d["kind"]]
+        cls = _BY_KIND[d["kind"]]
     except (KeyError, TypeError):  # no kind, or not one of ours
         cls = None
-    if cls not in kinds:
-        if kinds is MESSAGE_KINDS:
+    if cls not in admits:
+        if admits is MESSAGE_KINDS:
             raise ValueError(f"unknown message kind: {d['kind']!r}")
         raise ValueError(f"certificate slot holds {d!r}")
-    if cls in CERT_KINDS:
-        signers = d["signers"]
-        if type(signers) is not list or not {*map(type, signers)} <= {int}:
-            raise ValueError(f"certificate signers {signers!r} are not ids")
-        return cls(signers=frozenset(signers),
-                   **_plain(d, plain, types, "certificate"))
-    kw = _plain(d, plain, types, "message")
-    for n, admits in certs:
-        kw[n] = _decode(d[n], admits)
-    if block:
-        fallback = "inner" in d
-        body = d["inner"] if fallback else d["block"]
-        flat = dict(body, payload=TxnBatch(*body["payload"]),
-                    height=d["height"] if fallback else None,
-                    proposer=d["proposer"] if fallback else None)
-        kw["block"] = Block(parent_qc=_decode(body["parent"], _PARENT_KINDS),
-                            **_plain(flat, _BLOCK_PLAIN, _BLOCK_TYPES, "block"))
-    return cls(**kw)
+    return _reader(cls)(d)
 
 
-def encode_message(msg: WireMessage) -> dict:
+def write_message(msg: WireMessage) -> str:
+    """A message's canonical text: sorted keys, no spaces, ASCII only."""
     _codec(msg, MESSAGE_KINDS, "wire message")
-    return _encode(msg)
+    return _writer(type(msg))(msg)
+
+
+def _checked(msg: WireMessage, text: str) -> WireMessage:
+    """``msg``, if ``text`` is exactly what the writer writes for it."""
+    try:
+        canonical = _writer(type(msg))(msg)
+    except (TypeError, OverflowError):
+        raise ValueError(f"message fields hold {vars(msg)!r}") from None
+    if canonical != text:
+        raise ValueError("message is not in canonical form")
+    return msg
+
+
+def read_message(text: str) -> WireMessage:
+    """The message whose canonical text is ``text``.  Any other spelling of
+    it or of anything in it is refused, as is a certificate of a kind its
+    slot does not admit."""
+    return _checked(_build(json.loads(text), MESSAGE_KINDS), text)
+
+
+# dict shims over the text codec, kept for the benchmark's codec timing
+def encode_message(msg: WireMessage) -> dict:
+    return json.loads(write_message(msg))
 
 
 def decode_message(d: dict) -> WireMessage:
-    return _decode(d, MESSAGE_KINDS)
+    return _checked(_build(d, MESSAGE_KINDS),
+                    json.dumps(d, sort_keys=True, separators=(",", ":")))

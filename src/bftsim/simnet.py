@@ -17,13 +17,14 @@ import json
 import random
 import re
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import (Callable, Optional, Union, get_args, get_origin,
                     get_type_hints)
 
 from . import crypto
 from .core import (MESSAGE_SIZE_UNITS, FBProposal, Proposal, TxnBatch,
-                   WireMessage, decode_message, encode_message, genesis_block,
-                   make_block, message_variant)
+                   WireMessage, genesis_block, make_block, message_variant,
+                   read_message, write_message)
 from .replica import (CommitNotice, Multicast, ConfigError, OutputAction,
                       Replica, ReplicaConfig, Send, SetTimer)
 
@@ -290,6 +291,11 @@ def _conforms(value, hint) -> bool:
     return type(value) is hint
 
 
+def _ids(ids: list[str]) -> str:
+    """A commit's block ids as canonical JSON."""
+    return "[%s]" % ",".join(map(encode_basestring_ascii, ids))
+
+
 def _formatter():
     """A function from a record to its canonical line, its values filled
     into its shape's template.  A deliver with an ``sq`` omits ``m``: the
@@ -307,7 +313,7 @@ def _formatter():
         nonlocal last_msg, text
         if msg is not last_msg:
             last_msg = msg
-            text = _CANONICAL.encode(encode_message(msg)).encode()
+            text = write_message(msg).encode()
         return text
 
     def line(rec: dict) -> bytes:
@@ -322,7 +328,7 @@ def _formatter():
             return send % (rec["frm"], message(rec["m"]), rec["q"], rec["t"],
                            rec["to"], rec["u"])
         if kind == "commit":
-            return commit % (_CANONICAL.encode(rec["blocks"]).encode(),
+            return commit % (_ids(rec["blocks"]).encode(),
                              rec["log_len"], rec["q"], rec["rid"], rec["t"])
         return timer_fire % (rec["q"], rec["rid"], rec["round"], rec["t"])
 
@@ -373,8 +379,8 @@ class Trace:
         with no sink, the returned trace holds them.  Every record line must
         be its shape's canonical line: its kind picks the shape's pattern,
         and the shape's reader converts each captured value and checks the
-        record.  Only sends not yet delivered are kept, to resolve an
-        ``sq``."""
+        record; a message and a commit's ids must be canonical too.  Only
+        sends not yet delivered are kept, to resolve an ``sq``."""
         last_text = last_msg = None
         # send q -> its message and endpoints
         sent: dict[int, tuple[WireMessage, int, int]] = {}
@@ -382,7 +388,7 @@ class Trace:
         def message(text: bytes) -> WireMessage:
             nonlocal last_text, last_msg
             if text != last_text:  # a multicast's sends are adjacent
-                last_msg = decode_message(json.loads(text.decode()))
+                last_msg = read_message(text.decode())
                 last_text = text
             return last_msg
 
@@ -415,10 +421,14 @@ class Trace:
                     "round": int(round), "t": int(t)}
 
         def commit(blocks, log_len, q, rid, t) -> dict:
-            # the captured list must be exactly one JSON value, of ids
-            blocks = json.loads(blocks.decode())
-            if not all(type(b) is str for b in blocks):
-                raise ValueError("commit blocks must be ids")
+            # the captured list must be exactly the ids' canonical text
+            text = blocks.decode()
+            try:
+                canonical = _ids(blocks := json.loads(text))
+            except TypeError:
+                raise ValueError("commit blocks must be ids") from None
+            if canonical != text:
+                raise ValueError("commit blocks are not in canonical form")
             return {"blocks": blocks, "kind": "commit",
                     "log_len": int(log_len), "q": int(q), "rid": int(rid),
                     "t": int(t)}

@@ -460,6 +460,32 @@ def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
         assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_other_spellings_inside_a_message_or_commit_exit_two(tmp_path,
+                                                             capsys):
+    # the steady_long workload at seed 1: each edit below keeps the line
+    # valid JSON of the right types, so only a canonical check refuses it
+    steady_long = STEADY.replace("horizon = 240\nseed = 7",
+                                 "horizon = 3000\nseed = 1")
+    cfg = write(tmp_path, steady_long)
+    assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "out"),
+                   "--quiet") == 0
+    lines = (tmp_path / "out" / "run-seed1.trace.jsonl").read_text(
+        ).splitlines()
+    for old, new in (
+            ('"kind":"proposal"', ' "kind":"proposal"'),  # a space in m
+            ('"signers":[0,1,2,3]', '"signers":[3,2,1,0]'),
+            ('"signers":[0,1,2]', '"signers":[0,1,1,2]'),  # a repeated id
+            ('"payload":["p', '"payload":["\\u0070'),  # a needless escape
+            ('"blocks":["', '"blocks":[ "')):
+        k = next(k for k, line in enumerate(lines) if old in line)
+        path = rewrite(tmp_path, lines[:k] + [lines[k].replace(old, new, 1)]
+                       + lines[k + 1:])
+        err = assert_trace_error(capsys, path, ("check",))
+        assert f" line {k + 1}: " in err, (new, err)
+        assert run_cli("replay", path) == 1, new
+        assert "MISMATCH" in capsys.readouterr().out
+
+
 def test_json_nested_past_the_recursion_limit_exits_two(tmp_path, capsys):
     lines = make_trace(tmp_path).read_text().splitlines()
     deep = "[" * 100_000 + "]" * 100_000

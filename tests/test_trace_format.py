@@ -6,6 +6,8 @@ import dataclasses
 import functools
 import hashlib
 import json
+import re
+from typing import get_args, get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -493,13 +495,132 @@ def test_canonical_line_with_a_bad_value_exits_two(kind, field, text,
 
 
 # --- the codec against an independent oracle ---------------------------------
-# simnet writes out each shape's reader and writer by hand; the records
-# here are drawn from _SHAPES' names and types, which pins them to it
+# simnet writes out each shape's reader and writer by hand, and core builds
+# each certificate and message kind's writer from its codec table.  The
+# records here are drawn from _SHAPES' names and types and the messages from
+# _CODEC's, which pins them to both; the text each should have is built here
+# from the dataclass fields.
 
 # Tier-1 search: the same examples every run, and no example database
 CODEC_SEARCH = settings(derandomize=True, database=None, max_examples=150,
                         deadline=None)
 INTS = st.sampled_from((0, -1, 2 ** 31, -(2 ** 40), 2 ** 70)) | st.integers()
+# ids JSON must escape: a quote, a backslash, control and non-ASCII text
+TEXT = st.sampled_from(('q"\\é', "p0-r1-v0", "\x00\n\x7f \U0001f600",
+                        "")) | st.text(max_size=12)
+PLAIN = {int: INTS, str: TEXT, type(None): st.none()}
+SIGNERS = st.frozensets(st.integers(0, 30) | INTS, max_size=5)
+
+
+def by_name(classes):
+    return sorted(classes, key=lambda cls: cls.__name__)
+
+
+def certificates(admits):
+    """A certificate of each class a slot admits, and None where it may be
+    empty."""
+    return st.one_of(*(st.none() if cls is type(None) else objects(cls)
+                       for cls in by_name(admits)))
+
+
+@functools.cache
+def objects(cls):
+    """Certificates or messages of ``cls``, each field drawn by what its
+    codec entry says it may hold; a block is regular or fallback."""
+    _, plain, certs, block = core._CODEC[cls]
+    fields = {name: st.one_of(*map(PLAIN.get, types)) for name, types in plain}
+    fields.update({name: certificates(admits) for name, admits in certs})
+    if cls in core.CERT_KINDS:
+        fields["signers"] = SIGNERS
+    if block:
+        parents = get_args(get_type_hints(core.Block)["parent_qc"])
+        fields["block"] = st.builds(
+            lambda placed, **body: core.Block(**body, height=placed[0],
+                                              proposer=placed[1]),
+            st.tuples(st.none(), st.none()) | st.tuples(INTS, INTS),
+            id=TEXT, parent_qc=certificates(parents), round=INTS, view=INTS,
+            payload=st.builds(core.TxnBatch, TEXT, INTS))
+    return st.builds(cls, **fields)
+
+
+MESSAGES = st.sampled_from(by_name(core.MESSAGE_KINDS)).flatmap(objects)
+
+
+def oracle(obj):
+    """The JSON value of a certificate or message in a trace: its kind tag,
+    its fields, signers sorted, and a regular block under "block" or a
+    fallback block's body under "inner" beside its height and proposer."""
+    if obj is None:
+        return None
+    kind = core.CERT_KINDS.get(type(obj)) or core.MESSAGE_KINDS[type(obj)][0]
+    d = {"kind": kind}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.name == "signers":
+            d[f.name] = sorted(value)
+        elif isinstance(value, core.Block):
+            body = {"id": value.id, "parent": oracle(value.parent_qc),
+                    "round": value.round, "view": value.view,
+                    "payload": [value.payload.payload_id,
+                                value.payload.size_bytes]}
+            if value.height is None:
+                d["block"] = body
+            else:
+                d.update(inner=body, height=value.height,
+                         proposer=value.proposer)
+        else:
+            d[f.name] = oracle(value) if type(value) in core.CERT_KINDS \
+                else value
+    return d
+
+
+def spelled(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def test_message_codec_matches_an_independent_oracle():
+    seen = set()
+
+    @settings(CODEC_SEARCH, max_examples=400)
+    @given(MESSAGES)
+    def check(msg):
+        text = spelled(oracle(msg))
+        assert core.write_message(msg) == text
+        back = core.read_message(text)
+        assert back == msg
+        assert [*map(type, vars(back).values())] == [
+            *map(type, vars(msg).values())]
+        # what was drawn: each kind, its slots' classes, its block's form,
+        # escapes
+        _, _, certs, block = core._CODEC[type(msg)]
+        seen.add(type(msg))
+        seen.update((type(msg), name, type(getattr(msg, name)))
+                    for name, _ in certs)
+        if block:
+            seen.add((type(msg), "parent", type(msg.block.parent_qc)))
+            seen.add((type(msg), "fallback", msg.block.height is not None))
+        seen.add(("escaped", "\\" in text))
+        seen.add(("non-ASCII", not all(map(str.isascii, strings(msg)))))
+
+    check()
+    want = {("escaped", True), ("non-ASCII", True), *core.MESSAGE_KINDS}
+    for cls in core.MESSAGE_KINDS:
+        _, _, certs, block = core._CODEC[cls]
+        want |= {(cls, name, c) for name, admits in certs for c in admits}
+        if block:
+            parents = get_args(get_type_hints(core.Block)["parent_qc"])
+            want |= {(cls, "parent", c) for c in parents}
+            want |= {(cls, "fallback", False), (cls, "fallback", True)}
+    assert want <= seen, want - seen
+
+
+def strings(msg):
+    """The str values of a message, its block and payload included."""
+    block = getattr(msg, "block", None)
+    return [v for v in (*vars(msg).values(),
+                        *(vars(block).values() if block else ()),
+                        *(vars(block.payload).values() if block else ()))
+            if type(v) is str]
 
 
 @functools.cache
@@ -517,11 +638,11 @@ def workload_messages():
 
 
 def codec_records():
-    """Records of every shape, each field drawn by its type in _SHAPES.  A
-    deliver naming its send also holds the send's message, as a simulated
-    one does."""
+    """Records of every shape, each field drawn by its type in _SHAPES, and
+    a message from a workload or of any kind.  A deliver naming its send
+    also holds the send's message, as a simulated one does."""
     values = {int: INTS, bool: st.booleans(),
-              dict: st.sampled_from(workload_messages()),
+              dict: st.sampled_from(workload_messages()) | MESSAGES,
               list: st.lists(st.text(max_size=40), max_size=4)}
 
     def of_shape(shape):
@@ -542,9 +663,8 @@ def oracle_parts(rec):
     if "sq" in rec:
         del plain["m"]  # the send it names carries it
     elif "m" in rec:
-        plain["m"] = encode_message(rec["m"])
-    return [f'"{k}":' + json.dumps(v, sort_keys=True, separators=(",", ":"))
-            for k, v in sorted(plain.items())]
+        plain["m"] = oracle(rec["m"])
+    return [f'"{k}":' + spelled(v) for k, v in sorted(plain.items())]
 
 
 def write_lines(path, meta, rec, line):
@@ -611,21 +731,70 @@ def edited(parts, edit, at, types):
     return ("{" + ",".join(parts) + "}\n").encode()
 
 
+# a certificate of each kind, and an empty slot, for a slot that does not
+# admit it
+ONE_OF_EACH = (core.QC("b", 1, 0, frozenset({0, 1, 2})),
+               core.FallbackQC("b", 1, 0, 1, 2, frozenset({0, 1, 2})),
+               core.TimeoutCert(1, frozenset({0, 1, 2})),
+               core.FallbackTC(0, frozenset({0, 1, 2})),
+               core.CoinQC(0, 1, frozenset({0, 1})), None)
+
+
+def edited_messages(msg):
+    """The message's text with one edit each that keeps it JSON but not
+    canonical: two keys swapped, signers out of order or repeated, an int
+    spelled as a float or true, a needless escape, or a certificate of a
+    kind its slot does not admit, or none in a slot that needs one."""
+    d = oracle(msg)
+    parts = [f'"{k}":{spelled(v)}' for k, v in sorted(d.items())]
+    texts = ["{%s}" % ",".join([parts[1], parts[0], *parts[2:]])]
+    # where certificates sit, and the classes each place admits
+    _, _, certs, block = core._CODEC[type(msg)]
+    slots = [(d, name, admits) for name, admits in certs]
+    if block:
+        parents = get_args(get_type_hints(core.Block)["parent_qc"])
+        slots.append((d.get("block") or d["inner"], "parent", parents))
+    text = spelled(d)
+    for holder, name, admits in slots:
+        signers = (holder[name] or {}).get("signers", [])
+        for edit in (signers[::-1], signers[:1] + signers):
+            if edit != signers:
+                texts.append(text.replace(spelled(signers), spelled(edit), 1))
+        texts += [text.replace(spelled(holder), spelled(
+            dict(holder, **{name: oracle(other)})), 1)
+                  for other in ONE_OF_EACH if type(other) not in admits]
+    number = re.search(r'"\w+":(-?[0-9]+)(?=[,}])', text)  # one in each
+    texts += [text[:number.start(1)] + spelling + text[number.end(1):]
+              for spelling in (number[1] + ".0", "true")]
+    at = text.index('"kind":"') + 8
+    texts.append(text[:at] + "\\u%04x" % ord(text[at]) + text[at + 1:])
+    return texts
+
+
 def test_one_edit_off_canonical_form_names_its_line(tmp_path):
     meta = run(ReplicaConfig(n=4, f=1), AdversarySpec(Synchronous(1)), 1).meta
     path = tmp_path / "t.jsonl"
 
-    # every edit at every key of each drawn record
+    # every edit at every key of each drawn record, and every edit inside
+    # the message a record spells out
     @settings(CODEC_SEARCH, max_examples=40)
     @given(codec_records())
     def check(rec):
         _, _, names, types = _SHAPES[rec["kind"], "sq" in rec]
         parts = oracle_parts(rec)
-        for edit in ("space", "float", "True", "drop", "add", "swap"):
-            for at in range(len(parts)):
-                line = edited(parts, edit, at, dict(zip(names, types)))
-                no = write_lines(path, meta, rec, line)
-                with pytest.raises(TraceFormatError, match=f" line {no}: "):
-                    Trace.from_jsonl(str(path), lambda rec: None)
+        lines = [edited(parts, edit, at, dict(zip(names, types)))
+                 for edit in ("space", "float", "True", "drop", "add", "swap")
+                 for at in range(len(parts))]
+        if "m" in rec and "sq" not in rec:
+            at = names.index("m")
+            canonical = spelled(oracle(rec["m"]))
+            for text in edited_messages(rec["m"]):
+                assert text != canonical and json.loads(text) is not None
+                lines.append(("{%s}\n" % ",".join(
+                    [*parts[:at], '"m":' + text, *parts[at + 1:]])).encode())
+        for line in lines:
+            no = write_lines(path, meta, rec, line)
+            with pytest.raises(TraceFormatError, match=f" line {no}: "):
+                Trace.from_jsonl(str(path), lambda rec: None)
 
     check()
