@@ -32,8 +32,12 @@ ASYNC_FALLBACK = "async_fallback"
 PACEMAKERS = (BASELINE_TC, ASYNC_FALLBACK)
 
 PENDING_CAP = 1024  # buffered out-of-order messages per peer
+PRUNE_FLOOR = 16  # stored bodies below which a commit does not prune
 
 BROKEN = ""  # the commit target of a chain that can never complete
+
+# a signer bucket that reached its threshold: later shares add nothing
+SPENT: frozenset[int] = frozenset()
 
 
 class ConfigError(ValueError):
@@ -122,18 +126,27 @@ class ReplicaState:
     in_fallback: bool = False
     fallback_voted_round: dict[int, int] = field(default_factory=dict)
     fallback_voted_height: dict[int, int] = field(default_factory=dict)
-    committed: dict[str, None] = field(default_factory=dict)  # in order
+    # every committed id, in order: the log's length, and where each commit
+    # walk stops, wherever a fork joins the log
+    committed: dict[str, None] = field(default_factory=dict)
+    tip_round: int = 0  # the highest round committed
 
-    # stores
+    # stores; Replica._prune drops the settled entries (see _settled) once
+    # a commit finds ``blocks`` at ``prune_at``, twice its size after the
+    # last pass, so each entry is looked at a constant number of times
+    prune_at: int = PRUNE_FLOOR
     blocks: dict[str, Block] = field(default_factory=dict)
     qc_by_block: dict[str, QC] = field(default_factory=dict)
     fqc_by_key: dict[tuple, FallbackQC] = field(default_factory=dict)
     fqc_by_block: dict[str, FallbackQC] = field(default_factory=dict)
-    coin_history: dict[int, CoinQC] = field(default_factory=dict)
+    coin_history: dict[int, CoinQC] = field(default_factory=dict)  # kept
 
     # signer buckets, filled through Replica._collect: the distinct signers
     # seen for each signed message, and per view the distinct completed
-    # chains (3-chain) or their counter-signers (2-chain)
+    # chains (3-chain) or their counter-signers (2-chain).  A bucket that
+    # reached its threshold is SPENT.  Vote buckets go with their block;
+    # timeout buckets of passed rounds, and the view-keyed ones of passed
+    # views, are never read again and go as the round or view moves.
     vote_shares: dict[tuple, set[int]] = field(default_factory=dict)
     fvote_shares: dict[tuple, set[int]] = field(default_factory=dict)
     timeout_round_shares: dict[int, set[int]] = field(default_factory=dict)
@@ -141,7 +154,7 @@ class ReplicaState:
     coin_shares: dict[int, set[int]] = field(default_factory=dict)
     completion_marks: dict[int, set[int]] = field(default_factory=dict)
 
-    # one-shot markers
+    # one-shot markers, of the current round or view only
     seen_proposals: dict[int, str] = field(default_factory=dict)  # by round
     entered_fallback_view: int = -1
     reacted_f_heights: dict[int, set[int]] = field(default_factory=dict)
@@ -192,11 +205,16 @@ class Replica:
                  threshold: int) -> Optional[frozenset[int]]:
         """Add ``signer`` to the bucket at ``key``.  Returns the signer set
         exactly once: when a new signer brings the bucket to ``threshold``."""
-        bucket = buckets.setdefault(key, set())
-        if signer in bucket:
+        bucket = buckets.get(key)
+        if bucket is None:
+            bucket = buckets[key] = set()
+        elif bucket is SPENT or signer in bucket:
             return None
         bucket.add(signer)
-        return frozenset(bucket) if len(bucket) == threshold else None
+        if len(bucket) < threshold:
+            return None
+        buckets[key] = SPENT
+        return frozenset(bucket)
 
     def _certified_or_endorsed(self, block_id: str) -> bool:
         st = self.state
@@ -227,13 +245,94 @@ class Replica:
 
     def _purge_stale_views(self) -> None:
         st = self.state
-        for d in (st.timeout_view_shares, st.coin_shares):
+        for d in (st.timeout_view_shares, st.coin_shares,
+                  st.completion_marks, st.reacted_f_heights):
             for v in [v for v in d if v < st.current_view]:
                 del d[v]
+
+    # --- what a replica keeps ----------------------------------------------
+
+    def _below_lock(self, view: int, round: int,
+                    proposer: Optional[int]) -> bool:
+        """Whether a block or certificate of these fields ranks at most the
+        lock, however its view's coin falls: a fallback one counts as
+        endorsed until the coin says otherwise."""
+        coin = self.state.coin_history.get(view)
+        endorsed = proposer is not None and (coin is None
+                                             or coin.elected == proposer)
+        return (view, endorsed, round) <= self.state.locked_rank
+
+    def _settled(self, block_id: str, view: int, round: int,
+                 proposer: Optional[int] = None) -> bool:
+        """Whether no rule can act on the block, or on any certificate or
+        vote for it, ever again.  The block is committed, or it is a fork:
+        uncommitted at or below the highest committed round.  Every
+        ancestor of a committed block is committed, and a certified block's
+        round exceeds its parent's, so a fork is never certified or
+        committed by a quorum with at most f Byzantine signers.  Its rank
+        is at most the lock and its round is passed, so a certificate for
+        it moves neither the lock, the high certificate nor the round.
+        Every input is monotone, so a settled block stays settled."""
+        st = self.state
+        return (round < st.current_round
+                and (block_id in st.committed or round <= st.tip_round)
+                and self._below_lock(view, round, proposer))
+
+    def _dead(self, block_id: str, view: int, round: int,
+              proposer: Optional[int] = None) -> bool:
+        """Whether a certificate or vote for this block is ignored: its body
+        is not held, and the block is settled."""
+        return (block_id not in self.state.blocks
+                and self._settled(block_id, view, round, proposer))
+
+    def _settled_body(self, block: Block) -> bool:
+        """Whether the body is dropped, or refused on arrival: the block is
+        settled, and so is the lock its certification would raise."""
+        parent = block.parent_qc
+        return (self._settled(block.id, block.view, block.round,
+                              block.proposer)
+                and self._below_lock(parent.view, parent.round,
+                                     getattr(parent, "proposer", None)))
+
+    def _prune(self) -> None:
+        """Drop each settled body, with its certificates and vote buckets,
+        then what names a dead block whose body never came.  Genesis stays,
+        as a constant."""
+        st = self.state
+        for b in [b for b in st.blocks.values()
+                  if b is not self.genesis and self._settled_body(b)]:
+            del st.blocks[b.id]
+            st.commit_frontier.discard(b.id)
+            st.qc_by_block.pop(b.id, None)
+            if fqc := st.fqc_by_block.pop(b.id, None):
+                st.fqc_by_key.pop((fqc.view, fqc.proposer, fqc.height), None)
+            st.vote_shares.pop((b.id, b.round, b.view), None)
+            st.fvote_shares.pop((b.id, b.round, b.view, b.height, b.proposer),
+                                None)
+        dead = self._dead
+        for store in (st.qc_by_block, st.fqc_by_block):
+            for bid in [bid for bid, c in store.items()
+                        if dead(bid, c.view, c.round,
+                                getattr(c, "proposer", None))]:
+                del store[bid]
+        for key in [key for key, c in st.fqc_by_key.items()
+                    if dead(c.block_id, c.view, c.round, c.proposer)]:
+            del st.fqc_by_key[key]
+        for key in [key for key in st.vote_shares
+                    if dead(key[0], key[2], key[1])]:
+            del st.vote_shares[key]
+        for key in [key for key in st.fvote_shares
+                    if dead(key[0], key[2], key[1], key[4])]:
+            del st.fvote_shares[key]
+        st.prune_at = max(PRUNE_FLOOR, 2 * len(st.blocks))
 
     def _store_body(self, block: Block) -> None:
         st = self.state
         if block.id in st.blocks:
+            return
+        if self._settled_body(block):
+            # a late copy: its lock, if awaited, would not move
+            st.pending_rank_locks.discard(block.id)
             return
         st.blocks[block.id] = block
         if block.id in st.pending_rank_locks:
@@ -248,7 +347,8 @@ class Replica:
 
     def _register_qc(self, qc: QC) -> None:
         st = self.state
-        if qc.block_id not in st.qc_by_block:
+        if (qc.block_id not in st.qc_by_block
+                and not self._dead(qc.block_id, qc.view, qc.round)):
             st.qc_by_block[qc.block_id] = qc
             if qc.block_id in st.blocks:
                 st.commit_frontier.add(qc.block_id)
@@ -335,6 +435,9 @@ class Replica:
         if self.leader_of(v.round + 1) != self.rid:
             return self._drop("misdirected_vote")
         key = (v.block_id, v.round, v.view)
+        if key not in self.state.vote_shares and self._dead(
+                v.block_id, v.view, v.round):
+            return []
         signers = self._collect(self.state.vote_shares, key, sender,
                                 self.config.quorum)
         return self.lock_update(QC(*key, signers)) if signers else []
@@ -378,7 +481,8 @@ class Replica:
         elif cert.block_id in st.blocks:
             # 3-chain lock: the certificate inside the certified block
             self._raise_lock(st.blocks[cert.block_id].parent_qc)
-        else:
+        elif not self._settled(cert.block_id, cert.view, cert.round,
+                               getattr(cert, "proposer", None)):
             st.pending_rank_locks.add(cert.block_id)
         st.high_qc = max_cert(st.high_qc, cert, st.coin_history)
         acts += self.advance_round(cert)
@@ -405,8 +509,9 @@ class Replica:
             acts.append(Send(leader, TCRelay(tc, self.rid)))
         if leader == self.rid:
             acts += self._propose()
-        for rnd in [k for k in st.seen_proposals if k < st.current_round]:
-            del st.seen_proposals[rnd]
+        for d in (st.seen_proposals, st.timeout_round_shares):
+            for rnd in [k for k in d if k < st.current_round]:
+                del d[rnd]
         return acts
 
     def try_commit(self) -> list[OutputAction]:
@@ -424,6 +529,8 @@ class Replica:
                 if base not in st.committed:
                     continue  # an ancestor body is missing
             st.commit_frontier.discard(top_id)
+        if acts and len(st.blocks) >= st.prune_at:
+            self._prune()
         return acts
 
     def _commit_target(self, top_id: str) -> Optional[str]:
@@ -435,10 +542,17 @@ class Replica:
         st = self.state
         blk = st.blocks[top_id]
         for _ in range(self.config.fallback_top_height - 1):
-            if blk.parent_qc is None:
+            pq = blk.parent_qc
+            if pq is None:
                 return BROKEN
-            parent = st.blocks.get(blk.parent_qc.block_id)
+            parent = st.blocks.get(pq.block_id)
             if parent is None:
+                # a dropped parent is committed, so the base is too, or a
+                # fork, which never commits: the chain is settled
+                if pq.block_id in st.committed or self._dead(
+                        pq.block_id, pq.view, pq.round,
+                        getattr(pq, "proposer", None)):
+                    return BROKEN
                 return None
             if blk.round != parent.round + 1 or blk.view != parent.view:
                 return BROKEN
@@ -463,6 +577,7 @@ class Replica:
         for bid in chain:
             st.committed[bid] = None
             st.commit_frontier.discard(bid)
+        st.tip_round = max(st.tip_round, st.blocks[target_id].round)
         return [CommitNotice(tuple(chain))]
 
     # --- pacemaker ---------------------------------------------------------
@@ -483,6 +598,8 @@ class Replica:
         if cfg.pacemaker == BASELINE_TC:
             if t.round is None:
                 return self._drop("malformed_timeout") + acts
+            if t.round < st.current_round:
+                return acts  # its certificate could not advance the round
             signers = self._collect(st.timeout_round_shares, t.round, sender,
                                     cfg.quorum)
             if signers:
@@ -532,7 +649,8 @@ class Replica:
     def _register_fqc(self, fqc: FallbackQC) -> list[OutputAction]:
         st, cfg = self.state, self.config
         key = (fqc.view, fqc.proposer, fqc.height)
-        if key in st.fqc_by_key:
+        if key in st.fqc_by_key or self._dead(fqc.block_id, fqc.view,
+                                              fqc.round, fqc.proposer):
             return []
         st.fqc_by_key[key] = fqc
         st.fqc_by_block[fqc.block_id] = fqc
@@ -618,6 +736,9 @@ class Replica:
         if v.proposer != self.rid:
             return self._drop("misdirected_vote")
         key = (v.block_id, v.round, v.view, v.height, v.proposer)
+        if key not in self.state.fvote_shares and self._dead(
+                v.block_id, v.view, v.round, v.proposer):
+            return []
         signers = self._collect(self.state.fvote_shares, key, sender,
                                 self.config.quorum)
         return self._register_fqc(FallbackQC(*key, signers)) if signers else []

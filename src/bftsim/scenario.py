@@ -57,10 +57,17 @@ def _parse(where: str, key: str, raw: str, hint):
         raise ConfigError(f"{where} {key} must be {what}, got {raw!r}")
 
 
+MAX_RANGE = 10_000  # values a range may span: each is a run of a sweep
+
+
 def parse_int_list(raw: str) -> list[int]:
-    """Accepts "1..30" ranges or comma lists like "4,10,22"."""
+    """Accepts "1..30" ranges or comma lists like "4,10,22".  A range may
+    span at most ``MAX_RANGE`` values, checked before its list is built."""
     if ".." in raw and "," not in raw:
         lo, hi = _parse("integer list", "range", raw, tuple[int, int])
+        if hi - lo >= MAX_RANGE:
+            raise ConfigError(f"integer list {raw!r} spans more than "
+                              f"{MAX_RANGE} values")
         values = list(range(lo, hi + 1))
     else:
         values = [_parse("integer list", "item", part, int)

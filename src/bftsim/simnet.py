@@ -64,7 +64,7 @@ def _shape(kind: str, fields: dict) -> tuple:
         return f'"{key}":{placeholder}', re.escape(f'"{key}":') + text
 
     template, pattern = map(",".join, zip(*map(part, keys)))
-    return (("{%s}\n" % template).encode(), (r"\{%s\}\n?" % pattern).encode(),
+    return (("{%s}\n" % template).encode(), (r"\{%s\}\n" % pattern).encode(),
             tuple(keys), tuple(map(fields.get, keys)))
 
 
@@ -453,7 +453,10 @@ class Trace:
                     match, read = by_tag.get(
                         line[at:line.find(b'":', at)], no_shape)
                     if not (found := match(line)):
-                        raise ValueError("not a record shape's canonical line")
+                        raise ValueError(
+                            "not a record shape's canonical line"
+                            if line.endswith(b"\n") else
+                            "last record line is truncated")
                     rec = read(*found.groups())
                 except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     raise TraceFormatError(f"{path} line {no}: {exc!r}")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bftsim import analysis, cli, simnet
+from bftsim import analysis, cli, scenario, simnet
 from bftsim.replica import ReplicaConfig
 
 STEADY = """
@@ -317,6 +317,16 @@ def test_truncated_trace_exits_two(tmp_path, capsys):
     cut_header = tmp_path / "cut_header.jsonl"
     cut_header.write_bytes(data[:40])
     assert_trace_error(capsys, str(cut_header))
+    # every record whole, but the last line has lost its newline: check
+    # names the line, and replay refuses the file too
+    no_newline = tmp_path / "no_newline.jsonl"
+    no_newline.write_bytes(data[:-1])
+    last = data.count(b"\n")
+    err = assert_trace_error(capsys, str(no_newline), ("check",),
+                             says=f" line {last}: ")
+    assert "truncated" in err, err
+    assert_trace_error(capsys, str(no_newline), ("replay",),
+                       says="last record line is truncated")
     empty = tmp_path / "empty.jsonl"
     empty.write_bytes(b"")
     assert_trace_error(capsys, str(empty))
@@ -599,6 +609,24 @@ def test_sweep_malformed_seeds_exit_two(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_sweep_refuses_a_range_past_the_cap(tmp_path, capsys, monkeypatch):
+    def capped(*args):
+        values = range(*args)
+        assert len(values) <= scenario.MAX_RANGE, "a long range was built"
+        return values
+    monkeypatch.setattr(scenario, "range", capped, raising=False)
+    too_long = "1..100000000000"
+    cfg = write(tmp_path, SWEEP)
+    assert run_cli("sweep", "--config", cfg, "--seeds", too_long) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and too_long in err, err
+    cfg = write(tmp_path, SWEEP.replace("n_values = 4, 7",
+                                        f"n_values = {too_long}"))
+    assert run_cli("sweep", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and too_long in err, err
+
+
 def test_sweep_fits_only_distinct_sizes(tmp_path, capsys):
     cfg = write(tmp_path, SWEEP.replace("n_values = 4, 7", "n_values = 4, 4"))
     assert run_cli("sweep", "--config", cfg) == 0
@@ -707,14 +735,16 @@ def test_sweep_exit_codes_hold_in_children(k, tmp_path, capsys, monkeypatch):
 
     out = tmp_path / "out"
     first = out / "sweep-n4-seed1.trace.jsonl"
-    real_write = simnet.Trace.to_jsonl
+    real_run = simnet.run
 
-    def unwritable(self, path):
-        if path == str(first):
-            raise PermissionError(13, "planted", path)
-        return real_write(self, path)
+    def unwritable(protocol, *args):
+        # the first point fails before it simulates, so it has failed
+        # long before the points beside it end and free a slot
+        if (protocol.n, protocol.run_seed) == (4, 1):
+            raise PermissionError(13, "planted", str(first))
+        return real_run(protocol, *args)
     with monkeypatch.context() as m:
-        m.setattr(simnet.Trace, "to_jsonl", unwritable)
+        m.setattr(simnet, "run", unwritable)
         assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 2
     assert_no_child_left()
     captured = capsys.readouterr()

@@ -54,3 +54,17 @@ def test_the_names_the_benchmark_reaches_exist():
     trace = simnet.run(ReplicaConfig(n=4, f=1), AdversarySpec(Synchronous(1)),
                        20)
     assert trace.records
+
+
+def test_committed_counts_the_whole_log():
+    # replica_drive compares len(state.committed) with each commit record's
+    # log_len, so pruning must leave the count whole
+    sim = simnet.Simulation(ReplicaConfig(n=4, f=1),
+                            AdversarySpec(Synchronous(1)), 400)
+    trace = sim.run()
+    last = {rec["rid"]: rec["log_len"] for rec in trace.records
+            if rec["kind"] == "commit"}
+    assert sorted(last) == [0, 1, 2, 3]
+    for rid, log_len in last.items():
+        state = sim.harnesses[rid].replica.state
+        assert len(state.committed) == log_len > 4 * len(state.blocks)

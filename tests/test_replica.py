@@ -3,8 +3,10 @@ fallback."""
 
 import copy
 import inspect
+import random
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,10 @@ from bftsim.core import (
     rank_of,
 )
 from bftsim.crypto import elect_leader
+from bftsim.scenario import parse_scenario
+from bftsim.simnet import (AdversarySpec, Asynchronous, Crash, Equivocate,
+                           MuteLeader, PartialSynchrony, Simulation,
+                           Synchronous, run)
 from bftsim.replica import (
     PENDING_CAP,
     CommitNotice,
@@ -412,8 +418,6 @@ def test_a_top_waits_for_its_parent_certificate():
 def test_steady_long_walks_each_chain_about_once(monkeypatch):
     # the steady_long workload at seed 1: 20,978 walks when no top left the
     # frontier
-    from bftsim.simnet import AdversarySpec, Synchronous, run
-
     walks = []
     commit_target = Replica._commit_target
 
@@ -1161,8 +1165,6 @@ def test_fallback_vote_rules_reject_malformed_chains():
 def test_replica_is_a_deterministic_state_machine():
     # replay one replica's delivered inputs from a full simulation and
     # require the identical commit sequence and monotone state evolution
-    from bftsim.simnet import AdversarySpec, Asynchronous, run
-
     cfg = mk(timeout_duration=40, run_seed=5)
     adv = AdversarySpec(Asynchronous((1, 8), (("proposal", (60, 120)),)), ())
     trace = run(cfg, adv, 600)
@@ -1197,3 +1199,234 @@ def test_replica_is_a_deterministic_state_machine():
         prev = cur
     assert seen == expected
     assert list(r.state.committed) == expected
+
+
+# --- what a replica keeps ----------------------------------------------------
+
+
+def keeps_all(r: Replica) -> Replica:
+    """``r`` with no block ever settled: it drops and refuses nothing."""
+    r._settled = lambda *args: False
+    return r
+
+
+def committed_through(r: Replica, top: int):
+    """Feed ``r`` a certified chain of rounds 1..top; it commits 1..top-3."""
+    parts = chain(range(1, top + 1))
+    acts = []
+    for b, _qc in parts:
+        acts += feed(r, b)
+    assert len(r.state.committed) == top - 3
+    return parts, acts
+
+
+def certify_without_lock_update(r: Replica, parts) -> None:
+    """Store each body and its certificate, as no input would: the lock
+    and the round stay where they are."""
+    for b, qc in parts:
+        r._store_body(b)
+        r._register_qc(qc)
+
+
+def test_a_spent_bucket_is_one_shared_marker():
+    r, _ = boot(0)
+    (b1, _), (b2, _) = chain([1, 2])
+    for b in (b1, b2):
+        got = [r.handle_vote(Vote(b.id, b.round, 0, s), s) for s in range(4)]
+        assert [bool(acts) for acts in got] == [False, False, True, False]
+    assert all(bucket is replica.SPENT
+               for bucket in r.state.vote_shares.values())
+
+
+def test_committed_bodies_go_and_the_log_stays_whole():
+    r = boot(3)[0]
+    parts, acts = committed_through(r, 40)
+    full = keeps_all(boot(3)[0])
+    assert committed_through(full, 40)[1] == acts
+    st = r.state
+    assert list(st.committed) == list(full.state.committed)
+    assert len(st.blocks) < replica.PRUNE_FLOOR < len(full.state.blocks)
+    assert r.genesis.id in st.blocks and parts[-1][0].id in st.blocks
+    assert parts[0][0].id not in st.blocks | st.qc_by_block.keys()
+
+
+def test_a_committed_block_stays_until_the_lock_passes_it():
+    # registered without lock_update, b1 commits with the lock at genesis:
+    # late votes for b1 must still certify it and raise the lock
+    r, _ = boot(0, mk(variant="two_chain"))
+    (b1, qc1), (b2, qc2) = parts = chain([1, 2])
+    certify_without_lock_update(r, parts)
+    r.advance_round(qc2)
+    assert r.try_commit() == [CommitNotice((b1.id,))]
+    r._prune()
+    assert b1.id in r.state.blocks and r.state.locked_rank == ZERO_RANK
+    for s in (1, 2, 3):
+        r.handle_vote(Vote(b1.id, 1, 0, s), s)
+    assert r.state.locked_rank == Rank(0, False, 1)
+
+
+def test_a_committed_block_stays_until_its_round_has_passed():
+    # b1..b3 commit while the round is still 1: late votes for b3 must
+    # still certify it and move the round
+    r, _ = boot(0)
+    parts = chain(range(1, 6))
+    certify_without_lock_update(r, parts)
+    r._raise_lock(parts[-1][1])
+    r.try_commit()
+    r._prune()
+    b3 = parts[2][0]
+    assert b3.id in r.state.committed and b3.id in r.state.blocks
+    acts = []
+    for s in (1, 2, 3):
+        acts += r.handle_vote(Vote(b3.id, 3, 0, s), s)
+    assert SetTimer(4, 50) in acts and r.state.current_round == 4
+
+
+def test_a_committed_body_stays_until_its_parent_is_below_the_lock():
+    # z at round 2 sits on a round-5 parent: once z is committed and the
+    # lock passes z but not its parent, a certificate for z must still
+    # raise the lock to z's parent
+    r, _ = boot(3)
+    (p, qc_p), = chain([5])
+    z = make_block(qc_p, 2, 0, TxnBatch("z", 64))
+    tail = chain([3, 4], start_parent=QC(z.id, 2, 0, QUORUM))
+    certify_without_lock_update(r, [(p, qc_p), (z, QC(z.id, 2, 0, QUORUM)),
+                                    *tail])
+    r.advance_round(tail[-1][1])
+    r.try_commit()
+    r._raise_lock(tail[0][1])  # rank of round 3: above z, below p
+    r._prune()
+    assert z.id in r.state.committed and z.id in r.state.blocks
+    r.lock_update(QC(z.id, 2, 0, frozenset({0, 1, 3})))
+    assert r.state.locked_rank == Rank(0, False, 5)
+
+
+def test_a_fork_joins_the_log_where_it_did_before_pruning():
+    # a fork off b2, whose body is gone: the commit walk still stops at b2
+    got = []
+    for r in (boot(3)[0], keeps_all(boot(3)[0])):
+        parts, _ = committed_through(r, 40)
+        fork = chain(range(50, 54), start_parent=parts[1][1])
+        acts = []
+        for b, _qc in fork:
+            acts += feed(r, b)
+        acts += r.lock_update(fork[-1][1])
+        assert commits(acts) == [CommitNotice((fork[0][0].id,)),
+                                 CommitNotice((fork[1][0].id,))]
+        got.append((acts, list(r.state.committed)))
+    assert got[0] == got[1]
+
+
+def test_a_top_whose_walk_meets_a_dropped_block_settles():
+    # y forks off the committed tip b37 at round 38: its walk meets b37
+    got = []
+    for r in (boot(3)[0], keeps_all(boot(3)[0])):
+        parts, _ = committed_through(r, 40)
+        y = make_block(parts[36][1], 38, 0, TxnBatch("y", 64))
+        r._store_body(y)
+        r._register_qc(QC(y.id, 38, 0, QUORUM))
+        assert r.state.commit_frontier == {y.id}
+        got.append(r.try_commit())
+        assert r.state.commit_frontier == set()
+    assert got == [[], []]
+
+
+def test_late_copies_of_dropped_state_change_nothing():
+    stores = ("blocks", "qc_by_block", "vote_shares", "pending_rank_locks",
+              "commit_frontier")
+    got, sizes = [], []
+    for r in (boot(3)[0], keeps_all(boot(3)[0])):
+        parts, _ = committed_through(r, 40)
+        sizes.append({s: len(getattr(r.state, s)) for s in stores})
+        b13, qc13 = parts[12]  # replica 3 leads round 14, so gets its votes
+        acts = feed(r, b13)
+        acts += r.lock_update(qc13)
+        acts += r.lock_update(QC(b13.id, 13, 0, frozenset({1, 2, 3})))
+        for s in range(4):
+            acts += r.handle_vote(Vote(b13.id, 13, 0, s), s)
+        acts += r.handle_timeout_msg(Timeout(None, 0, qc13, 1), 1)
+        got.append(acts)
+        sizes.append({s: len(getattr(r.state, s)) for s in stores})
+    assert got[0] == got[1]
+    # the pruned replica grows nothing back; the other holds a vote bucket
+    assert sizes[1] == sizes[0]
+    assert sizes[3]["vote_shares"] == sizes[2]["vote_shares"] + 1
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
+# every store a rule reads but two that grow by design: committed's ids,
+# the log itself, and coin_history, one coin per view, which every rank
+# and every late coin reads
+STORES = ("blocks", "qc_by_block", "fqc_by_key", "fqc_by_block",
+          "vote_shares", "fvote_shares", "timeout_round_shares",
+          "timeout_view_shares", "coin_shares", "completion_marks",
+          "reacted_f_heights", "fallback_voted_round",
+          "fallback_voted_height", "seen_proposals", "pending",
+          "pending_rank_locks", "commit_frontier")
+# a store that never holds more than this has not grown: pending holds a
+# few early inputs at any horizon
+SMALL = 8
+
+
+def peak_sizes(name: str, horizon: int) -> dict[str, int]:
+    """The most each store held at any replica, after any input, in a run
+    of workload ``name``'s scenario to ``horizon``."""
+    cfg = parse_scenario(str(WORKLOADS / f"{name}.scenario"))
+    sim = Simulation(cfg.protocol, cfg.adversary, horizon)
+    peak = dict.fromkeys(STORES, 0)
+
+    def watch(harness):
+        step = harness._step
+
+        def stepped(*args):
+            acts = step(*args)
+            st = harness.replica.state
+            for s in STORES:
+                peak[s] = max(peak[s], len(getattr(st, s)))
+            return acts
+        harness._step = stepped
+    for harness in sim.harnesses:
+        watch(harness)
+    sim.run(lambda rec: None)
+    return peak
+
+
+@pytest.mark.parametrize("name,horizon", [("steady_long", 1500),
+                                          ("starved_fallback", 300)])
+def test_no_store_grows_with_the_horizon(name, horizon):
+    short, long = peak_sizes(name, horizon), peak_sizes(name, 2 * horizon)
+    for s in STORES:
+        assert long[s] <= max(short[s], SMALL), (s, short[s], long[s])
+
+
+def random_run(k: int):
+    """Scenario ``k`` of a fixed random matrix: every variant, pacemaker,
+    delay model and fault kind, at most f faults."""
+    rnd = random.Random(k)
+    n = rnd.choice((4, 7, 10))
+    f = (n - 1) // 3
+    cfg = mk(n=n, f=f, variant=rnd.choice(replica.VARIANTS),
+             pacemaker=rnd.choice(replica.PACEMAKERS),
+             timeout_duration=rnd.choice((10, 20, 40)),
+             leader_rotation_period=rnd.choice((1, 2, 4)),
+             adopt_foreign_fchains=rnd.random() < 0.3, run_seed=k)
+    model = rnd.choice((
+        Synchronous(rnd.choice((1, 2, 5))),
+        PartialSynchrony(gst=rnd.choice((50, 120)), delta=2,
+                         pre_gst_delay_bound=rnd.choice((10, 30, 60))),
+        Asynchronous((1, rnd.choice((3, 8, 20))), (("proposal", (20, 120)),)),
+        Asynchronous((1, rnd.choice((10, 60))), ())))
+    faults = tuple(sorted(
+        (rid, rnd.choice((Crash(at=rnd.randrange(20, 300)), MuteLeader(),
+                          Equivocate())))
+        for rid in rnd.sample(range(n), rnd.randrange(f + 1))))
+    return cfg, AdversarySpec(model, faults), rnd.choice((300, 600))
+
+
+def test_dropping_changes_no_output(monkeypatch):
+    for k in range(16):
+        run_k = random_run(k)
+        kept = run(*run_k).digest()
+        with monkeypatch.context() as m:
+            m.setattr(Replica, "_settled", lambda self, *args: False)
+            assert run(*run_k).digest() == kept, run_k

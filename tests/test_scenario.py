@@ -6,8 +6,8 @@ from typing import get_type_hints
 import pytest
 
 from bftsim.replica import ConfigError, ReplicaConfig
-from bftsim.scenario import (format_faults, format_model, parse_int_list,
-                             parse_scenario)
+from bftsim.scenario import (MAX_RANGE, format_faults, format_model,
+                             parse_int_list, parse_scenario)
 from bftsim.simnet import (
     FAULT_KINDS,
     MODEL_KINDS,
@@ -139,6 +139,10 @@ def test_parse_int_list():
         parse_int_list("5..1")
     with pytest.raises(ConfigError):
         parse_int_list("a,b")
+    # a range spans at most MAX_RANGE values
+    assert len(parse_int_list(f"1..{MAX_RANGE}")) == MAX_RANGE
+    with pytest.raises(ConfigError, match="spans more than"):
+        parse_int_list(f"0..{MAX_RANGE}")
 
 
 @pytest.mark.parametrize("mutation,needle", [

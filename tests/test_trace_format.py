@@ -402,9 +402,9 @@ def canonical_lines(tmp_path):
     return path.read_text().splitlines()
 
 
-def load_last(tmp_path, lines, newline=True):
+def load_last(tmp_path, lines):
     path = tmp_path / "edited.jsonl"
-    path.write_text("\n".join(lines) + ("\n" if newline else ""))
+    path.write_text("\n".join(lines) + "\n")
     return Trace.from_jsonl(str(path)).records[-1]
 
 
@@ -422,16 +422,20 @@ def test_other_spellings_exit_two(tmp_path, capsys):
             continue
         checked.add(shape)
         # the canonical line loads, and so does a t of -0: the int slot
-        # admits it
+        # admits it; without its newline, the last line is truncated, as
+        # replay says
         t_at = line.rindex('"t":')  # t follows the dict or list field
         zero_t = line[:t_at] + '"t":-0' + line[t_at + 4 + len(str(rec["t"])):]
         for text, want in ((line, base[k - 1]),
                            (zero_t, dict(base[k - 1], t=0))):
-            for newline in (True, False):
-                got = load_last(tmp_path, lines[:k] + [text], newline)
-                assert got == want, text
-                assert ({key: type(v) for key, v in got.items()}
-                        == {key: type(v) for key, v in want.items()})
+            got = load_last(tmp_path, lines[:k] + [text])
+            assert got == want, text
+            assert ({key: type(v) for key, v in got.items()}
+                    == {key: type(v) for key, v in want.items()})
+            path.write_text("\n".join(lines[:k] + [text]))
+            assert cli.main(["check", str(path)]) == 2, text
+            err = capsys.readouterr().err
+            assert f" line {k + 1}: " in err and "truncated" in err, err
         # spaces, keys in another order, or the shape's dict or list field,
         # or else t, given twice
         dup = next((key for key in ("m", "blocks") if key in rec), "t")
