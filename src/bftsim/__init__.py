@@ -2,8 +2,9 @@
 asynchronous fallback view-change.
 
 Subpackages:
-    core      block/certificate/message types and the rank order
-    crypto    quorum thresholds, certificate checks and coin-based leader election
+    core      block/certificate/message types, the rank order, and the run
+              configuration and output actions shared with the replica
+    crypto    certificate checks and coin-based leader election
     replica   the per-replica protocol state machine
     simnet    discrete-event network simulation with adversarial delays
     analysis  safety checking and performance metrics over traces

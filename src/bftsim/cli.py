@@ -20,7 +20,7 @@ from dataclasses import fields, replace
 from typing import Optional
 
 from . import analysis, simnet
-from .replica import ConfigError, ReplicaConfig
+from .core import ConfigError, ReplicaConfig
 from .scenario import (ScenarioConfig, format_faults, format_model,
                        parse_int_list, parse_scenario)
 from .simnet import Trace
@@ -193,6 +193,9 @@ def cmd_sweep(args) -> int:
         simnet.validate(protocols[n], cfg.adversary, cfg.horizon)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+    # the replica code every run needs, loaded once here, not once in each
+    # forked child
+    from . import replica  # noqa: F401
     # a point the grid lists twice runs once, and counts twice
     points = list(dict.fromkeys((n, seed) for n in n_values for seed in seeds))
     results = dict(zip(points, _in_children(_sweep_run, [

@@ -493,3 +493,101 @@ def encode_message(msg: WireMessage) -> dict:
 def decode_message(d: dict) -> WireMessage:
     return _checked(_build(d, MESSAGE_KINDS),
                     json.dumps(d, sort_keys=True, separators=(",", ":")))
+
+
+# --- run configuration -----------------------------------------------------
+# The vocabulary a scenario, a trace header and the checker share with the
+# replica; none of it needs the replica's code.
+
+THREE_CHAIN = "three_chain"
+TWO_CHAIN = "two_chain"
+VARIANTS = (THREE_CHAIN, TWO_CHAIN)
+
+BASELINE_TC = "baseline_tc"
+ASYNC_FALLBACK = "async_fallback"
+PACEMAKERS = (BASELINE_TC, ASYNC_FALLBACK)
+
+# replicas a run may have: a run builds one replica per id and a checker
+# one set entry, so a larger n is refused before anything is built
+MAX_N = 1_000
+
+
+def quorum_threshold(f: int) -> int:
+    return 2 * f + 1
+
+
+def coin_threshold(f: int) -> int:
+    return f + 1
+
+
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class ReplicaConfig:
+    n: int
+    f: int
+    variant: str = THREE_CHAIN
+    pacemaker: str = ASYNC_FALLBACK
+    timeout_duration: int = 50
+    leader_rotation_period: int = 4
+    adopt_foreign_fchains: bool = False
+    run_seed: int = 0
+
+    def validate(self) -> None:
+        if self.n > MAX_N:
+            raise ConfigError(f"n={self.n} exceeds MAX_N={MAX_N}")
+        if self.f < 1:
+            raise ConfigError(f"f must be >= 1, got {self.f}")
+        if self.n != 3 * self.f + 1:
+            raise ConfigError(f"n must equal 3f+1: n={self.n}, f={self.f}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant: {self.variant}")
+        if self.pacemaker not in PACEMAKERS:
+            raise ConfigError(f"unknown pacemaker: {self.pacemaker}")
+        if self.timeout_duration < 1:
+            raise ConfigError("timeout_duration must be >= 1")
+        if self.leader_rotation_period < 1:
+            raise ConfigError("leader_rotation_period must be >= 1")
+
+    @property
+    def quorum(self) -> int:
+        return quorum_threshold(self.f)
+
+    @property
+    def adopts(self) -> bool:
+        # the 2-chain variant is only live if replicas extend foreign chains
+        return self.variant == TWO_CHAIN or self.adopt_foreign_fchains
+
+    @property
+    def fallback_top_height(self) -> int:
+        return 2 if self.variant == TWO_CHAIN else 3
+
+
+# --- output actions --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Send:
+    to: int
+    msg: WireMessage
+
+
+@dataclass(frozen=True)
+class Multicast:
+    msg: WireMessage
+
+
+@dataclass(frozen=True)
+class SetTimer:
+    round: int
+    duration: int
+
+
+@dataclass(frozen=True)
+class CommitNotice:
+    block_ids: tuple[str, ...]  # newly committed, oldest first
+
+
+OutputAction = Union[Send, Multicast, SetTimer, CommitNotice]

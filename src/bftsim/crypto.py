@@ -12,19 +12,12 @@ from __future__ import annotations
 import hashlib
 from functools import cache
 
-from .core import CoinQC, Certificate, ReplicaId
+from .core import (CoinQC, Certificate, ReplicaId, coin_threshold,
+                   quorum_threshold)
 
 PRF_ID = "sha256-mod"  # recorded in run reports so replays can pin it
 
 CoinSeed = int  # pinned in the run config; the only coin key material
-
-
-def quorum_threshold(f: int) -> int:
-    return 2 * f + 1
-
-
-def coin_threshold(f: int) -> int:
-    return f + 1
 
 
 def elect_leader(view: int, run_seed: CoinSeed, n: int) -> ReplicaId:

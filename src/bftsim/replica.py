@@ -22,14 +22,12 @@ from .core import (Block, CoinQC, CoinQCRelay, CoinShare, FallbackQC,
                    TimeoutCert, TxnBatch, Vote, WireMessage, ZERO_RANK,
                    genesis_block, genesis_qc, is_endorsed,
                    make_block, max_cert, message_certs, rank_of)
-
-THREE_CHAIN = "three_chain"
-TWO_CHAIN = "two_chain"
-VARIANTS = (THREE_CHAIN, TWO_CHAIN)
-
-BASELINE_TC = "baseline_tc"
-ASYNC_FALLBACK = "async_fallback"
-PACEMAKERS = (BASELINE_TC, ASYNC_FALLBACK)
+# the config vocabulary and the output actions live in core, so that
+# reading a scenario or checking a trace does not load this module; they
+# are re-exported here for the replica's callers
+from .core import (ASYNC_FALLBACK, BASELINE_TC, PACEMAKERS, THREE_CHAIN,
+                   TWO_CHAIN, VARIANTS, CommitNotice, ConfigError, Multicast,
+                   OutputAction, ReplicaConfig, Send, SetTimer)
 
 PENDING_CAP = 1024  # buffered out-of-order messages per peer
 PRUNE_FLOOR = 16  # stored bodies below which a commit does not prune
@@ -38,77 +36,6 @@ BROKEN = ""  # the commit target of a chain that can never complete
 
 # a signer bucket that reached its threshold: later shares add nothing
 SPENT: frozenset[int] = frozenset()
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class ReplicaConfig:
-    n: int
-    f: int
-    variant: str = THREE_CHAIN
-    pacemaker: str = ASYNC_FALLBACK
-    timeout_duration: int = 50
-    leader_rotation_period: int = 4
-    adopt_foreign_fchains: bool = False
-    run_seed: int = 0
-
-    def validate(self) -> None:
-        if self.f < 1:
-            raise ConfigError(f"f must be >= 1, got {self.f}")
-        if self.n != 3 * self.f + 1:
-            raise ConfigError(f"n must equal 3f+1: n={self.n}, f={self.f}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant: {self.variant}")
-        if self.pacemaker not in PACEMAKERS:
-            raise ConfigError(f"unknown pacemaker: {self.pacemaker}")
-        if self.timeout_duration < 1:
-            raise ConfigError("timeout_duration must be >= 1")
-        if self.leader_rotation_period < 1:
-            raise ConfigError("leader_rotation_period must be >= 1")
-
-    @property
-    def quorum(self) -> int:
-        return crypto.quorum_threshold(self.f)
-
-    @property
-    def adopts(self) -> bool:
-        # the 2-chain variant is only live if replicas extend foreign chains
-        return self.variant == TWO_CHAIN or self.adopt_foreign_fchains
-
-    @property
-    def fallback_top_height(self) -> int:
-        return 2 if self.variant == TWO_CHAIN else 3
-
-
-# --- output actions --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Send:
-    to: int
-    msg: WireMessage
-
-
-@dataclass(frozen=True)
-class Multicast:
-    msg: WireMessage
-
-
-@dataclass(frozen=True)
-class SetTimer:
-    round: int
-    duration: int
-
-
-@dataclass(frozen=True)
-class CommitNotice:
-    block_ids: tuple[str, ...]  # newly committed, oldest first
-
-
-OutputAction = Union[Send, Multicast, SetTimer, CommitNotice]
 
 
 # --- replica state ---------------------------------------------------------

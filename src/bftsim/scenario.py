@@ -16,8 +16,7 @@ import configparser
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional, get_type_hints
 
-from .core import MESSAGE_VARIANTS
-from .replica import ConfigError, ReplicaConfig
+from .core import MESSAGE_VARIANTS, ConfigError, ReplicaConfig
 from .simnet import (FAULT_KINDS, MODEL_KINDS, AdversarySpec, DelayTable,
                      kind_name)
 

@@ -22,11 +22,11 @@ from typing import (Callable, Optional, Union, get_args, get_origin,
                     get_type_hints)
 
 from . import crypto
-from .core import (MESSAGE_SIZE_UNITS, FBProposal, Proposal, TxnBatch,
-                   WireMessage, genesis_block, make_block, message_variant,
-                   read_message, write_message)
-from .replica import (CommitNotice, Multicast, ConfigError, OutputAction,
-                      Replica, ReplicaConfig, Send, SetTimer)
+from .core import (MESSAGE_SIZE_UNITS, CommitNotice, ConfigError,
+                   FBProposal, Multicast, OutputAction, Proposal,
+                   ReplicaConfig, Send, SetTimer, TxnBatch, WireMessage,
+                   genesis_block, make_block, message_variant, read_message,
+                   write_message)
 
 TRACE_FORMAT = "bftsim-trace-v2"
 
@@ -498,8 +498,8 @@ class Trace:
                         raise TypeError(f"{name} is not {hint}")
             if type(trace.horizon) is not int:
                 raise TypeError("horizon is not int")
-            trace.protocol.validate()
-            adversary.validate(trace.protocol)
+            # the checks a run makes before it starts
+            validate(trace.protocol, adversary, trace.horizon)
         except (ValueError, KeyError, TypeError, AttributeError,
                 RecursionError) as exc:
             raise TraceFormatError(f"{path}: bad header: {exc!r}")
@@ -563,6 +563,9 @@ def validate(config: ReplicaConfig, adversary: AdversarySpec,
 class Simulation:
     def __init__(self, config: ReplicaConfig, adversary: AdversarySpec,
                  horizon: int):
+        # only a run needs the replica's code; reading a trace does not
+        from .replica import Replica
+
         validate(config, adversary, horizon)
         self.config = config
         self.adversary = adversary

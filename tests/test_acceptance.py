@@ -136,8 +136,7 @@ def test_criterion_3_fallback_commit_probability(capsys):
         hits += per["commit_in_view"]
         # the exact mechanism, view by view: commit iff honest elected
         idx = index(trace)
-        fviews = {idx.bodies[b].view for b in idx.commit_tick
-                  if b in idx.bodies and idx.bodies[b].height is not None}
+        fviews = idx.committed_fallback_views
         for v in idx.completed_views & idx.entered_views:
             assert (v in fviews) == (elect_leader(v, seed, 4) != mute)
     assert completed >= 300

@@ -42,6 +42,8 @@ from bftsim.analysis import (
     measure,
 )
 
+import reference_analysis as reference
+
 
 def mk(**kw) -> ReplicaConfig:
     base = dict(n=4, f=1, variant="three_chain", pacemaker="async_fallback",
@@ -222,17 +224,19 @@ def test_conflicting_certificates_detected():
 def test_each_certificate_is_checked_once():
     tr = clone(steady())
     idx = index(tr)
-    assert len(idx.qcs) == len(set(idx.qcs)) > 0
-    assert check_safety(tr).certificates_checked == len(set(idx.qcs))
+    # one key per distinct certificate the whole-trace index listed
+    distinct = len(set(reference.index(tr).qcs))
+    assert len(idx.qcs) == distinct > 0
+    assert check_safety(tr).certificates_checked == distinct
     # a twin block certified twice in one slot: by a quorum of votes at
     # replica 1, then by the same certificate carried in a message
-    qc = idx.qcs[len(idx.qcs) // 2]
-    twin = make_block(genesis_qc(4), qc.round, qc.view, TxnBatch("twin", 1))
-    votes = [Vote(twin.id, qc.round, qc.view, voter) for voter in (1, 2, 3)]
-    forged = QC(twin.id, qc.round, qc.view, frozenset({1, 2, 3}))
+    _, rnd, view, _ = list(idx.qcs)[len(idx.qcs) // 2]
+    twin = make_block(genesis_qc(4), rnd, view, TxnBatch("twin", 1))
+    votes = [Vote(twin.id, rnd, view, voter) for voter in (1, 2, 3)]
+    forged = QC(twin.id, rnd, view, frozenset({1, 2, 3}))
     _plant(tr, *votes, Timeout(99, None, forged, 3))
     rep = check_safety(tr)
-    assert rep.certificates_checked == len(set(idx.qcs)) + 1
+    assert rep.certificates_checked == distinct + 1
     assert sum("two certified blocks" in v for v in rep.violations) == 1, \
         rep.violations
 
@@ -367,7 +371,8 @@ def test_a_full_tally_implies_one_certificate():
         tr.records.append({"t": 2, "q": q, "kind": "deliver", "frm": voter,
                            "to": 0, "m": Vote(b1.id, 1, 0, voter),
                            "self": voter == 0})
-    assert index(tr).qcs == [QC(b1.id, 1, 0, frozenset({1, 2, 3}))]
+    # kept as (block id, round, view, signers as a bit mask)
+    assert list(index(tr).qcs) == [(b1.id, 1, 0, 0b1110)]
 
 
 def test_a_multicast_is_scanned_once(monkeypatch):
@@ -394,10 +399,15 @@ def test_logs_share_one_string_per_block(tmp_path):
     path = tmp_path / "t.jsonl"
     steady().to_jsonl(str(path))
     idx = index(Trace.from_jsonl(str(path)))
-    assert len(idx.logs) == 4 and len(idx.logs[0]) > 0
-    # each replica's log holds its block's own id, not a copy
-    for log in idx.logs.values():
-        assert all(bid is idx.bodies[bid].id for bid in log)
+    assert len(idx.log_last) == 4 and len(idx.canon) > 0
+    # every store holds its block's own id, not a copy read from another
+    # message or commit record
+    held = [*idx.canon, *idx.log_last.values(),
+            *(key[0] for key in idx.qcs),
+            *(key[2] for key in idx.tallies if key[0] != "c"),
+            *(b.parent for b in idx.blocks.values() if b.parent in idx.blocks)]
+    assert len(held) > len(idx.canon)
+    assert all(bid is idx.blocks[bid].id for bid in held)
 
 
 # --- fallback statistics -----------------------------------------------------
@@ -437,9 +447,7 @@ def test_mute_leader_fallbacks_commit_only_on_honest_election():
         cfg = mk(timeout_duration=40, run_seed=seed)
         tr = run(cfg, adv, 900)
         idx = index(tr)
-        committed_views = {idx.bodies[b].view for b in idx.commit_tick
-                           if b in idx.bodies
-                           and idx.bodies[b].height is not None}
+        committed_views = idx.committed_fallback_views
         for v in idx.completed_views & idx.entered_views:
             elected_honest = elect_leader(v, seed, 4) != mute
             assert (v in committed_views) == elected_honest

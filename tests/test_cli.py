@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from bftsim import analysis, cli, scenario, simnet
+from bftsim.core import MAX_N
 from bftsim.replica import ReplicaConfig
 
 STEADY = """
@@ -366,6 +367,34 @@ def test_trace_header_bad_delay_range_exits_two(tmp_path, capsys):
     path = edit_header(tmp_path, lambda h: h.update(adversary={
         "model": "asynchronous", "base_delay": [5, 1], "per_variant": []}))
     assert_trace_error(capsys, path)
+
+
+# header edits a run refuses before it starts, each as (edit, what the
+# error says); both commands refuse them through the run's own checks
+REFUSED_HEADERS = [
+    (lambda h: h.update(horizon=-5), "precedes the first event"),
+    (lambda h: h.update(horizon=0), "precedes the first event"),
+    (lambda h: h["protocol"].update(n=5), "n must equal 3f+1"),
+    (lambda h: h["protocol"].update(n=MAX_N + 1, f=MAX_N // 3),
+     f"exceeds MAX_N={MAX_N}"),
+    (lambda h: h["protocol"].update(variant="four_chain"), "unknown variant"),
+    (lambda h: h.update(faults={"9": {"fault": "mute_leader"}}),
+     "unknown replica 9"),
+]
+
+
+@pytest.mark.parametrize("edit,says", REFUSED_HEADERS)
+def test_check_and_replay_refuse_the_same_headers(tmp_path, capsys, edit,
+                                                  says):
+    assert_trace_error(capsys, edit_header(tmp_path, edit), says=says)
+
+
+def test_run_refuses_n_past_the_cap(tmp_path, capsys):
+    # refused before any replica is built
+    cfg = write(tmp_path, STEADY.replace("n = 4\nf = 1",
+                                         f"n = {MAX_N + 1}\nf = {MAX_N // 3}"))
+    assert run_cli("run", "--config", cfg) == 2
+    assert f"exceeds MAX_N={MAX_N}" in capsys.readouterr().err
 
 
 # a record line is its shape's canonical line: sorted keys, no spaces
@@ -794,6 +823,21 @@ def test_module_entry_point_runs(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "safety: ok" in proc.stdout
+
+
+def test_check_loads_no_replica_code(tmp_path):
+    # reading a scenario and checking a trace need the config vocabulary,
+    # which lives in core, not the replica
+    trace = make_trace(tmp_path)
+    cfg = write(tmp_path, STEADY, "again.ini")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bftsim.cli as cli; cli.parse_scenario(sys.argv[1]); "
+         "code = cli.main(['check', sys.argv[2], '--quiet']); "
+         "print(code, 'bftsim.replica' in sys.modules)", cfg, str(trace)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_cli_import_leaves_numpy_out():
