@@ -16,14 +16,13 @@ compact key, and per view its coins (README, "What check keeps").
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from . import crypto
-from .core import (ASYNC_FALLBACK, CoinQC, CoinShare, FallbackQC, FBProposal,
-                   FBVote, MESSAGE_KINDS, MESSAGE_SIZE_UNITS, Proposal, QC,
-                   ReplicaConfig, Vote, coin_threshold, genesis_block,
+from .core import (ASYNC_FALLBACK, GENESIS_ID, CoinQC, CoinShare, FallbackQC,
+                   FBProposal, FBVote, MESSAGE_KINDS, MESSAGE_SIZE_UNITS,
+                   Proposal, QC, ReplicaConfig, Vote, coin_threshold,
                    message_certs, quorum_threshold)
 from .simnet import AdversarySpec, Sink, Trace
 
@@ -143,7 +142,6 @@ def indexer(config: ReplicaConfig,
     honest = idx.honest = {i for i in range(config.n)
                            if not adversary.fault_of(i).byzantine}
     replica_ids = crypto.replica_ids(config.n)
-    genesis_id = genesis_block().id
     fallback_pm = config.pacemaker == ASYNC_FALLBACK
     blocks = idx.blocks
     tallies = idx.tallies
@@ -160,7 +158,7 @@ def indexer(config: ReplicaConfig,
     def commit(rid: int, ids: list[str], t: int) -> None:
         bit = 1 << rid
         k = idx.log_len.get(rid, 0)
-        expect = idx.log_last.get(rid, genesis_id)
+        expect = idx.log_last.get(rid, GENESIS_ID)
         canon, off_canon = idx.canon, idx.off_canon
         for bid in ids:
             block = facts(bid)
@@ -232,7 +230,7 @@ def indexer(config: ReplicaConfig,
         if block.parent is not None:
             return  # the first body with an id is the one the rules read
         pq = b.parent_qc
-        parent = pq.block_id if pq else genesis_id
+        parent = pq.block_id if pq else GENESIS_ID
         known = blocks.get(parent)
         block.parent = known.id if known else parent
         fallback_view = b.view if b.height is not None else None
@@ -514,6 +512,8 @@ def fit_polynomial(xs, ys, degree: int) -> tuple[tuple[float, ...], float]:
     in exact rational arithmetic, so the only rounding is the final
     conversion to float.
     """
+    from fractions import Fraction  # and decimal with it; only sweep fits
+
     if len(set(xs)) <= degree:
         raise ValueError(f"a degree-{degree} fit needs {degree + 1} distinct x values")
     xs = [Fraction(x) for x in xs]

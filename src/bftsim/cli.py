@@ -12,23 +12,29 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import sys
+import time
 from dataclasses import fields, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import analysis, simnet
-from .core import ConfigError, ReplicaConfig
+from . import simnet
+from .core import ConfigError, ReplicaConfig, sha256
 from .scenario import (ScenarioConfig, format_faults, format_model,
                        parse_int_list, parse_scenario)
 from .simnet import Trace
 
+# Each command imports only the code it runs: analysis where it checks,
+# the replica where it simulates (simnet.Simulation) and hashlib where it
+# hashes (core.sha256).  The import every call pays loads none of them.
+if TYPE_CHECKING:
+    from . import analysis
+
 
 def _timestamp_line() -> str:
-    now = datetime.datetime.now(datetime.timezone.utc)
-    return f"generated_at: {now.isoformat(timespec='seconds')}"
+    now = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+    return f"generated_at: {now}"
 
 
 def _print(lines: list[str], quiet: bool) -> None:
@@ -62,6 +68,8 @@ def _run_report(scenario_path: str, cfg: ScenarioConfig, trace: Trace,
 
 
 def cmd_run(args) -> int:
+    from . import analysis
+
     cfg = parse_scenario(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
@@ -92,6 +100,8 @@ def _sweep_run(cfg: ScenarioConfig, protocol: ReplicaConfig,
     """One grid point: its safety verdict and metrics.  The records go
     straight into the index, unless they are held to be written to
     ``path``; held ones are indexed after the run."""
+    from . import analysis
+
     idx, add = analysis.indexer(protocol, cfg.adversary)
     trace = simnet.run(protocol, cfg.adversary, cfg.horizon,
                        None if path else add)
@@ -193,9 +203,10 @@ def cmd_sweep(args) -> int:
         simnet.validate(protocols[n], cfg.adversary, cfg.horizon)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    # the replica code every run needs, loaded once here, not once in each
-    # forked child
-    from . import replica  # noqa: F401
+    # the code every run needs, loaded once here, not once in each forked
+    # child: the replica, the checker, and hashlib for the block ids
+    from . import analysis, replica  # noqa: F401
+    sha256()
     # a point the grid lists twice runs once, and counts twice
     points = list(dict.fromkeys((n, seed) for n in n_values for seed in seeds))
     results = dict(zip(points, _in_children(_sweep_run, [
@@ -254,6 +265,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import analysis
+
     header = Trace.read_header(args.trace)
     idx, add = analysis.indexer(header.protocol, header.adversary)
     trace = Trace.from_jsonl(args.trace, add)

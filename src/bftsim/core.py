@@ -9,7 +9,6 @@ instead of mutating shared structures.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
@@ -22,6 +21,9 @@ ReplicaId = int
 BlockId = str  # 128-bit hex digest
 
 ORIGIN_DIGEST = "origin"  # stand-in parent digest for the genesis block
+# the id of genesis_block(), which every header names and check compares
+# commits with, so reading a trace needs no hash
+GENESIS_ID = "7a099e392a03f466cc2a329626244390"
 
 
 class Rank(NamedTuple):
@@ -147,8 +149,22 @@ def cert_digest(cert: Optional[Certificate]) -> str:
     return "|".join([kind, *[str(getattr(cert, n)) for n, _ in plain]])
 
 
+_sha256 = None
+
+
+def sha256(data: bytes = b""):
+    """A ``hashlib.sha256`` object over ``data``.  This is the package's
+    one door to hashlib, which maps OpenSSL's libcrypto (about 3 MB): it
+    is imported on first use, so a command that hashes nothing, such as
+    ``check``, never maps it."""
+    global _sha256
+    if _sha256 is None:
+        from hashlib import sha256 as _sha256
+    return _sha256(data)
+
+
 def _digest(parts: str) -> str:
-    return hashlib.sha256(parts.encode()).hexdigest()[:32]  # 128 bits
+    return sha256(parts.encode()).hexdigest()[:32]  # 128 bits
 
 
 def block_id_of(parent_qc: Optional[ParentCert], round: int, view: int,
@@ -510,6 +526,9 @@ PACEMAKERS = (BASELINE_TC, ASYNC_FALLBACK)
 # replicas a run may have: a run builds one replica per id and a checker
 # one set entry, so a larger n is refused before anything is built
 MAX_N = 1_000
+# ticks a run may last: replay re-simulates to a header's horizon, so a
+# longer one is refused before anything runs
+MAX_HORIZON = 100_000
 
 
 def quorum_threshold(f: int) -> int:

@@ -9,11 +9,10 @@ unavailable until f+1 shares for the view exist.
 
 from __future__ import annotations
 
-import hashlib
 from functools import cache
 
 from .core import (CoinQC, Certificate, ReplicaId, coin_threshold,
-                   quorum_threshold)
+                   quorum_threshold, sha256)
 
 PRF_ID = "sha256-mod"  # recorded in run reports so replays can pin it
 
@@ -21,7 +20,7 @@ CoinSeed = int  # pinned in the run config; the only coin key material
 
 
 def elect_leader(view: int, run_seed: CoinSeed, n: int) -> ReplicaId:
-    digest = hashlib.sha256(f"{PRF_ID}|{run_seed}|{view}".encode()).digest()
+    digest = sha256(f"{PRF_ID}|{run_seed}|{view}".encode()).digest()
     return int.from_bytes(digest[:8], "big") % n
 
 

@@ -10,7 +10,6 @@ never sees message contents or the coin seed.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import itertools
 import json
@@ -22,11 +21,11 @@ from typing import (Callable, Optional, Union, get_args, get_origin,
                     get_type_hints)
 
 from . import crypto
-from .core import (MESSAGE_SIZE_UNITS, CommitNotice, ConfigError,
-                   FBProposal, Multicast, OutputAction, Proposal,
-                   ReplicaConfig, Send, SetTimer, TxnBatch, WireMessage,
-                   genesis_block, make_block, message_variant, read_message,
-                   write_message)
+from .core import (GENESIS_ID, MAX_HORIZON, MESSAGE_SIZE_UNITS, CommitNotice,
+                   ConfigError, FBProposal, Multicast, OutputAction,
+                   Proposal, ReplicaConfig, Send, SetTimer, TxnBatch,
+                   WireMessage, make_block, message_variant, read_message,
+                   sha256, write_message)
 
 TRACE_FORMAT = "bftsim-trace-v2"
 
@@ -367,7 +366,7 @@ class Trace:
 
     def _stream(self, write) -> str:
         """sha256 over the meta line and each record line, as written."""
-        h = hashlib.sha256(_line(self.meta))
+        h = sha256(_line(self.meta))
         for line in self.lines():
             h.update(line)
             write(line)
@@ -475,7 +474,7 @@ class Trace:
         file as stored, hashed without decoding a record."""
         with open(path, "rb") as fh:
             trace = cls._read_header(fh, path)
-            h = hashlib.sha256(_line(trace.meta))
+            h = sha256(_line(trace.meta))
             chunk = b"\n"
             for chunk in iter(lambda: fh.read(1 << 16), b""):
                 h.update(chunk)
@@ -498,6 +497,12 @@ class Trace:
                         raise TypeError(f"{name} is not {hint}")
             if type(trace.horizon) is not int:
                 raise TypeError("horizon is not int")
+            # a header from another program, whose block ids or coins
+            # are not this one's
+            for key, ours in (("genesis_id", GENESIS_ID),
+                              ("prf", crypto.PRF_ID)):
+                if meta[key] != ours:
+                    raise ValueError(f"{key} {meta[key]!r} is not {ours!r}")
             # the checks a run makes before it starts
             validate(trace.protocol, adversary, trace.horizon)
         except (ValueError, KeyError, TypeError, AttributeError,
@@ -558,6 +563,9 @@ def validate(config: ReplicaConfig, adversary: AdversarySpec,
     adversary.validate(config)
     if horizon < 1:
         raise HorizonTooSmall(f"horizon {horizon} precedes the first event")
+    if horizon > MAX_HORIZON:
+        raise ConfigError(f"horizon {horizon} exceeds "
+                          f"MAX_HORIZON={MAX_HORIZON}")
 
 
 class Simulation:
@@ -591,7 +599,7 @@ class Simulation:
                        for r, s in adversary.faults},
             "horizon": horizon,
             "prf": crypto.PRF_ID,
-            "genesis_id": genesis_block().id,
+            "genesis_id": GENESIS_ID,
         }
         self.trace = Trace(meta)
         self.record = self.trace.records.append
@@ -690,7 +698,7 @@ def replayed_digest(stored: Trace) -> str:
     holds ``undelivered``, known only when the run ends.  If the run's
     header differs, the stored digest cannot match; the run is then made
     once more, holding its records, for its true digest."""
-    h = hashlib.sha256(_line(stored.meta))
+    h = sha256(_line(stored.meta))
     line = _formatter()
     rerun = run(stored.protocol, stored.adversary, stored.horizon,
                 lambda rec: h.update(line(rec)))

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from bftsim import analysis, cli, scenario, simnet
-from bftsim.core import MAX_N
+from bftsim import analysis, cli, crypto, scenario, simnet
+from bftsim.core import GENESIS_ID, MAX_HORIZON, MAX_N
 from bftsim.replica import ReplicaConfig
 
 STEADY = """
@@ -380,6 +380,12 @@ REFUSED_HEADERS = [
     (lambda h: h["protocol"].update(variant="four_chain"), "unknown variant"),
     (lambda h: h.update(faults={"9": {"fault": "mute_leader"}}),
      "unknown replica 9"),
+    # replay would re-simulate to the horizon before comparing digests
+    (lambda h: h.update(horizon=MAX_HORIZON + 1),
+     f"exceeds MAX_HORIZON={MAX_HORIZON}"),
+    # another program's block ids or coin
+    (lambda h: h.update(genesis_id="00"), f"is not {GENESIS_ID!r}"),
+    (lambda h: h.update(prf="sha512-mod"), f"is not {crypto.PRF_ID!r}"),
 ]
 
 
@@ -395,6 +401,25 @@ def test_run_refuses_n_past_the_cap(tmp_path, capsys):
                                          f"n = {MAX_N + 1}\nf = {MAX_N // 3}"))
     assert run_cli("run", "--config", cfg) == 2
     assert f"exceeds MAX_N={MAX_N}" in capsys.readouterr().err
+
+
+def test_run_and_sweep_refuse_a_horizon_past_the_cap(tmp_path, capsys):
+    says = f"config error: horizon {MAX_HORIZON + 1} exceeds MAX_HORIZON"
+    assert run_cli("run", "--config", write(tmp_path, STEADY),
+                   "--horizon", str(MAX_HORIZON + 1)) == 2
+    assert capsys.readouterr().err.startswith(says)
+    far = SWEEP.replace("horizon = 240", f"horizon = {MAX_HORIZON + 1}")
+    assert run_cli("sweep", "--config", write(tmp_path, far)) == 2
+    assert capsys.readouterr().err.startswith(says)
+
+
+def test_replay_refuses_a_horizon_past_the_cap_at_once(tmp_path):
+    # refused from the header, before a tick is simulated
+    path = edit_header(tmp_path, lambda h: h.update(horizon=MAX_HORIZON + 1))
+    proc = subprocess.run([sys.executable, "-m", "bftsim.cli", "replay", path],
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("trace error:")
 
 
 # a record line is its shape's canonical line: sorted keys, no spaces
@@ -825,19 +850,56 @@ def test_module_entry_point_runs(tmp_path):
     assert "safety: ok" in proc.stdout
 
 
-def test_check_loads_no_replica_code(tmp_path):
-    # reading a scenario and checking a trace need the config vocabulary,
-    # which lives in core, not the replica
-    trace = make_trace(tmp_path)
-    cfg = write(tmp_path, STEADY, "again.ini")
+# what some commands run and others must not load: OpenSSL (through
+# hashlib), the replica, the checker, and the exact arithmetic of fits
+LAZY = ("hashlib", "_hashlib", "bftsim.replica", "bftsim.analysis",
+        "fractions", "datetime")
+
+
+def loaded_after(script: str, *args: str) -> list[str]:
+    """The modules of LAZY in ``held`` after ``script`` ran in a fresh
+    interpreter, with ``args`` as ``sys.argv[1:]`` and bftsim.cli as
+    ``cli``; ``held`` is ``sys.modules`` unless the script rebinds it."""
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, bftsim.cli as cli; cli.parse_scenario(sys.argv[1]); "
-         "code = cli.main(['check', sys.argv[2], '--quiet']); "
-         "print(code, 'bftsim.replica' in sys.modules)", cfg, str(trace)],
-        capture_output=True, text=True)
+        [sys.executable, "-c", "import sys, bftsim.cli as cli\n"
+         "held = sys.modules\n" + script
+         + f"\nprint(*(m for m in {LAZY!r} if m in held))", *args],
+        capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    return proc.stdout.split()
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    trace, cfg = str(make_trace(tmp_path)), write(tmp_path, STEADY, "again.ini")
+    # what every call pays: the import and the scenario
+    assert loaded_after("cli.parse_scenario(sys.argv[1])", cfg) == []
+    # check takes the genesis id from core, so it hashes nothing
+    assert loaded_after(
+        "assert cli.main(['check', sys.argv[1], '--quiet']) == 0",
+        trace) == ["bftsim.analysis"]
+    # replay hashes and simulates, and checks nothing
+    loaded = loaded_after(
+        "assert cli.main(['replay', sys.argv[1], '--quiet']) == 0", trace)
+    assert "hashlib" in loaded and "bftsim.replica" in loaded
+    assert not {"bftsim.analysis", "fractions", "datetime"} & set(loaded)
+
+
+def test_sweep_loads_what_its_runs_need_before_it_forks(tmp_path):
+    # loaded once in the parent, not once in each forked child
+    script = ("import os\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "real_fork = os.fork\n"
+              "def fork():\n"
+              "    global held\n"
+              "    if held is sys.modules:\n"
+              "        held = set(sys.modules)\n"
+              "    return real_fork()\n"
+              "os.fork = fork\n"
+              "assert cli.main(['sweep', '--config', sys.argv[1], "
+              "'--quiet']) == 0\n"
+              "assert held is not sys.modules, 'sweep never forked'")
+    loaded = loaded_after(script, write(tmp_path, SWEEP))
+    assert {"hashlib", "bftsim.replica", "bftsim.analysis"} <= set(loaded)
 
 
 def test_cli_import_leaves_numpy_out():

@@ -8,6 +8,8 @@ fail here, not first in a benchmark run.
 
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 from bftsim import analysis, crypto, simnet
@@ -35,6 +37,17 @@ def test_every_traced_layer_call_resolves(monkeypatch):
         # what ``layers.patched`` wraps: a function, or a classmethod's
         static = inspect.getattr_static(owner, attr)
         assert callable(getattr(static, "__func__", static)), name
+
+
+def test_a_bare_cli_import_holds_parse_scenario():
+    # setup_probe.py and LAYER_CALLS reach it as cli.parse_scenario, so
+    # cli may defer what its commands import, but not this
+    proc = subprocess.run(
+        [sys.executable, "-c", "import inspect, bftsim.cli as cli; "
+         "print(callable(inspect.getattr_static(cli, 'parse_scenario')))"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 def test_from_jsonl_is_a_classmethod_with_an_optional_sink():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from bftsim import core
 from bftsim.core import (
     MESSAGE_SIZE_UNITS,
     MESSAGE_VARIANTS,
@@ -70,6 +71,11 @@ def test_genesis_id_is_pinned():
     raw = hashlib.sha256(b"blk|origin|0|0|genesis").hexdigest()[:32]
     assert g.id == raw
     assert g.parent_qc is None and g.round == 0 and g.view == 0
+
+
+def test_core_genesis_id_is_the_genesis_block_id():
+    # headers and the checker use the constant, so check never hashes
+    assert core.GENESIS_ID == genesis_block().id
 
 
 def test_genesis_qc_signed_by_everyone():
