@@ -505,35 +505,12 @@ def fallback_stats(traces: Union[Trace, Iterable[Trace]]) -> dict:
             "per_trace": per_trace}
 
 
-def fit_polynomial(xs, ys, degree: int) -> tuple[tuple[float, ...], float]:
-    """Least-squares polynomial fit plus coefficient of determination.
+def fit_polynomial(xs, ys) -> tuple[tuple[float, float], float]:
+    """Least-squares line through the points: (slope, intercept) and the
+    coefficient of determination, 1.0 when every y is equal.  Fewer than
+    two distinct x values raise ValueError."""
+    import statistics  # only sweep fits
 
-    Coefficients come highest power first.  The normal equations are solved
-    in exact rational arithmetic, so the only rounding is the final
-    conversion to float.
-    """
-    from fractions import Fraction  # and decimal with it; only sweep fits
-
-    if len(set(xs)) <= degree:
-        raise ValueError(f"a degree-{degree} fit needs {degree + 1} distinct x values")
-    xs = [Fraction(x) for x in xs]
-    ys = [Fraction(y) for y in ys]
-    powers = [[x ** k for k in range(degree, -1, -1)] for x in xs]
-    # augmented normal equations [A^T A | A^T y], solved by Gauss-Jordan
-    rows = [[sum(p[i] * p[j] for p in powers) for j in range(degree + 1)]
-            + [sum(p[i] * y for p, y in zip(powers, ys))]
-            for i in range(degree + 1)]
-    # A^T A is positive definite with that many distinct xs, so no pivot
-    # on the diagonal is ever zero
-    for col in range(degree + 1):
-        for r in range(degree + 1):
-            if r != col:
-                ratio = rows[r][col] / rows[col][col]
-                rows[r] = [a - ratio * b for a, b in zip(rows[r], rows[col])]
-    coeffs = [rows[k][-1] / rows[k][k] for k in range(degree + 1)]
-    mean = sum(ys) / len(ys)
-    ss_res = sum((y - sum(c * q for c, q in zip(coeffs, p))) ** 2
-                 for p, y in zip(powers, ys))
-    ss_tot = sum((y - mean) ** 2 for y in ys)
-    r2 = 1.0 if ss_tot == 0 else float(1 - ss_res / ss_tot)
-    return tuple(float(c) for c in coeffs), r2
+    slope, intercept = statistics.linear_regression(xs, ys)
+    r2 = 1.0 if len(set(ys)) == 1 else statistics.correlation(xs, ys) ** 2
+    return (slope, intercept), r2

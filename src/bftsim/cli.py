@@ -237,7 +237,7 @@ def cmd_sweep(args) -> int:
     if len({n for n, _ in mean_mpc}) >= 2:
         xs = [x for x, _ in mean_mpc]
         ys = [y for _, y in mean_mpc]
-        (slope, intercept), r2 = analysis.fit_polynomial(xs, ys, 1)
+        (slope, intercept), r2 = analysis.fit_polynomial(xs, ys)
         lines.append(f"fit_messages_per_commit_vs_n: slope={slope:.4f} "
                      f"intercept={intercept:.4f} r2={r2:.6f}")
     lines.append(f"safety: {'ok' if all_ok else 'VIOLATION'}")

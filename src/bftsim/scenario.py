@@ -114,7 +114,13 @@ def _parse_fault(entry: str):
 
 def parse_scenario(path: str) -> ScenarioConfig:
     cp = configparser.ConfigParser(interpolation=None)
-    if not cp.read(path):
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages run over several lines
+        raise ConfigError(f"cannot parse scenario file {path}: "
+                          + " ".join(str(exc).split())) from None
+    if not read:
         raise ConfigError(f"cannot read scenario file {path}")
 
     for section in cp.sections():

@@ -142,6 +142,27 @@ def test_run_bad_configs_exit_two(tmp_path, capsys):
     assert run_cli("run", "--config", str(tmp_path / "missing.ini")) == 2
 
 
+# files that configparser itself refuses, and one that is not UTF-8
+MALFORMED = {
+    "no_header": b"n = 4\n" + SWEEP.encode(),
+    "unclosed_section": SWEEP.replace("[adversary]", "[adversary").encode(),
+    "repeated_key": SWEEP.replace("f = 1", "f = 1\nf = 1").encode(),
+    "repeated_section": (SWEEP + "[run]\nhorizon = 10\n").encode(),
+    "not_utf8": SWEEP.encode().replace(b"three_chain", b"three_\xffchain"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_scenario_files_exit_two(tmp_path, capsys, name, command):
+    cfg = tmp_path / f"{name}.ini"
+    cfg.write_bytes(MALFORMED[name])
+    assert run_cli(command, "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot parse scenario file {cfg}: ")
+    assert err.count("\n") == 1, err
+
+
 def test_run_malformed_crash_tick_exits_two(tmp_path, capsys):
     cfg = write(tmp_path, STEADY.replace("delta = 1",
                                          "delta = 1\nfaults = 0:crash@soon"))
@@ -608,7 +629,7 @@ def test_sweep_grid_with_linear_fit(tmp_path, capsys):
     assert (out / "sweep-n7-seed2.trace.jsonl").exists()
 
 
-# sweep's per-n, fit and safety lines, for two grids
+# sweep's per-n, fit and safety lines, for three grids
 SWEEPS = {
     "steady": (SWEEP, [
         "n=4 runs=2 mean_messages=720.0 mean_commits=118.0 "
@@ -625,6 +646,24 @@ SWEEPS = {
         "mean_messages_per_commit=243.875",
         "fit_messages_per_commit_vs_n: slope=55.5000 intercept=-144.6250 "
         "r2=1.000000",
+        "safety: ok"]),
+    # an equivocating leader under partial synchrony, over three sizes: the
+    # means do not lie on a line, so the fit's rounding shows
+    "byzantine": (SWEEP.replace("three_chain", "two_chain")
+                  .replace("async_fallback", "baseline_tc")
+                  .replace("synchronous\ndelta = 1",
+                           "partial_synchrony\ngst = 120\ndelta = 2\n"
+                           "pre_gst_delay_bound = 30\nfaults = 0:equivocate")
+                  .replace("horizon = 240", "horizon = 300")
+                  .replace("n_values = 4, 7", "n_values = 4, 7, 10"), [
+        "n=4 runs=2 mean_messages=159.0 mean_commits=11.0 "
+        "mean_messages_per_commit=14.455",
+        "n=7 runs=2 mean_messages=517.0 mean_commits=22.0 "
+        "mean_messages_per_commit=23.520",
+        "n=10 runs=2 mean_messages=893.5 mean_commits=23.0 "
+        "mean_messages_per_commit=38.848",
+        "fit_messages_per_commit_vs_n: slope=4.0655 intercept=-2.8515 "
+        "r2=0.978499",
         "safety: ok"])}
 
 
@@ -851,9 +890,9 @@ def test_module_entry_point_runs(tmp_path):
 
 
 # what some commands run and others must not load: OpenSSL (through
-# hashlib), the replica, the checker, and the exact arithmetic of fits
+# hashlib), the replica, the checker, and the arithmetic of fits
 LAZY = ("hashlib", "_hashlib", "bftsim.replica", "bftsim.analysis",
-        "fractions", "datetime")
+        "statistics", "fractions", "datetime")
 
 
 def loaded_after(script: str, *args: str) -> list[str]:
@@ -881,7 +920,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     loaded = loaded_after(
         "assert cli.main(['replay', sys.argv[1], '--quiet']) == 0", trace)
     assert "hashlib" in loaded and "bftsim.replica" in loaded
-    assert not {"bftsim.analysis", "fractions", "datetime"} & set(loaded)
+    assert not {"bftsim.analysis", "statistics", "fractions",
+                "datetime"} & set(loaded)
 
 
 def test_sweep_loads_what_its_runs_need_before_it_forks(tmp_path):
@@ -903,7 +943,8 @@ def test_sweep_loads_what_its_runs_need_before_it_forks(tmp_path):
 
 
 def test_cli_import_leaves_numpy_out():
-    # bftsim has no runtime dependencies; scipy (and numpy with it) is test-only
+    # bftsim has no runtime dependencies; of its tools, only the benchmark's
+    # start-up reference (perfbench/startup_ref.py) imports numpy
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, bftsim.cli; print('numpy' in sys.modules)"],

@@ -3,7 +3,7 @@
 import hashlib
 import random
 
-from scipy import stats
+import pytest
 
 from bftsim.core import (CoinQC, CoinShare, FallbackQC, FallbackTC, FBVote,
                          FTCRelay, QC, TCRelay, Timeout, TimeoutCert,
@@ -16,6 +16,7 @@ from bftsim.crypto import (
     verify_certificate,
 )
 from bftsim.replica import Replica, ReplicaConfig
+from chi_square import chi_square
 
 SEED = 42
 BLOCK = make_block(genesis_qc(4), 1, 0, TxnBatch("b", 1))
@@ -175,5 +176,17 @@ def test_elect_leader_uniform_chi_square():
         counts = [0] * n
         for v in range(10_000):
             counts[elect_leader(v, seed, n)] += 1
-        _, p = stats.chisquare(counts)
+        _, p = chi_square(counts)
         assert p > 0.01, (n, seed, counts, p)
+
+
+def test_chi_square_matches_scipy():
+    # (statistic, p) that scipy.stats.chisquare gives for the same counts,
+    # at 1, 2, 3 and 6 degrees of freedom
+    for counts, want in (
+            ([60, 40], (4.0, 0.04550026389635857)),
+            ([30, 50, 40], (5.0, 0.0820849986238988)),
+            ([20, 35, 25, 40], (8.333333333333334, 0.03960235520756414)),
+            ([110, 95, 102, 88, 120, 97, 91],
+             (7.584637268847795, 0.2701396067861655))):
+        assert chi_square(counts) == pytest.approx(want, rel=1e-12)
