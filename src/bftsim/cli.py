@@ -26,8 +26,9 @@ from .scenario import (ScenarioConfig, format_faults, format_model,
 from .simnet import Trace
 
 # Each command imports only the code it runs: analysis where it checks,
-# the replica where it simulates (simnet.Simulation) and hashlib where it
-# hashes (core.sha256).  The import every call pays loads none of them.
+# the replica where it simulates (simnet.Simulation) and CPython's own
+# sha256 where it hashes (core.sha256); none maps OpenSSL through
+# hashlib.  The import every call pays loads none of them.
 if TYPE_CHECKING:
     from . import analysis
 
@@ -204,7 +205,7 @@ def cmd_sweep(args) -> int:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     # the code every run needs, loaded once here, not once in each forked
-    # child: the replica, the checker, and hashlib for the block ids
+    # child: the replica, the checker, and the sha256 for the block ids
     from . import analysis, replica  # noqa: F401
     sha256()
     # a point the grid lists twice runs once, and counts twice
@@ -250,8 +251,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    trace, recomputed = Trace.scan_jsonl(args.trace)
-    got = simnet.replayed_digest(trace)
+    trace, recomputed, got, first = simnet.replay(args.trace)
     # All three must agree: header digest, digest over the bytes as stored,
     # and the digest of a fresh deterministic re-run.
     match = got == trace.stored_digest == recomputed
@@ -260,6 +260,8 @@ def cmd_replay(args) -> int:
              f"recomputed_digest: {recomputed}",
              f"replayed_digest: {got}",
              f"replay: {'match' if match else 'MISMATCH'}"]
+    if not match:
+        lines.append(f"first_difference: line {first}")
     _print(lines, args.quiet)
     return 0 if match else 1
 

@@ -153,13 +153,18 @@ _sha256 = None
 
 
 def sha256(data: bytes = b""):
-    """A ``hashlib.sha256`` object over ``data``.  This is the package's
-    one door to hashlib, which maps OpenSSL's libcrypto (about 3 MB): it
-    is imported on first use, so a command that hashes nothing, such as
-    ``check``, never maps it."""
+    """A SHA-256 object over ``data``: the package's one door to hashing,
+    imported on first use, so ``check``, which hashes nothing, loads none.
+    It is CPython's own (``_sha2`` from 3.12, ``_sha256`` before); hashlib,
+    which maps OpenSSL's libcrypto (3.4 MB), serves a build with neither."""
     global _sha256
     if _sha256 is None:
-        from hashlib import sha256 as _sha256
+        for name in ("_sha2", "_sha256", "hashlib"):
+            try:
+                _sha256 = __import__(name).sha256
+                break
+            except ImportError:
+                pass
     return _sha256(data)
 
 

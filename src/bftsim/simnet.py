@@ -11,6 +11,7 @@ never sees message contents or the coin seed.
 from __future__ import annotations
 
 import heapq
+import io
 import itertools
 import json
 import random
@@ -469,20 +470,6 @@ class Trace:
             return cls._read_header(fh, path)
 
     @classmethod
-    def scan_jsonl(cls, path: str) -> tuple["Trace", str]:
-        """The record-less trace from a file's header, and the digest of the
-        file as stored, hashed without decoding a record."""
-        with open(path, "rb") as fh:
-            trace = cls._read_header(fh, path)
-            h = sha256(_line(trace.meta))
-            chunk = b"\n"
-            for chunk in iter(lambda: fh.read(1 << 16), b""):
-                h.update(chunk)
-        if not chunk.endswith(b"\n"):
-            raise TraceFormatError(f"{path}: last record line is truncated")
-        return trace, h.hexdigest()
-
-    @classmethod
     def _read_header(cls, fh, path: str) -> "Trace":
         try:
             meta = json.loads(fh.readline())
@@ -690,18 +677,51 @@ def run(config: ReplicaConfig, adversary: AdversarySpec, horizon: int,
     return Simulation(config, adversary, horizon).run(sink)
 
 
-def replayed_digest(stored: Trace) -> str:
-    """The digest of a fresh run of a stored trace's scenario, hashed as
-    the run makes its records, which are not held.
+def replay(path: str) -> tuple[Trace, str, str, Optional[int]]:
+    """Re-run a trace file's scenario beside the file, in one pass: the
+    record-less trace from its header, the digests of the file as stored
+    and of the re-run, and the first line where the two differ, or None.
+    The run's hash is the file's up to that line, then a copy.  Both start
+    from the stored header, since the run's own holds ``undelivered``,
+    known only at the end; if the run's header differs, line 1 does, and
+    the run is made again, holding its records, for its true digest.  A
+    wrong header digest alone names line 1."""
+    with open(path, "rb") as fh:
+        stored = Trace._read_header(fh, path)
+        if not fh.seekable():  # a pipe: held, so its end is checked first
+            fh = io.BytesIO(fh.read())
+        start = fh.tell()
+        if fh.seek(0, 2) > start:
+            fh.seek(-1, 2)
+            if fh.read(1) != b"\n":
+                raise TraceFormatError(
+                    f"{path}: last record line is truncated")
+        fh.seek(start)
+        readline, line = fh.readline, _formatter()
+        h = sha256(_line(stored.meta))
+        rerun_h = first = None  # the run's own hash, once the two differ
+        no = 1
 
-    The hash starts from the stored header, since the run's own header
-    holds ``undelivered``, known only when the run ends.  If the run's
-    header differs, the stored digest cannot match; the run is then made
-    once more, holding its records, for its true digest."""
-    h = sha256(_line(stored.meta))
-    line = _formatter()
-    rerun = run(stored.protocol, stored.adversary, stored.horizon,
-                lambda rec: h.update(line(rec)))
-    if _line(rerun.meta) == _line(stored.meta):
-        return h.hexdigest()
-    return run(stored.protocol, stored.adversary, stored.horizon).digest()
+        def compare(rec: dict) -> None:
+            nonlocal no, first, rerun_h
+            no += 1
+            mine, theirs = line(rec), readline()
+            if rerun_h is None and mine != theirs:
+                first, rerun_h = no, h.copy()
+            h.update(theirs)
+            if rerun_h is not None:
+                rerun_h.update(mine)
+
+        rerun = run(stored.protocol, stored.adversary, stored.horizon, compare)
+        # the file's lines beyond the run's
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            if rerun_h is None:
+                first, rerun_h = no + 1, h.copy()
+            h.update(chunk)
+    replayed = (h if rerun_h is None else rerun_h).hexdigest()
+    if _line(rerun.meta) != _line(stored.meta):
+        first, replayed = 1, run(stored.protocol, stored.adversary,
+                                 stored.horizon).digest()
+    elif replayed != stored.stored_digest:
+        first = first or 1
+    return stored, h.hexdigest(), replayed, first

@@ -264,6 +264,66 @@ def test_replay_of_another_header_prints_the_true_digest(tmp_path, capsys):
         assert "replay: MISMATCH" in out
 
 
+def test_replay_match_prints_five_lines(tmp_path, capsys):
+    trace = make_trace(tmp_path)
+    digest = json.loads(trace.read_text().split("\n", 1)[0])["digest"]
+    assert run_cli("replay", str(trace)) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"trace: {trace}", f"embedded_digest: {digest}",
+        f"recomputed_digest: {digest}", f"replayed_digest: {digest}",
+        "replay: match"]
+
+
+def replay_mismatch(capsys, path) -> list[str]:
+    """What ``replay`` prints on a mismatch: the five lines, then where."""
+    assert run_cli("replay", path) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 6 and out[4] == "replay: MISMATCH"
+    return out
+
+
+def test_replay_names_an_edited_record_line(tmp_path, capsys):
+    lines = make_trace(tmp_path).read_text().splitlines()
+    for no in (2, len(lines) // 2, len(lines)):
+        edited = list(lines)
+        edited[no - 1] = edited[no - 1].replace('"t":', '"T":', 1)
+        out = replay_mismatch(capsys, rewrite(tmp_path, edited))
+        assert out[5] == f"first_difference: line {no}"
+        # a header digest forged to fit the edit names the same line
+        header = dict(json.loads(lines[0]), digest=out[2].split(": ")[1])
+        out = replay_mismatch(capsys, rewrite(
+            tmp_path, [json.dumps(header), *edited[1:]]))
+        assert out[1].split(": ")[1] == out[2].split(": ")[1]
+        assert out[5] == f"first_difference: line {no}"
+
+
+def test_replay_names_where_the_shorter_side_ends(tmp_path, capsys):
+    # the file lacks the run's last line, or the run lacks the file's
+    lines = make_trace(tmp_path).read_text().splitlines()
+    out = replay_mismatch(capsys, rewrite(tmp_path, lines[:-1]))
+    assert out[5] == f"first_difference: line {len(lines)}"
+    out = replay_mismatch(capsys, rewrite(tmp_path, lines + lines[-1:]))
+    assert out[5] == f"first_difference: line {len(lines) + 1}"
+
+
+def test_replay_names_the_header_line(tmp_path, capsys):
+    count = simnet.Trace.read_header(str(make_trace(tmp_path))).meta[
+        "undelivered"]
+    for edit in (lambda h: h.update(undelivered=count + 1),
+                 lambda h: h.update(digest="0" * 64)):
+        out = replay_mismatch(capsys, edit_header(tmp_path, edit))
+        assert out[5] == "first_difference: line 1"
+
+
+def test_replay_reads_a_pipe(tmp_path):
+    data = make_trace(tmp_path).read_bytes()
+    for text, code in ((data, 0), (data[:-1], 2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bftsim.cli", "replay", "/dev/stdin"],
+            input=text, capture_output=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+
+
 def test_replay_refuses_a_bad_file_before_simulating(tmp_path, capsys,
                                                      monkeypatch):
     data = make_trace(tmp_path).read_bytes()
@@ -890,7 +950,8 @@ def test_module_entry_point_runs(tmp_path):
 
 
 # what some commands run and others must not load: OpenSSL (through
-# hashlib), the replica, the checker, and the arithmetic of fits
+# hashlib, which no command loads), the replica, the checker, and the
+# arithmetic of fits
 LAZY = ("hashlib", "_hashlib", "bftsim.replica", "bftsim.analysis",
         "statistics", "fractions", "datetime")
 
@@ -916,12 +977,15 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     assert loaded_after(
         "assert cli.main(['check', sys.argv[1], '--quiet']) == 0",
         trace) == ["bftsim.analysis"]
-    # replay hashes and simulates, and checks nothing
-    loaded = loaded_after(
-        "assert cli.main(['replay', sys.argv[1], '--quiet']) == 0", trace)
-    assert "hashlib" in loaded and "bftsim.replica" in loaded
-    assert not {"bftsim.analysis", "statistics", "fractions",
-                "datetime"} & set(loaded)
+    # replay hashes, with CPython's own sha256, and simulates, and checks
+    # nothing
+    assert loaded_after(
+        "assert cli.main(['replay', sys.argv[1], '--quiet']) == 0",
+        trace) == ["bftsim.replica"]
+    # run simulates and checks; neither it nor any command maps OpenSSL
+    assert loaded_after(
+        "assert cli.main(['run', '--config', sys.argv[1], '--quiet']) == 0",
+        cfg) == ["bftsim.replica", "bftsim.analysis"]
 
 
 def test_sweep_loads_what_its_runs_need_before_it_forks(tmp_path):
@@ -937,9 +1001,11 @@ def test_sweep_loads_what_its_runs_need_before_it_forks(tmp_path):
               "os.fork = fork\n"
               "assert cli.main(['sweep', '--config', sys.argv[1], "
               "'--quiet']) == 0\n"
-              "assert held is not sys.modules, 'sweep never forked'")
+              "assert held is not sys.modules, 'sweep never forked'\n"
+              "assert {'_sha2', '_sha256'} & held, 'no sha256 before the fork'\n"
+              "assert not {'hashlib', '_hashlib'} & sys.modules.keys()")
     loaded = loaded_after(script, write(tmp_path, SWEEP))
-    assert {"hashlib", "bftsim.replica", "bftsim.analysis"} <= set(loaded)
+    assert {"bftsim.replica", "bftsim.analysis"} <= set(loaded)
 
 
 def test_cli_import_leaves_numpy_out():

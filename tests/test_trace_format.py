@@ -6,7 +6,10 @@ import dataclasses
 import functools
 import hashlib
 import json
+import pickle
 import re
+import subprocess
+import sys
 from typing import get_args, get_type_hints
 
 import pytest
@@ -246,11 +249,38 @@ def test_golden_v2_digests(case, want, tmp_path):
     assert tr.digest() == want
     path = tmp_path / "t.jsonl"
     assert tr.to_jsonl(str(path)) == want
-    loaded, stored = Trace.scan_jsonl(str(path))
-    assert loaded.stored_digest == stored == want
+    # the file's bytes as README says to hash them, through hashlib
+    header, _, records = path.read_bytes().partition(b"\n")
+    meta = json.loads(header)
+    assert (meta.pop("digest") == Trace.read_header(str(path)).stored_digest
+            == want)
+    meta_line = json.dumps(meta, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(meta_line.encode() + b"\n"
+                          + records).hexdigest() == want
     back = Trace.from_jsonl(str(path))
     assert back.digest() == want
     assert back.adversary == case[2] and back.horizon == case[3]
+
+
+def test_golden_digest_through_the_hashlib_fallback():
+    # a build with neither of CPython's own sha256 modules hashes through
+    # hashlib, to the same digest
+    case, want = GOLDEN[0]
+    script = ("import pickle, sys\n"
+              "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+              "import hashlib\n"
+              "from bftsim import core, simnet\n"
+              "v, p, adversary, horizon, seed = pickle.loads("
+              "bytes.fromhex(sys.argv[1]))\n"
+              "cfg = core.ReplicaConfig(n=4, f=1, variant=v, pacemaker=p, "
+              "timeout_duration=40, run_seed=seed)\n"
+              "print(simnet.run(cfg, adversary, horizon).digest())\n"
+              "assert core._sha256 is hashlib.sha256, core._sha256\n")
+    proc = subprocess.run([sys.executable, "-c", script,
+                           pickle.dumps(case).hex()],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want + "\n"
 
 
 @pytest.mark.parametrize("case,want", GRID)

@@ -64,6 +64,12 @@ def test_rank_priorities():
     assert ZERO_RANK == Rank(0, False, 0)
 
 
+def test_sha256_known_answer():
+    # FIPS 180-2, appendix B.1: the one-block message "abc"
+    assert core.sha256(b"abc").hexdigest() == (
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+
+
 def test_genesis_id_is_pinned():
     g = genesis_block()
     assert g.id == GENESIS_ID
