@@ -7,17 +7,18 @@ protocol's safety claims against honest replicas' commit records.
 
 It is one fold over the records in trace order (``indexer``), which checks
 each commit as it is read, and two finalizers (``check_safety`` and
-``measure``), which settle what waited for a later record and put the
-findings in report order.  The fold holds no block body and no log: per
-block id it keeps the few facts a rule can still read, per certificate a
-compact key, and per view its coins (README, "What check keeps").
+``measure``), which read only the fold's index: they settle what waited for
+a later record and put the findings in report order.  The fold holds no
+block body and no log: per block id it keeps the few facts a rule can still
+read, per certificate a compact key, and per view its coins (README, "What
+check keeps").
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from . import crypto
 from .core import (ASYNC_FALLBACK, GENESIS_ID, CoinQC, CoinShare, FallbackQC,
@@ -28,8 +29,8 @@ from .simnet import AdversarySpec, Sink, Trace
 
 
 class NoFallbacks(ValueError):
-    """Raised when fallback statistics are requested for traces in which no
-    fallback was ever entered (e.g. baseline-pacemaker runs)."""
+    """Raised when fallback statistics are requested for a trace in which
+    no fallback was ever entered (e.g. a baseline-pacemaker run)."""
 
 
 @dataclass
@@ -392,19 +393,17 @@ def _chain_break(rid: int, k: int, bid: str, parent: str,
 
 
 def index(trace: Trace) -> TraceIndex:
-    """The one pass over a held trace's records, shared by check_safety
-    and measure."""
+    """The fold over a held trace's records."""
     idx, add = indexer(trace.protocol, trace.adversary)
     for rec in trace.records:
         add(rec)
     return idx
 
 
-def check_safety(trace: Trace, idx: Optional[TraceIndex] = None) -> SafetyReport:
+def check_safety(idx: TraceIndex) -> SafetyReport:
     """The fold's findings in report order, with what waited for a later
     record settled: a commit whose body never came, a committed id that no
     certificate named, and the rules that need every coin of a view."""
-    idx = idx or index(trace)
     # conflicting commits: each honest replica pair's first disagreement
     violations = [idx.conflicts[pair] for pair in sorted(idx.conflicts)]
 
@@ -456,8 +455,7 @@ def check_safety(trace: Trace, idx: Optional[TraceIndex] = None) -> SafetyReport
                         certificates_checked=len(idx.qcs) + len(idx.fqcs))
 
 
-def measure(trace: Trace, idx: Optional[TraceIndex] = None) -> MetricsReport:
-    idx = idx or index(trace)
+def measure(idx: TraceIndex) -> MetricsReport:
     delivered = sum(idx.delivered.values())
     timed = sum(idx.latency.values())
     mean = (sum(lat * k for lat, k in idx.latency.items()) / timed
@@ -476,33 +474,16 @@ def measure(trace: Trace, idx: Optional[TraceIndex] = None) -> MetricsReport:
     )
 
 
-def fallback_stats(traces: Union[Trace, Iterable[Trace]]) -> dict:
-    """Aggregate fallback behavior over one or more traces.
-
-    An instance is one (trace, view) whose fallback completed (its election
-    opened); it counts as committing in-view when some fallback block of
-    that view ends up in an honest committed log.
-    """
-    if isinstance(traces, Trace):
-        traces = [traces]
-    entered = completed = committed_in_view = 0
-    per_trace = []
-    for trace in traces:
-        idx = index(trace)
-        done = idx.completed_views & idx.entered_views
-        hits = idx.committed_fallback_views & done
-        entered += len(idx.entered_views)
-        completed += len(done)
-        committed_in_view += len(hits)
-        per_trace.append({"entered": len(idx.entered_views),
-                          "completed": len(done),
-                          "commit_in_view": len(hits)})
-    if entered == 0:
-        raise NoFallbacks("no fallback was entered in the supplied traces")
-    fraction = committed_in_view / completed if completed else None
-    return {"entered": entered, "completed": completed,
-            "commit_in_view": committed_in_view, "fraction": fraction,
-            "per_trace": per_trace}
+def fallback_stats(trace: Trace) -> dict:
+    """How many views of one trace entered the fallback, how many of those
+    completed it (their election opened), and how many of those commit
+    in-view: a fallback block of the view is in an honest committed log."""
+    idx = index(trace)
+    if not idx.entered_views:
+        raise NoFallbacks("no fallback was entered in the trace")
+    done = idx.completed_views & idx.entered_views
+    return {"entered": len(idx.entered_views), "completed": len(done),
+            "commit_in_view": len(idx.committed_fallback_views & done)}
 
 
 def fit_polynomial(xs, ys) -> tuple[tuple[float, float], float]:

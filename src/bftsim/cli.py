@@ -79,14 +79,12 @@ def cmd_run(args) -> int:
     out_dir = args.out or cfg.out_dir
     trace = simnet.run(cfg.protocol, cfg.adversary, cfg.horizon)
     idx = analysis.index(trace)
-    safety = analysis.check_safety(trace, idx)
-    metrics = analysis.measure(trace, idx)
+    safety = analysis.check_safety(idx)
+    metrics = analysis.measure(idx)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, f"run-seed{cfg.protocol.run_seed}")
-        digest = trace.to_jsonl(base + ".trace.jsonl")
-    else:
-        digest = trace.digest()
+    digest = trace.to_jsonl(base + ".trace.jsonl" if out_dir else os.devnull)
     lines = _run_report(args.config, cfg, trace, digest, safety, metrics)
     lines.append(_timestamp_line())
     if out_dir:
@@ -108,8 +106,8 @@ def _sweep_run(cfg: ScenarioConfig, protocol: ReplicaConfig,
                        None if path else add)
     for rec in trace.records:
         add(rec)
-    safety = analysis.check_safety(trace, idx)
-    metrics = analysis.measure(trace, idx)
+    safety = analysis.check_safety(idx)
+    metrics = analysis.measure(idx)
     if path:
         trace.to_jsonl(path)
     return safety.ok, metrics
@@ -269,10 +267,14 @@ def cmd_replay(args) -> int:
 def cmd_check(args) -> int:
     from . import analysis
 
-    header = Trace.read_header(args.trace)
-    idx, add = analysis.indexer(header.protocol, header.adversary)
-    trace = Trace.from_jsonl(args.trace, add)
-    safety = analysis.check_safety(trace, idx)
+    if os.path.isfile(args.trace):
+        with open(args.trace, "rb") as fh:
+            header = Trace.read_header(fh, args.trace)
+        idx, add = analysis.indexer(header.protocol, header.adversary)
+        Trace.from_jsonl(args.trace, add)
+    else:  # a pipe can be read only once: its records are held
+        idx = analysis.index(Trace.from_jsonl(args.trace))
+    safety = analysis.check_safety(idx)
     lines = [f"trace: {args.trace}"] + safety.lines()
     _print(lines, args.quiet)
     return 0 if safety.ok else 1
@@ -318,7 +320,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, simnet.HorizonTooSmall) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except OSError as exc:

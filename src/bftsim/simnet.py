@@ -14,6 +14,7 @@ import heapq
 import io
 import itertools
 import json
+import os
 import random
 import re
 from dataclasses import asdict, dataclass, field
@@ -72,10 +73,6 @@ def _shape(kind: str, fields: dict) -> tuple:
 _SHAPES = {(kind, "sq" in ref): _shape(kind, {**fields, **ref})
            for kind, fields in _RECORD_FIELDS.items()
            for ref in (_DELIVER_REFS if kind == "deliver" else ({},))}
-
-
-class HorizonTooSmall(ValueError):
-    pass
 
 
 class TraceFormatError(ValueError):
@@ -353,25 +350,22 @@ class Trace:
         return map(_formatter(), self.records)
 
     def digest(self) -> str:
-        return self._stream(lambda line: None)
+        return self.to_jsonl(os.devnull)
 
     def to_jsonl(self, path: str) -> str:
-        """Write the trace in one pass and return its digest.  The header is
-        written with a same-width placeholder digest, then rewritten."""
-        with open(path, "wb") as fh:
-            fh.write(_line(dict(self.meta, digest="0" * 64)))
-            digest = self._stream(fh.write)
-            fh.seek(0)
-            fh.write(_line(dict(self.meta, digest=digest)))
-        return digest
-
-    def _stream(self, write) -> str:
-        """sha256 over the meta line and each record line, as written."""
+        """Write the trace in one pass; return the sha256 of its lines, the
+        header hashed without the digest, which then overwrites a placeholder."""
         h = sha256(_line(self.meta))
-        for line in self.lines():
-            h.update(line)
-            write(line)
-        return h.hexdigest()
+        with open(path, "wb") as fh:
+            write = fh.write
+            write(_line(dict(self.meta, digest="0" * 64)))
+            for line in self.lines():
+                h.update(line)
+                write(line)
+            digest = h.hexdigest()
+            fh.seek(0)
+            write(_line(dict(self.meta, digest=digest)))
+        return digest
 
     @classmethod
     def from_jsonl(cls, path: str, sink: Optional[Sink] = None) -> "Trace":
@@ -443,7 +437,7 @@ class Trace:
                   for (kind, by_sq), (_, pattern, names, _) in _SHAPES.items()}
         no_shape = (lambda line: None, None)
         with open(path, "rb") as fh:
-            trace = cls._read_header(fh, path)
+            trace = cls.read_header(fh, path)
             sink = sink or trace.records.append
             for no, line in enumerate(fh, 2):
                 try:
@@ -464,18 +458,16 @@ class Trace:
         return trace
 
     @classmethod
-    def read_header(cls, path: str) -> "Trace":
-        """The record-less trace from a file's header."""
-        with open(path, "rb") as fh:
-            return cls._read_header(fh, path)
-
-    @classmethod
-    def _read_header(cls, fh, path: str) -> "Trace":
+    def read_header(cls, fh, path: str) -> "Trace":
+        """The record-less trace from the header line of ``fh``."""
         try:
             meta = json.loads(fh.readline())
             trace = cls(meta, [], meta.pop("digest"))
             if meta["format"] != TRACE_FORMAT:
                 raise ValueError(f"unsupported format {meta['format']!r}")
+            # a fault id as a run writes it: "01" or " 1" is not replica 1
+            if odd := [r for r in meta["faults"] if r != str(int(r))]:
+                raise ValueError(f"fault id {odd[0]!r} is not canonical")
             adversary = trace.adversary
             for spec in (trace.protocol, adversary.model,
                          *(fault for _, fault in adversary.faults)):
@@ -545,11 +537,11 @@ class _Harness:
 
 def validate(config: ReplicaConfig, adversary: AdversarySpec,
              horizon: int) -> None:
-    """Raise ConfigError or HorizonTooSmall unless the run can start."""
+    """Raise ConfigError unless the run can start."""
     config.validate()
     adversary.validate(config)
     if horizon < 1:
-        raise HorizonTooSmall(f"horizon {horizon} precedes the first event")
+        raise ConfigError(f"horizon {horizon} precedes the first event")
     if horizon > MAX_HORIZON:
         raise ConfigError(f"horizon {horizon} exceeds "
                           f"MAX_HORIZON={MAX_HORIZON}")
@@ -687,7 +679,7 @@ def replay(path: str) -> tuple[Trace, str, str, Optional[int]]:
     the run is made again, holding its records, for its true digest.  A
     wrong header digest alone names line 1."""
     with open(path, "rb") as fh:
-        stored = Trace._read_header(fh, path)
+        stored = Trace.read_header(fh, path)
         if not fh.seekable():  # a pipe: held, so its end is checked first
             fh = io.BytesIO(fh.read())
         start = fh.tell()

@@ -75,8 +75,8 @@ def test_criterion_1_safety_across_byzantine_matrix(capsys):
                 for seed in (1, 2, 3, 4, 5, 6, 7):
                     c = cfg(n=n, variant=variant, pacemaker=pacemaker,
                             seed=seed)
-                    rep = check_safety(run(c, AdversarySpec(model, faults),
-                                           horizon))
+                    rep = check_safety(index(run(
+                        c, AdversarySpec(model, faults), horizon)))
                     runs += 1
                     if not rep.ok:
                         violations += len(rep.violations)
@@ -108,9 +108,9 @@ def test_criterion_2_fallback_restores_liveness_under_asynchrony(capsys):
     fallback_live = 0
     for seed in seeds:
         base = run(cfg(pacemaker="baseline_tc", seed=seed), adv, 400)
-        baseline_commits += measure(base).commits_total
+        baseline_commits += measure(index(base)).commits_total
         fall = run(cfg(pacemaker="async_fallback", seed=seed), adv, 400)
-        if measure(fall).commits_total >= 1:
+        if measure(index(fall)).commits_total >= 1:
             fallback_live += 1
     assert baseline_commits == 0
     assert fallback_live >= 95
@@ -130,12 +130,12 @@ def test_criterion_3_fallback_commit_probability(capsys):
     completed = hits = 0
     for seed in range(1, 31):
         trace = run(cfg(seed=seed), adv, 1200)
-        assert check_safety(trace).ok
-        per = fallback_stats(trace)["per_trace"][0]
-        completed += per["completed"]
-        hits += per["commit_in_view"]
-        # the exact mechanism, view by view: commit iff honest elected
         idx = index(trace)
+        assert check_safety(idx).ok
+        stats = fallback_stats(trace)
+        completed += stats["completed"]
+        hits += stats["commit_in_view"]
+        # the exact mechanism, view by view: commit iff honest elected
         fviews = idx.committed_fallback_views
         for v in idx.completed_views & idx.entered_views:
             assert (v in fviews) == (elect_leader(v, seed, 4) != mute)
@@ -168,8 +168,8 @@ def test_criterion_4_steady_state_cost_is_linear(capsys):
 
     ns, ys = [], []
     for n in (4, 10, 16, 31):
-        m = measure(run(cfg(n=n, timeout=50),
-                        AdversarySpec(Synchronous(1), ()), 240))
+        m = measure(index(run(cfg(n=n, timeout=50),
+                              AdversarySpec(Synchronous(1), ()), 240)))
         assert m.commits_total > 0
         ns.append(n)
         ys.append(m.messages_per_commit)
@@ -189,8 +189,8 @@ def test_criterion_5_fallback_cost_is_quadratic(capsys):
         totals = instances = 0
         for seed in (1, 2):
             trace = run(cfg(n=n, seed=seed), adv, 700)
-            totals += measure(trace).messages_delivered
-            instances += fallback_stats(trace)["per_trace"][0]["completed"]
+            totals += measure(index(trace)).messages_delivered
+            instances += fallback_stats(trace)["completed"]
         assert instances > 0, n
         return totals / instances
 
@@ -209,10 +209,10 @@ def test_criterion_5_fallback_cost_is_quadratic(capsys):
 
 
 def test_criterion_6_commit_latency_is_exact(capsys):
-    m3 = measure(run(cfg(variant="three_chain", timeout=50),
-                     AdversarySpec(Synchronous(1), ()), 240))
-    m2 = measure(run(cfg(variant="two_chain", timeout=50),
-                     AdversarySpec(Synchronous(1), ()), 240))
+    m3 = measure(index(run(cfg(variant="three_chain", timeout=50),
+                           AdversarySpec(Synchronous(1), ()), 240)))
+    m2 = measure(index(run(cfg(variant="two_chain", timeout=50),
+                           AdversarySpec(Synchronous(1), ()), 240)))
     assert set(m3.commit_latency_histogram) == {6}
     assert set(m2.commit_latency_histogram) == {4}
     announce(capsys, f"ACCEPTANCE 6 PASS - latency: three_chain all "

@@ -89,7 +89,7 @@ def test_steady_state_messages_hand_counted():
             raise AssertionError(f"unexpected traffic: {r['m']}")
     for rnd in range(11, 21):  # any interior window
         assert per_round[rnd] == 6
-    m = measure(tr)
+    m = measure(index(tr))
     assert m.messages_delivered == len(delivered)
     assert m.variant_counts == {"proposal": 360, "vote": 360}
     # 2 units per proposal, 1 per vote
@@ -99,24 +99,24 @@ def test_steady_state_messages_hand_counted():
 
 
 def test_commit_latency_exact_three_chain():
-    m = measure(steady())
+    m = measure(index(steady()))
     assert m.commit_latency_histogram == {6: 118}
     assert m.commit_latency_mean == 6.0
 
 
 def test_commit_latency_exact_two_chain():
-    m = measure(steady(variant="two_chain"))
+    m = measure(index(steady(variant="two_chain")))
     assert set(m.commit_latency_histogram) == {4}
     assert m.commit_latency_mean == 4.0
 
 
 def test_messages_per_commit():
-    m = measure(steady())
+    m = measure(index(steady()))
     assert m.messages_per_commit == pytest.approx(720 / 118)
 
 
 def test_starved_run_uses_fallback_vocabulary():
-    m = measure(starved())
+    m = measure(index(starved()))
     assert m.views_completed > 0
     for variant in ("timeout", "ftc_relay", "fb_proposal", "fb_vote",
                     "fqc_relay", "coin_share"):
@@ -129,7 +129,7 @@ def test_starved_run_uses_fallback_vocabulary():
 def test_clean_traces_pass():
     for tr in (steady(), steady(variant="two_chain"), starved(),
                starved(variant="two_chain")):
-        rep = check_safety(tr)
+        rep = check_safety(index(tr))
         assert rep.ok, rep.violations[:3]
         assert rep.commits_checked > 0
         assert rep.certificates_checked > 0
@@ -138,14 +138,14 @@ def test_clean_traces_pass():
 def test_crashed_replica_prefix_is_not_a_violation():
     adv = AdversarySpec(Synchronous(1), ((0, Crash(at=40)),))
     tr = run(mk(), adv, 200)
-    rep = check_safety(tr)
+    rep = check_safety(index(tr))
     assert rep.ok, rep.violations[:3]
 
 
 def test_equivocating_leader_cannot_break_safety():
     adv = AdversarySpec(Synchronous(1), ((0, Equivocate()),))
     tr = run(mk(run_seed=9), adv, 300)
-    rep = check_safety(tr)
+    rep = check_safety(index(tr))
     assert rep.ok, rep.violations[:3]
 
 
@@ -185,7 +185,7 @@ def test_forged_commit_without_evidence_detected():
     tr = clone(steady())
     tr.records.append({"t": 239, "q": 10 ** 9, "kind": "commit", "rid": 0,
                        "blocks": ["f" * 32], "log_len": 999})
-    rep = check_safety(tr)
+    rep = check_safety(index(tr))
     assert not rep.ok
     text = "\n".join(rep.violations)
     assert "no block in trace" in text
@@ -199,7 +199,7 @@ def test_conflicting_commit_detected():
     rec = dict(tr.records[idx])
     rec["blocks"] = ["f" * 32]
     tr.records[idx] = rec
-    rep = check_safety(tr)
+    rep = check_safety(index(tr))
     assert not rep.ok
     assert any("conflicting commits" in v for v in rep.violations)
 
@@ -215,7 +215,7 @@ def test_conflicting_certificates_detected():
     tr.records.append({"t": 239, "q": 10 ** 9, "kind": "deliver", "frm": 3,
                        "to": 1, "m": Timeout(99, None, forged, 3),
                        "self": False})
-    rep = check_safety(tr)
+    rep = check_safety(index(tr))
     assert not rep.ok
     assert any("two certified blocks" in v for v in rep.violations), \
         rep.violations
@@ -227,7 +227,7 @@ def test_each_certificate_is_checked_once():
     # one key per distinct certificate the whole-trace index listed
     distinct = len(set(reference.index(tr).qcs))
     assert len(idx.qcs) == distinct > 0
-    assert check_safety(tr).certificates_checked == distinct
+    assert check_safety(idx).certificates_checked == distinct
     # a twin block certified twice in one slot: by a quorum of votes at
     # replica 1, then by the same certificate carried in a message
     _, rnd, view, _ = list(idx.qcs)[len(idx.qcs) // 2]
@@ -235,7 +235,7 @@ def test_each_certificate_is_checked_once():
     votes = [Vote(twin.id, rnd, view, voter) for voter in (1, 2, 3)]
     forged = QC(twin.id, rnd, view, frozenset({1, 2, 3}))
     _plant(tr, *votes, Timeout(99, None, forged, 3))
-    rep = check_safety(tr)
+    rep = check_safety(index(tr))
     assert rep.certificates_checked == distinct + 1
     assert sum("two certified blocks" in v for v in rep.violations) == 1, \
         rep.violations
@@ -248,7 +248,7 @@ def test_conflicting_elections_detected():
     rigged = CoinQC(coin.view, (coin.elected + 1) % 4, coin.signers)
     tr.records.append({"t": 899, "q": 10 ** 9, "kind": "deliver", "frm": 2,
                        "to": 1, "m": CoinQCRelay(rigged, 2), "self": False})
-    rep = check_safety(tr)
+    rep = check_safety(index(tr))
     assert not rep.ok
     assert any("election" in v or "coin" in v for v in rep.violations)
 
@@ -312,7 +312,7 @@ PLANTED = [
 @pytest.fixture(scope="module")
 def clean_starved():
     tr = starved()
-    assert check_safety(tr).ok
+    assert check_safety(index(tr)).ok
     return tr
 
 
@@ -321,7 +321,7 @@ def clean_starved():
 def test_planted_violation_is_reported(clean_starved, fragment, plant):
     tr = clone(clean_starved)
     plant(tr)
-    rep = check_safety(tr)
+    rep = check_safety(index(tr))
     assert any(fragment in v for v in rep.violations), rep.violations
 
 
@@ -339,7 +339,7 @@ def test_vote_quorum_implies_certificate():
                            "m": Vote(b1.id, 1, 0, voter), "self": False})
     tr.records.append({"t": 3, "q": next(q), "kind": "commit", "rid": 0,
                        "blocks": [b1.id], "log_len": 1})
-    rep = check_safety(tr)
+    rep = check_safety(index(tr))
     assert rep.ok, rep.violations
     assert rep.commits_checked == 1
 
@@ -357,7 +357,7 @@ def test_two_delivered_votes_do_not_imply_certificate():
                            "m": Vote(b1.id, 1, 0, voter), "self": False})
     tr.records.append({"t": 3, "q": next(q), "kind": "commit", "rid": 0,
                        "blocks": [b1.id], "log_len": 1})
-    rep = check_safety(tr)
+    rep = check_safety(index(tr))
     assert not rep.ok
     assert any("no certificate evidence" in v for v in rep.violations)
 
@@ -419,15 +419,6 @@ def test_fallback_stats_on_starved_run():
     assert fs["entered"] > 0
     assert 0 < fs["completed"] <= fs["entered"]
     assert 0 <= fs["commit_in_view"] <= fs["completed"]
-    assert fs["fraction"] == fs["commit_in_view"] / fs["completed"]
-    assert len(fs["per_trace"]) == 1
-
-
-def test_fallback_stats_aggregates_traces():
-    traces = [starved(seed=s, horizon=600) for s in (1, 2)]
-    fs = fallback_stats(traces)
-    assert len(fs["per_trace"]) == 2
-    assert fs["completed"] == sum(p["completed"] for p in fs["per_trace"])
 
 
 def test_fallback_stats_raises_without_fallbacks():

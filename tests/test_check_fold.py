@@ -29,9 +29,8 @@ def assert_agrees(trace):
     violation and in the same order."""
     idx = analysis.index(trace)
     want = reference.index(trace)
-    assert (analysis.check_safety(trace, idx)
-            == reference.check_safety(trace, want))
-    assert analysis.measure(trace, idx) == reference.measure(trace, want)
+    assert analysis.check_safety(idx) == reference.check_safety(trace, want)
+    assert analysis.measure(idx) == reference.measure(trace, want)
 
 
 @pytest.mark.parametrize("case", [c for c, _ in GOLDEN])

@@ -252,7 +252,8 @@ def test_replay_of_another_header_prints_the_true_digest(tmp_path, capsys):
     # the hash starts from the stored header; a re-run that ends with
     # another undelivered count cannot match it, and is run once more
     original = make_trace(tmp_path)
-    stored = simnet.Trace.read_header(str(original))
+    with open(original, "rb") as fh:
+        stored = simnet.Trace.read_header(fh, str(original))
     true = simnet.run(stored.protocol, stored.adversary,
                       stored.horizon).digest()
     count = stored.meta["undelivered"]
@@ -307,21 +308,32 @@ def test_replay_names_where_the_shorter_side_ends(tmp_path, capsys):
 
 
 def test_replay_names_the_header_line(tmp_path, capsys):
-    count = simnet.Trace.read_header(str(make_trace(tmp_path))).meta[
-        "undelivered"]
+    path = make_trace(tmp_path)
+    with open(path, "rb") as fh:
+        count = simnet.Trace.read_header(fh, str(path)).meta["undelivered"]
     for edit in (lambda h: h.update(undelivered=count + 1),
                  lambda h: h.update(digest="0" * 64)):
         out = replay_mismatch(capsys, edit_header(tmp_path, edit))
         assert out[5] == "first_difference: line 1"
 
 
-def test_replay_reads_a_pipe(tmp_path):
+def test_replay_reads_a_pipe(tmp_path, capsys):
     data = make_trace(tmp_path).read_bytes()
-    for text, code in ((data, 0), (data[:-1], 2)):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bftsim.cli", "replay", "/dev/stdin"],
-            input=text, capture_output=True, timeout=60)
-        assert proc.returncode == code, proc.stderr
+    path = tmp_path / "t.jsonl"
+    for command in ("replay", "check"):
+        for text, code in ((data, 0), (data[:-1], 2)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bftsim.cli", command, "/dev/stdin"],
+                input=text, capture_output=True, timeout=60)
+            assert proc.returncode == code, (command, proc.stderr)
+            if command == "check":
+                # what the same bytes give as a file, named /dev/stdin
+                path.write_bytes(text)
+                assert run_cli("check", str(path)) == code
+                captured = capsys.readouterr()
+                assert (proc.stdout.decode(), proc.stderr.decode()) == (
+                    captured.out.replace(str(path), "/dev/stdin"),
+                    captured.err.replace(str(path), "/dev/stdin"))
 
 
 def test_replay_refuses_a_bad_file_before_simulating(tmp_path, capsys,
@@ -343,7 +355,8 @@ def test_check_and_replay_hold_no_trace(tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--config", cfg, "--out", str(out), "--quiet") == 0
     path = str(out / "run-seed7.trace.jsonl")
-    stored = simnet.Trace.read_header(path)
+    with open(path, "rb") as fh:
+        stored = simnet.Trace.read_header(fh, path)
 
     def peak(work) -> int:
         tracemalloc.start()
@@ -450,8 +463,9 @@ def test_trace_header_bad_delay_range_exits_two(tmp_path, capsys):
     assert_trace_error(capsys, path)
 
 
-# header edits a run refuses before it starts, each as (edit, what the
-# error says); both commands refuse them through the run's own checks
+# header edits that no run writes, or that a run refuses before it starts,
+# each as (edit, what the error says); both commands refuse them as they
+# read the header
 REFUSED_HEADERS = [
     (lambda h: h.update(horizon=-5), "precedes the first event"),
     (lambda h: h.update(horizon=0), "precedes the first event"),
@@ -467,6 +481,16 @@ REFUSED_HEADERS = [
     # another program's block ids or coin
     (lambda h: h.update(genesis_id="00"), f"is not {GENESIS_ID!r}"),
     (lambda h: h.update(prf="sha512-mod"), f"is not {crypto.PRF_ID!r}"),
+    # a delay range of three numbers
+    (lambda h: h.update(adversary={"model": "asynchronous",
+                                   "base_delay": [1, 2, 3],
+                                   "per_variant": []}),
+     "base_delay is not"),
+    # replica 0's fault under an id that int() reads as 0, but a run
+    # never writes
+    *((lambda h, rid=rid: h.update(faults={rid: {"fault": "mute_leader"}}),
+       f"fault id {rid!r} is not canonical")
+      for rid in ("01", " 0", "+0", "0_0")),
 ]
 
 
@@ -579,6 +603,10 @@ def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
                       if '"kind":"deliver","m":' in line)
     self_delivery = json.loads(lines[first_self])
     self_delivery.update(self=False, to=(self_delivery["to"] + 1) % 4)
+    first_send = next(k for k, line in enumerate(lines)
+                      if '"kind":"send"' in line)
+    send = json.loads(lines[first_send])
+    teleport = dict(send, m=dict(send["m"], kind="teleport"))
     for k, line, says in (
             (1, "{not json", NOT_CANONICAL),
             (1, canonical(unknown_kind), NOT_CANONICAL),
@@ -594,6 +622,8 @@ def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
             (first_sq, canonical(dict(deliver, self=True)),
              "deliver disagrees"),
             (first_self, canonical(self_delivery), "must be to itself"),
+            (first_send, canonical(teleport),
+             "unknown message kind: 'teleport'"),
             (1, canonical(dict(json.loads(lines[1]), zz=1)), NOT_CANONICAL)):
         path = rewrite(tmp_path, lines[:k] + [line] + lines[k + 1:])
         # check has folded the lines before it, and names the bad one
@@ -875,8 +905,8 @@ def test_sweep_exit_codes_hold_in_children(k, tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, SWEEP)
     real_check = analysis.check_safety
 
-    def violated(trace, idx):
-        report = real_check(trace, idx)
+    def violated(idx):
+        report = real_check(idx)
         report.violations.append("planted")
         report.ok = False
         return report
@@ -911,7 +941,7 @@ def test_sweep_child_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
     cpus(monkeypatch, 2)
     parent = os.getpid()
 
-    def die(trace, idx):
+    def die(idx):
         assert os.getpid() != parent, "the run is not in a child"
         os._exit(0)
     monkeypatch.setattr(analysis, "measure", die)

@@ -8,6 +8,7 @@ fail here, not first in a benchmark run.
 
 import importlib.util
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +82,34 @@ def test_committed_counts_the_whole_log():
     for rid, log_len in last.items():
         state = sim.harnesses[rid].replica.state
         assert len(state.committed) == log_len > 4 * len(state.blocks)
+
+
+def test_each_command_reaches_its_layers(monkeypatch, tmp_path):
+    # which traced layers each command reaches: a reshaped command cannot
+    # turn a per-layer figure such as simnet.from_jsonl_s into 0 unseen
+    layers = load_layers(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cfg = tmp_path / "scenario.ini"
+    cfg.write_text("[protocol]\nn = 4\nf = 1\n\n[adversary]\n"
+                   "model = synchronous\n\n[run]\nhorizon = 120\nseed = 1\n\n"
+                   "[sweep]\nn_values = 4, 7\nseeds = 1\n")
+    out = tmp_path / "out"
+    trace = str(out / "run-seed1.trace.jsonl")
+    tracer = layers.Tracer()
+    reached = {}
+    for argv in (["run", "--config", str(cfg), "--out", str(out)],
+                 ["check", trace], ["replay", trace],
+                 ["sweep", "--config", str(cfg)]):
+        before = len(tracer.spans)
+        assert layers.traced_command(tracer, argv)[0] == 0, argv
+        # every span after a command's root is nested under it
+        reached[argv[0]] = {s.name for s in tracer.spans[before + 1:]}
+    finalizers = {"analysis.check_safety", "analysis.measure"}
+    assert reached == {
+        "run": {"scenario.parse", "simnet.run", *finalizers,
+                "simnet.to_jsonl"},
+        "check": {"simnet.from_jsonl", "analysis.check_safety"},
+        "replay": {"simnet.run"},
+        "sweep": {"scenario.parse", "simnet.run", *finalizers,
+                  "analysis.fit_polynomial"},
+    }

@@ -1353,6 +1353,34 @@ def test_late_copies_of_dropped_state_change_nothing():
     assert sizes[3]["vote_shares"] == sizes[2]["vote_shares"] + 1
 
 
+def test_what_names_a_body_that_never_came_goes_once_settled():
+    # certificates and a fallback vote for blocks whose bodies never
+    # arrive: a regular fork x and replica 3's fallback block fb, both at
+    # round 2 of view 0, whose coin elects replica 1, not 3
+    r, _ = boot(3)
+    assert elect_leader(0, 0, 4) == 1
+    x, fb = "x" * 32, "f" * 32
+    fqc = FallbackQC(fb, 2, 0, 1, 3, QUORUM)
+    fvote_key = (fb, 2, 0, 1, 3)
+    for msg in (Timeout(None, 0, QC(x, 2, 0, QUORUM), 1), FQCRelay(fqc, 1),
+                FBVote(*fvote_key, 1), CoinQCRelay(CoinQC(0, 1, QUORUM), 1)):
+        r.handle_message(msg, 1)
+    st = r.state
+    assert (x in st.qc_by_block and st.fqc_by_block[fb] is fqc
+            and st.fqc_by_key[(0, 3, 1)] is fqc and fvote_key in st.fvote_shares)
+    # a chain through round 40 settles both: past, below the highest
+    # committed round, below the lock, and neither committed
+    for b, _qc in chain(range(1, 41)):
+        leader = r.leader_of(b.round)
+        r.handle_message(Proposal(b, leader), leader)
+    assert len(st.committed) == 37 and st.current_view == 1
+    assert x not in st.qc_by_block and fb not in st.fqc_by_block
+    assert (0, 3, 1) not in st.fqc_by_key and fvote_key not in st.fvote_shares
+    # a late vote opens no new bucket for the dead block
+    assert r.handle_message(FBVote(*fvote_key, 2), 2) == []
+    assert fvote_key not in st.fvote_shares
+
+
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 # every store a rule reads but two that grow by design: committed's ids,
 # the log itself, and coin_history, one coin per view, which every rank

@@ -149,16 +149,19 @@ def test_parse_int_list():
     ("[protocol]\nn = 5\nf = 1", "3f+1"),
     ("[protocol]\nn = 4\nf = 1\nbogus = 1", "bogus"),
     ("[protocol]\nn = 4\nf = 1\n\n[mystery]\nx = 1", "mystery"),
+    ("warp = 1\n\n[protocol]\nn = 4\nf = 1", "unknown key 'warp' in [run]"),
+    ("[protocol]\nn = 4\nf = 1\n\n[sweep]\nwarp = 1",
+     "unknown key 'warp' in [sweep]"),
 ])
 def test_bad_scenarios_rejected(tmp_path, mutation, needle):
-    text = mutation + """
-
+    # the mutation follows [run], so its first lines may add keys to it
+    text = """
 [adversary]
 model = synchronous
 
 [run]
 horizon = 100
-"""
+""" + mutation
     with pytest.raises(ConfigError) as err:
         parse_scenario(write(tmp_path, text))
     assert needle in str(err.value)
@@ -264,7 +267,7 @@ def test_keys_of_another_model_rejected(tmp_path, adversary, key):
 
 
 @pytest.mark.parametrize("faults", ["0:crash", "0:mute_leader@3", "0:teleport",
-                                    "x:equivocate"])
+                                    "x:equivocate", "1:crash@5 1:mute_leader"])
 def test_bad_fault_entries_rejected(tmp_path, faults):
     with pytest.raises(ConfigError):
         parse_scenario(write(tmp_path, scenario(

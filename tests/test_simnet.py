@@ -13,7 +13,6 @@ from bftsim.simnet import (
     ConfigError,
     Crash,
     Equivocate,
-    HorizonTooSmall,
     MuteLeader,
     PartialSynchrony,
     Synchronous,
@@ -256,7 +255,8 @@ def test_equivocator_splits_the_committee():
 
 
 def test_horizon_too_small_rejected():
-    with pytest.raises(HorizonTooSmall):
+    with pytest.raises(ConfigError, match="^horizon 0 precedes the first "
+                                         "event$"):
         run(mk(), sync(), 0)
 
 

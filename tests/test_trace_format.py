@@ -252,8 +252,9 @@ def test_golden_v2_digests(case, want, tmp_path):
     # the file's bytes as README says to hash them, through hashlib
     header, _, records = path.read_bytes().partition(b"\n")
     meta = json.loads(header)
-    assert (meta.pop("digest") == Trace.read_header(str(path)).stored_digest
-            == want)
+    with open(path, "rb") as fh:
+        stored = Trace.read_header(fh, str(path))
+    assert meta.pop("digest") == stored.stored_digest == want
     meta_line = json.dumps(meta, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(meta_line.encode() + b"\n"
                           + records).hexdigest() == want
@@ -298,8 +299,8 @@ def test_workload_digests(name, tmp_path):
     tr.to_jsonl(str(path))
     assert Trace.from_jsonl(str(path)).records == tr.records
     idx = analysis.index(tr)
-    assert analysis.check_safety(tr, idx).lines() == safety
-    measured = json.dumps(analysis.measure(tr, idx).to_dict(), sort_keys=True)
+    assert analysis.check_safety(idx).lines() == safety
+    measured = json.dumps(analysis.measure(idx).to_dict(), sort_keys=True)
     assert hashlib.sha256(measured.encode()).hexdigest() == metrics
 
 
@@ -347,7 +348,7 @@ def test_streaming_equals_holding(name, tmp_path, capsys):
         assert getattr(read, f.name) == getattr(want, f.name), f.name
 
     # check reads into the fold and prints what the held trace gives
-    safety = analysis.check_safety(held, want)
+    safety = analysis.check_safety(want)
     assert cli.main(["check", str(path)]) == (0 if safety.ok else 1)
     assert capsys.readouterr().out.splitlines() == [f"trace: {path}",
                                                     *safety.lines()]
@@ -483,12 +484,6 @@ def test_other_spellings_exit_two(tmp_path, capsys):
                 assert err.startswith("trace error:"), err
                 assert f" line {k + 1}: " in err, err
     assert checked == set(_SHAPES)
-
-
-def test_measure_reads_only_the_index():
-    tr = trace_of(*GOLDEN[0][0])
-    assert (analysis.measure(Trace(tr.meta, []), analysis.index(tr))
-            == analysis.measure(tr))
 
 
 def test_adjacent_sends_one_byte_apart_are_two_messages(tmp_path):
