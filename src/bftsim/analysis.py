@@ -16,15 +16,14 @@ check keeps").
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from operator import itemgetter
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import crypto
 from .core import (ASYNC_FALLBACK, GENESIS_ID, CoinQC, CoinShare, FallbackQC,
                    FBProposal, FBVote, MESSAGE_KINDS, MESSAGE_SIZE_UNITS,
                    Proposal, QC, ReplicaConfig, Vote, coin_threshold,
-                   message_certs, quorum_threshold)
+                   message_certs, quorum_threshold, value_types)
 from .simnet import AdversarySpec, Sink, Trace
 
 
@@ -33,8 +32,7 @@ class NoFallbacks(ValueError):
     no fallback was ever entered (e.g. a baseline-pacemaker run)."""
 
 
-@dataclass
-class SafetyReport:
+class SafetyReport(NamedTuple):
     ok: bool
     violations: list[str]
     commits_checked: int
@@ -48,8 +46,7 @@ class SafetyReport:
         return out
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     messages_delivered: int
     size_units: int
     sends_total: int
@@ -62,74 +59,79 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         return {k: dict(sorted(v.items())) if isinstance(v, dict) else v
-                for k, v in asdict(self).items()}
+                for k, v in self._asdict().items()}
 
 
-@dataclass(slots=True)
+value_types(SafetyReport, MetricsReport)
+
+
 class BlockFacts:
     """What a rule can still read of one block id, named by a body, a
     commit or a certificate.  ``parent`` stays None until a body is read;
     ``tick``, ``fallback_view`` and ``shape`` go once their rule has run."""
 
-    id: str  # the one copy of the id that the fold's stores share
-    parent: Optional[str] = None
-    committers: int = 0  # one bit per honest replica that committed it
-    # the tick the body was first read, until the first commit; from a
-    # commit read before any body, that commit's tick, until the body
-    tick: Optional[int] = None
-    fallback_view: Optional[int] = None  # a fallback body's view, likewise
-    # (view, round, regular, parent view, parent round, parent is a
-    # fallback certificate) of a body with a parent, until it is certified
-    shape: Optional[tuple] = None
-    certified: bool = False
+    __slots__ = ("id", "parent", "committers", "tick", "fallback_view",
+                 "shape", "certified")
+
+    def __init__(self, id: str):
+        self.id = id  # the one copy of the id that the fold's stores share
+        self.parent: Optional[str] = None
+        self.committers = 0  # one bit per honest replica that committed it
+        # the tick the body was first read, until the first commit; from a
+        # commit read before any body, that commit's tick, until the body
+        self.tick: Optional[int] = None
+        self.fallback_view: Optional[int] = None  # a fallback body's, likewise
+        # (view, round, regular, parent view, parent round, parent is a
+        # fallback certificate) of a body with a parent, until it is certified
+        self.shape: Optional[tuple] = None
+        self.certified = False
 
 
-@dataclass
 class TraceIndex:
-    honest: set[int] = field(default_factory=set)
-    blocks: dict[str, BlockFacts] = field(default_factory=dict)
-    # honest logs: entry k is the first honest commit at index k; each
-    # replica keeps its length, its last entry, and where it differs from
-    # the canon, the entry (index -> replica -> id)
-    canon: list[str] = field(default_factory=list)
-    log_len: dict[int, int] = field(default_factory=dict)
-    log_last: dict[int, str] = field(default_factory=dict)
-    off_canon: dict[int, dict[int, str]] = field(default_factory=dict)
-    # each distinct certificate as (block id, round, view[, height,
-    # proposer], signers), signers as a bit mask, in the order found, and
-    # per view and round the block a regular certificate named first
-    qcs: dict[tuple, None] = field(default_factory=dict)
-    fqcs: dict[tuple, None] = field(default_factory=dict)
-    qc_slots: dict[int, dict[int, str]] = field(default_factory=dict)
-    # signers of the shares a recipient was delivered, per what they sign;
-    # a tally that reached its threshold is the shared empty set FULL
-    tallies: dict[tuple, set[int]] = field(default_factory=dict)
-    coins: dict[int, set[int]] = field(default_factory=dict)  # view -> electeds
-    commit_records: int = 0
-    commits: int = 0  # distinct ids committed by honest replicas
-    latency: dict[int, int] = field(default_factory=dict)  # ticks -> blocks
-    committed_fallback_views: set[int] = field(default_factory=set)
-    entered_views: set[int] = field(default_factory=set)
-    completed_views: set[int] = field(default_factory=set)
-    sends: int = 0
-    # deliveries over the network, by message variant
-    delivered: dict[str, int] = field(default_factory=dict)
-    # findings as the records show them, which check_safety puts in
-    # report order: each replica pair's first disagreement, the replicas
-    # that committed a block twice, chain breaks as (replica, log index,
-    # text), clashing regular certificates and structure claims broken by
-    # a certified block, as (block id, text)
-    conflicts: dict[tuple[int, int], str] = field(default_factory=dict)
-    twice: set[int] = field(default_factory=set)
-    breaks: list[tuple[int, int, str]] = field(default_factory=list)
-    slot_clashes: list[str] = field(default_factory=list)
-    structural: list[tuple[str, str]] = field(default_factory=list)
-    # what waits for a later record: commits of an id no body has named yet
-    # as (replica, log index, expected parent), and committed ids that no
-    # certificate has named yet
-    awaiting_body: dict[str, list[tuple[int, int, str]]] = field(
-        default_factory=dict)
-    uncertified: set[str] = field(default_factory=set)
+    def __init__(self):
+        self.honest: set[int] = set()
+        self.blocks: dict[str, BlockFacts] = {}
+        # honest logs: entry k is the first honest commit at index k; each
+        # replica keeps its length, its last entry, and where it differs from
+        # the canon, the entry (index -> replica -> id)
+        self.canon: list[str] = []
+        self.log_len: dict[int, int] = {}
+        self.log_last: dict[int, str] = {}
+        self.off_canon: dict[int, dict[int, str]] = {}
+        # each distinct certificate as (block id, round, view[, height,
+        # proposer], signers), signers as a bit mask, in the order found, and
+        # per view and round the block a regular certificate named first
+        self.qcs: dict[tuple, None] = {}
+        self.fqcs: dict[tuple, None] = {}
+        self.qc_slots: dict[int, dict[int, str]] = {}
+        # signers of the shares a recipient was delivered, per what they sign;
+        # a tally that reached its threshold is the shared empty set FULL
+        self.tallies: dict[tuple, set[int]] = {}
+        self.coins: dict[int, set[int]] = {}  # view -> electeds
+        self.commit_records = 0
+        self.commits = 0  # distinct ids committed by honest replicas
+        self.latency: dict[int, int] = {}  # ticks -> blocks
+        self.committed_fallback_views: set[int] = set()
+        self.entered_views: set[int] = set()
+        self.completed_views: set[int] = set()
+        self.sends = 0
+        # deliveries over the network, by message variant
+        self.delivered: dict[str, int] = {}
+        # findings as the records show them, which check_safety puts in report
+        # order: each replica pair's first disagreement, the replicas that
+        # committed a block twice, chain breaks as (replica, log index, text),
+        # clashing regular certificates and structure claims broken by a
+        # certified block, as (block id, text)
+        self.conflicts: dict[tuple[int, int], str] = {}
+        self.twice: set[int] = set()
+        self.breaks: list[tuple[int, int, str]] = []
+        self.slot_clashes: list[str] = []
+        self.structural: list[tuple[str, str]] = []
+        # what waits for a later record: commits of an id no body has named yet
+        # as (replica, log index, expected parent), and committed ids that no
+        # certificate has named yet
+        self.awaiting_body: dict[str, list[tuple[int, int, str]]] = {}
+        self.uncertified: set[str] = set()
 
 
 def indexer(config: ReplicaConfig,
@@ -277,12 +279,8 @@ def indexer(config: ReplicaConfig,
         return signers
 
     def certified(cert: Union[QC, FallbackQC]) -> None:
-        if isinstance(cert, QC):
-            store, rest = idx.qcs, (cert.round, cert.view)
-        else:
-            store, rest = idx.fqcs, (cert.round, cert.view, cert.height,
-                                     cert.proposer)
-        key = (cert.block_id, *rest, signed(cert.signers))
+        store = idx.qcs if isinstance(cert, QC) else idx.fqcs
+        key = (*cert[:-1], signed(cert.signers))  # the signers come last
         if key in store:
             return
         block = facts(cert.block_id)

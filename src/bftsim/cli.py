@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
 from typing import TYPE_CHECKING, Optional
 
 from . import simnet
@@ -49,9 +48,8 @@ def _run_report(scenario_path: str, cfg: ScenarioConfig, trace: Trace,
     lines = ["command: run", f"scenario: {scenario_path}"]
     # one line per protocol field, in declaration order; run_seed is
     # spelled as its [run] key
-    for f in fields(cfg.protocol):
-        key = "seed" if f.name == "run_seed" else f.name
-        lines.append(f"{key}: {getattr(cfg.protocol, f.name)}")
+    lines += [f"{'seed' if name == 'run_seed' else name}: {value}"
+              for name, value in cfg.protocol._asdict().items()]
     lines += [
         f"horizon: {cfg.horizon}",
         f"coin_prf: {trace.meta['prf']}",
@@ -75,7 +73,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
     if args.horizon is not None:
-        cfg = replace(cfg, horizon=args.horizon)
+        cfg = cfg._replace(horizon=args.horizon)
     out_dir = args.out or cfg.out_dir
     trace = simnet.run(cfg.protocol, cfg.adversary, cfg.horizon)
     idx = analysis.index(trace)
@@ -198,7 +196,7 @@ def cmd_sweep(args) -> int:
     # the whole grid is checked before any run starts
     protocols = {}
     for n in n_values:
-        protocols[n] = replace(cfg.protocol, n=n, f=(n - 1) // 3)
+        protocols[n] = cfg.protocol._replace(n=n, f=(n - 1) // 3)
         simnet.validate(protocols[n], cfg.adversary, cfg.horizon)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -209,7 +207,7 @@ def cmd_sweep(args) -> int:
     # a point the grid lists twice runs once, and counts twice
     points = list(dict.fromkeys((n, seed) for n in n_values for seed in seeds))
     results = dict(zip(points, _in_children(_sweep_run, [
-        (cfg, replace(protocols[n], run_seed=seed),
+        (cfg, protocols[n]._replace(run_seed=seed),
          out_dir and os.path.join(out_dir, f"sweep-n{n}-seed{seed}.trace.jsonl"))
         for n, seed in points])))
 
@@ -248,6 +246,26 @@ def cmd_sweep(args) -> int:
     return 0 if all_ok else 1
 
 
+def _difference(no: int, theirs: Optional[bytes],
+                mine: Optional[bytes]) -> list[str]:
+    """Where a replay first differs: the line, its record's kind and
+    replica (a send's sender, a deliver's recipient, else ``rid``) as the
+    run has it unless ended, and both lines cut to 120 characters."""
+    record = "header"
+    if no > 1:
+        try:
+            rec = json.loads(mine or theirs)
+            owner = {"send": "frm", "deliver": "to"}.get(rec["kind"], "rid")
+            record = f"{rec['kind']}, replica {rec[owner]}"
+        except (ValueError, KeyError, TypeError, RecursionError):
+            record = "unreadable"
+    return [f"first_difference: line {no}", f"record: {record}"] + [
+        f"{side}: " + (ended if line is None else line.decode(
+            errors="replace").rstrip("\n")[:120])
+        for side, line, ended in (("file", theirs, "(end of file)"),
+                                  ("run", mine, "(end of run)"))]
+
+
 def cmd_replay(args) -> int:
     trace, recomputed, got, first = simnet.replay(args.trace)
     # All three must agree: header digest, digest over the bytes as stored,
@@ -259,7 +277,7 @@ def cmd_replay(args) -> int:
              f"replayed_digest: {got}",
              f"replay: {'match' if match else 'MISMATCH'}"]
     if not match:
-        lines.append(f"first_difference: line {first}")
+        lines += _difference(*first)
     _print(lines, args.quiet)
     return 0 if match else 1
 
@@ -320,14 +338,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"file error: {exc}\n")
-        return 2
-    except simnet.TraceFormatError as exc:
-        sys.stderr.write(f"trace error: {exc}\n")
+    except (ConfigError, OSError, simnet.TraceFormatError) as exc:
+        what = ("config" if isinstance(exc, ConfigError) else
+                "file" if isinstance(exc, OSError) else "trace")
+        sys.stderr.write(f"{what} error: {exc}\n")
         return 2
 
 

@@ -3,14 +3,14 @@
 Blocks, certificates, wire messages, the rank total order that the
 voting/locking rules compare certificates by, and one text codec for trace
 files and digests, driven by each class's kind tag and fields.  Everything
-here is an immutable value object; replicas replace state wholesale
-instead of mutating shared structures.
+here is an immutable value object, a NamedTuple that equals only values of
+its own class (``value_types``); replicas replace state wholesale instead
+of mutating shared structures.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from operator import index
@@ -42,8 +42,23 @@ class Rank(NamedTuple):
 ZERO_RANK = Rank(0, False, 0)
 
 
-@dataclass(frozen=True)
-class TxnBatch:
+def _eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _ne(self, other) -> bool:
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+def value_types(*classes) -> None:
+    """Make each NamedTuple of ``classes`` equal only to values of its own
+    class: as plain tuples, ``TimeoutCert(3, s) == FallbackTC(3, s)`` and
+    every field-less fault equals ``()``.  Hashes stay the tuples'."""
+    for cls in classes:
+        cls.__eq__, cls.__ne__ = _eq, _ne
+
+
+class TxnBatch(NamedTuple):
     """Opaque payload; only identity and an abstract size are modeled."""
 
     payload_id: str
@@ -53,8 +68,7 @@ class TxnBatch:
 # --- certificates ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QC:
+class QC(NamedTuple):
     """Quorum certificate: 2f+1 vote shares for one block."""
 
     block_id: BlockId
@@ -65,8 +79,7 @@ class QC:
     proposer = None  # no chain owner, so never endorsed; not a field
 
 
-@dataclass(frozen=True)
-class FallbackQC:
+class FallbackQC(NamedTuple):
     """Certificate for a fallback block, tagged with chain height and owner."""
 
     block_id: BlockId
@@ -77,24 +90,21 @@ class FallbackQC:
     signers: frozenset[ReplicaId]
 
 
-@dataclass(frozen=True)
-class TimeoutCert:
+class TimeoutCert(NamedTuple):
     """2f+1 round-timeout shares; lets the baseline pacemaker skip ahead."""
 
     round: int
     signers: frozenset[ReplicaId]
 
 
-@dataclass(frozen=True)
-class FallbackTC:
+class FallbackTC(NamedTuple):
     """2f+1 view-timeout shares; entry ticket for the fallback of a view."""
 
     view: int
     signers: frozenset[ReplicaId]
 
 
-@dataclass(frozen=True)
-class CoinQC:
+class CoinQC(NamedTuple):
     """f+1 coin shares opening the leader election of a fallback view."""
 
     view: int
@@ -111,12 +121,7 @@ ParentCert = Union[QC, FallbackQC]
 # --- blocks ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Block:
-    """A block; ``height`` and ``proposer`` are set only on a block of some
-    replica's fallback chain, and its id commits to both, so a fallback
-    block can never collide with a regular one."""
-
+class _BlockFields(NamedTuple):
     id: BlockId
     parent_qc: Optional[ParentCert]  # None only for genesis
     round: int
@@ -125,14 +130,19 @@ class Block:
     height: Optional[int] = None
     proposer: Optional[ReplicaId] = None
 
+
+class Block(_BlockFields):
+    """A block; ``height`` and ``proposer`` are set only on a block of some
+    replica's fallback chain, and its id commits to both, so a fallback
+    block can never collide with a regular one.  A subclass of its fields,
+    so that it has a ``__dict__`` to cache ``id_matches`` in."""
+
     @cached_property
     def id_matches(self) -> bool:
         """Whether ``id`` is the digest of the other fields.  The value is
         frozen, so each block object hashes itself once, however many
         replicas a multicast hands it to."""
-        return self.id == block_id_of(self.parent_qc, self.round, self.view,
-                                      self.payload, self.height,
-                                      self.proposer)
+        return self.id == block_id_of(*self[1:])
 
 
 def cert_digest(cert: Optional[Certificate]) -> str:
@@ -226,8 +236,7 @@ def max_cert(a: ParentCert, b: ParentCert,
 # --- wire messages --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Proposal:
+class Proposal(NamedTuple):
     block: Block
     sender: ReplicaId
     # election evidence when the parent certificate is an endorsed fallback
@@ -235,16 +244,14 @@ class Proposal:
     coin_qc: Optional[CoinQC] = None
 
 
-@dataclass(frozen=True)
-class Vote:
+class Vote(NamedTuple):
     block_id: BlockId
     round: int
     view: int
     voter: ReplicaId
 
 
-@dataclass(frozen=True)
-class Timeout:
+class Timeout(NamedTuple):
     """Timeout share: round-scoped under the baseline pacemaker, view-scoped
     under the fallback pacemaker.  Exactly one of round/view is set."""
 
@@ -254,27 +261,23 @@ class Timeout:
     sender: ReplicaId
 
 
-@dataclass(frozen=True)
-class TCRelay:
+class TCRelay(NamedTuple):
     tc: TimeoutCert
     sender: ReplicaId
 
 
-@dataclass(frozen=True)
-class FTCRelay:
+class FTCRelay(NamedTuple):
     ftc: FallbackTC
     sender: ReplicaId
 
 
-@dataclass(frozen=True)
-class FBProposal:
+class FBProposal(NamedTuple):
     block: Block  # a fallback block
     # height-1 proposals carry the entry ticket so receivers can validate
     ftc: Optional[FallbackTC] = None
 
 
-@dataclass(frozen=True)
-class FBVote:
+class FBVote(NamedTuple):
     block_id: BlockId
     round: int
     view: int
@@ -283,20 +286,17 @@ class FBVote:
     voter: ReplicaId
 
 
-@dataclass(frozen=True)
-class FQCRelay:
+class FQCRelay(NamedTuple):
     fqc: FallbackQC
     sender: ReplicaId  # doubles as the counter-signer in the 2-chain variant
 
 
-@dataclass(frozen=True)
-class CoinShare:
+class CoinShare(NamedTuple):
     view: int
     signer: ReplicaId
 
 
-@dataclass(frozen=True)
-class CoinQCRelay:
+class CoinQCRelay(NamedTuple):
     coin_qc: CoinQC
     sender: ReplicaId
 
@@ -330,30 +330,30 @@ MESSAGE_VARIANTS = tuple(MESSAGE_SIZE_UNITS)
 # text: the one comparison checks every value's type and spelling.
 
 
-def _fields(cls) -> tuple[tuple, tuple, bool]:
-    """A dataclass's plain fields with the types each may hold (Optional:
+def _layout(cls) -> tuple[tuple, tuple, bool]:
+    """A value type's plain fields with the types each may hold (Optional:
     either), its certificate fields with the classes each may hold (both in
     declaration order, signers left out), and whether it carries a block."""
     hints = get_type_hints(cls)
     plain, certs, block = [], [], False
-    for f in fields(cls):
-        args = get_args(hints[f.name]) or (hints[f.name],)
+    for name in cls._fields:
+        args = get_args(hints[name]) or (hints[name],)
         if Block in args:
             block = True
         elif CERT_KINDS.keys() & set(args):
-            certs.append((f.name, frozenset(args)))
-        elif f.name != "signers":
-            plain.append((f.name, args))
+            certs.append((name, frozenset(args)))
+        elif name != "signers":
+            plain.append((name, args))
     return tuple(plain), tuple(certs), block
 
 
 # type -> (kind, plain, certs, block), which the writers and readers below
 # are made from, and kind -> type
-_CODEC = {cls: (kind, *_fields(cls)) for cls, kind in {
+_CODEC = {cls: (kind, *_layout(cls)) for cls, kind in {
     **CERT_KINDS, **{cls: kind for cls, (kind, _) in MESSAGE_KINDS.items()}
 }.items()}
 _BY_KIND = {kind: cls for cls, (kind, *_) in _CODEC.items()}
-_, ((_, _PARENT_KINDS),), _ = _fields(Block)
+_, ((_, _PARENT_KINDS),), _ = _layout(Block)
 
 
 def _codec(obj, kinds: dict, what: str) -> tuple:
@@ -386,7 +386,8 @@ def _slot(cert: Optional[Certificate]) -> str:
     try:
         return _writer(type(cert))(cert)
     except (TypeError, OverflowError):
-        raise ValueError(f"certificate fields hold {vars(cert)!r}") from None
+        raise ValueError(
+            f"certificate fields hold {cert._asdict()!r}") from None
 
 
 def _signers(signers: frozenset) -> str:
@@ -459,7 +460,7 @@ def _reader(cls) -> Callable[[dict], object]:
     values = [f"build(d[{n!r}], slots[{n!r}])" if n in slots
               else {"signers": 'frozenset(d["signers"])',
                     "block": "block(d)"}.get(n, f"d[{n!r}]")
-              for n in (f.name for f in fields(cls))]
+              for n in cls._fields]
     return eval(f"lambda d: cls({', '.join(values)})",
                 {"cls": cls, "block": _block, "build": _build, "slots": slots})
 
@@ -493,7 +494,7 @@ def _checked(msg: WireMessage, text: str) -> WireMessage:
     try:
         canonical = _writer(type(msg))(msg)
     except (TypeError, OverflowError):
-        raise ValueError(f"message fields hold {vars(msg)!r}") from None
+        raise ValueError(f"message fields hold {msg._asdict()!r}") from None
     if canonical != text:
         raise ValueError("message is not in canonical form")
     return msg
@@ -548,8 +549,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ReplicaConfig:
+class ReplicaConfig(NamedTuple):
     n: int
     f: int
     variant: str = THREE_CHAIN
@@ -592,26 +592,24 @@ class ReplicaConfig:
 # --- output actions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Send:
+class Send(NamedTuple):
     to: int
     msg: WireMessage
 
 
-@dataclass(frozen=True)
-class Multicast:
+class Multicast(NamedTuple):
     msg: WireMessage
 
 
-@dataclass(frozen=True)
-class SetTimer:
+class SetTimer(NamedTuple):
     round: int
     duration: int
 
 
-@dataclass(frozen=True)
-class CommitNotice:
+class CommitNotice(NamedTuple):
     block_ids: tuple[str, ...]  # newly committed, oldest first
 
 
 OutputAction = Union[Send, Multicast, SetTimer, CommitNotice]
+value_types(TxnBatch, Block, *CERT_KINDS, *MESSAGE_KINDS, ReplicaConfig,
+            Send, Multicast, SetTimer, CommitNotice)

@@ -11,7 +11,6 @@ fallback view-change with coin-based leader election).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -41,63 +40,64 @@ SPENT: frozenset[int] = frozenset()
 # --- replica state ---------------------------------------------------------
 
 
-@dataclass
 class ReplicaState:
-    """Protocol variables plus bookkeeping (stores, share buckets, buffers)."""
+    """Protocol variables plus bookkeeping (stores, share buckets, buffers)
+    of a replica among ``n``, from ``genesis`` and its certificate ``qc``."""
 
-    voted_round: int = 0
-    locked_rank: Rank = ZERO_RANK
-    current_round: int = 1
-    current_view: int = 0
-    high_qc: ParentCert = None  # set in Replica.__init__
-    in_fallback: bool = False
-    fallback_voted_round: dict[int, int] = field(default_factory=dict)
-    fallback_voted_height: dict[int, int] = field(default_factory=dict)
-    # every committed id, in order: the log's length, and where each commit
-    # walk stops, wherever a fork joins the log
-    committed: dict[str, None] = field(default_factory=dict)
-    tip_round: int = 0  # the highest round committed
+    def __init__(self, n: int, genesis: Block, qc: QC):
+        self.voted_round = 0
+        self.locked_rank: Rank = ZERO_RANK
+        self.current_round = 1
+        self.current_view = 0
+        self.high_qc: ParentCert = qc
+        self.in_fallback = False
+        self.fallback_voted_round = {j: 0 for j in range(n)}
+        self.fallback_voted_height = {j: 0 for j in range(n)}
+        # every committed id, in order: the log's length, and where each
+        # commit walk stops, wherever a fork joins the log
+        self.committed: dict[str, None] = {}
+        self.tip_round = 0  # the highest round committed
 
-    # stores; Replica._prune drops the settled entries (see _settled) once
-    # a commit finds ``blocks`` at ``prune_at``, twice its size after the
-    # last pass, so each entry is looked at a constant number of times
-    prune_at: int = PRUNE_FLOOR
-    blocks: dict[str, Block] = field(default_factory=dict)
-    qc_by_block: dict[str, QC] = field(default_factory=dict)
-    fqc_by_key: dict[tuple, FallbackQC] = field(default_factory=dict)
-    fqc_by_block: dict[str, FallbackQC] = field(default_factory=dict)
-    coin_history: dict[int, CoinQC] = field(default_factory=dict)  # kept
+        # stores; Replica._prune drops the settled entries (see _settled) once
+        # a commit finds ``blocks`` at ``prune_at``, twice its size after the
+        # last pass, so each entry is looked at a constant number of times
+        self.prune_at = PRUNE_FLOOR
+        self.blocks: dict[str, Block] = {genesis.id: genesis}
+        self.qc_by_block: dict[str, QC] = {genesis.id: qc}
+        self.fqc_by_key: dict[tuple, FallbackQC] = {}
+        self.fqc_by_block: dict[str, FallbackQC] = {}
+        self.coin_history: dict[int, CoinQC] = {}  # kept
 
-    # signer buckets, filled through Replica._collect: the distinct signers
-    # seen for each signed message, and per view the distinct completed
-    # chains (3-chain) or their counter-signers (2-chain).  A bucket that
-    # reached its threshold is SPENT.  Vote buckets go with their block;
-    # timeout buckets of passed rounds, and the view-keyed ones of passed
-    # views, are never read again and go as the round or view moves.
-    vote_shares: dict[tuple, set[int]] = field(default_factory=dict)
-    fvote_shares: dict[tuple, set[int]] = field(default_factory=dict)
-    timeout_round_shares: dict[int, set[int]] = field(default_factory=dict)
-    timeout_view_shares: dict[int, set[int]] = field(default_factory=dict)
-    coin_shares: dict[int, set[int]] = field(default_factory=dict)
-    completion_marks: dict[int, set[int]] = field(default_factory=dict)
+        # signer buckets, filled through Replica._collect: the distinct signers
+        # seen for each signed message, and per view the distinct completed
+        # chains (3-chain) or their counter-signers (2-chain).  A bucket that
+        # reached its threshold is SPENT.  Vote buckets go with their block;
+        # timeout buckets of passed rounds, and the view-keyed ones of passed
+        # views, are never read again and go as the round or view moves.
+        self.vote_shares: dict[tuple, set[int]] = {}
+        self.fvote_shares: dict[tuple, set[int]] = {}
+        self.timeout_round_shares: dict[int, set[int]] = {}
+        self.timeout_view_shares: dict[int, set[int]] = {}
+        self.coin_shares: dict[int, set[int]] = {}
+        self.completion_marks: dict[int, set[int]] = {}
 
-    # one-shot markers, of the current round or view only
-    seen_proposals: dict[int, str] = field(default_factory=dict)  # by round
-    entered_fallback_view: int = -1
-    reacted_f_heights: dict[int, set[int]] = field(default_factory=dict)
+        # one-shot markers, of the current round or view only
+        self.seen_proposals: dict[int, str] = {}  # by round
+        self.entered_fallback_view = -1
+        self.reacted_f_heights: dict[int, set[int]] = {}
 
-    timer_round: Optional[int] = None  # None once the round's timer fired
+        self.timer_round: Optional[int] = None  # None once the round's timer fired
 
-    # certified or endorsed stored blocks whose chains are not yet settled
-    commit_frontier: set[str] = field(default_factory=set)
+        # certified or endorsed stored blocks whose chains are not yet settled
+        self.commit_frontier: set[str] = set()
 
-    # early inputs, (sender, message) in arrival order, handled again on
-    # each fallback entry and each new coin, the steps that move the view
-    pending: list[tuple[int, WireMessage]] = field(default_factory=list)
-    pending_per_sender: dict[int, int] = field(default_factory=dict)
-    pending_rank_locks: set[str] = field(default_factory=set)  # body awaited
+        # early inputs, (sender, message) in arrival order, handled again on
+        # each fallback entry and each new coin, the steps that move the view
+        self.pending: list[tuple[int, WireMessage]] = []
+        self.pending_per_sender: dict[int, int] = {}
+        self.pending_rank_locks: set[str] = set()  # body awaited
 
-    dropped: dict[str, int] = field(default_factory=dict)
+        self.dropped: dict[str, int] = {}
 
 
 class Replica:
@@ -109,13 +109,7 @@ class Replica:
         self.rid = rid
         self.genesis = genesis_block()
         self.genesis_qc = genesis_qc(config.n)
-        st = ReplicaState()
-        st.high_qc = self.genesis_qc
-        st.fallback_voted_round = {j: 0 for j in range(config.n)}
-        st.fallback_voted_height = {j: 0 for j in range(config.n)}
-        st.blocks[self.genesis.id] = self.genesis
-        st.qc_by_block[self.genesis.id] = self.genesis_qc
-        self.state = st
+        self.state = ReplicaState(config.n, self.genesis, self.genesis_qc)
 
     # --- helpers -----------------------------------------------------------
 

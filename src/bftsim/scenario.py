@@ -2,10 +2,10 @@
 
 Four sections: [protocol] (replica parameters), [adversary] (delay model and
 fault assignments), [run] (horizon/seed/output), optional [sweep] (value
-grids for the sweep command).  The config dataclasses are the schema: the
+grids for the sweep command).  The config value types are the schema: the
 keys of [protocol], of each delay model and of each fault are the fields of
 ``ReplicaConfig`` and of the classes in ``MODEL_KINDS`` and ``FAULT_KINDS``,
-each parsed by its annotation, and an absent key keeps its dataclass
+each parsed by its annotation, and an absent key keeps its field's
 default.  Unknown sections or keys are rejected so a typo cannot silently
 change an experiment.
 """
@@ -13,20 +13,14 @@ change an experiment.
 from __future__ import annotations
 
 import configparser
-from dataclasses import MISSING, dataclass, fields, replace
-from typing import Optional, get_type_hints
+from typing import NamedTuple, Optional, get_type_hints
 
-from .core import MESSAGE_VARIANTS, ConfigError, ReplicaConfig
+from .core import MESSAGE_VARIANTS, ConfigError, ReplicaConfig, value_types
 from .simnet import (FAULT_KINDS, MODEL_KINDS, AdversarySpec, DelayTable,
                      kind_name)
 
-# Keys of [run] and [sweep]; those of [protocol] and [adversary] are fields.
-_SECTIONS = {"protocol": None, "adversary": None,
-             "run": {"horizon", "seed", "out"}, "sweep": {"n_values", "seeds"}}
 
-
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     protocol: ReplicaConfig
     adversary: AdversarySpec
     horizon: int
@@ -35,7 +29,13 @@ class ScenarioConfig:
     sweep_seeds: list[int]
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        return replace(self, protocol=replace(self.protocol, run_seed=seed))
+        return self._replace(protocol=self.protocol._replace(run_seed=seed))
+
+
+value_types(ScenarioConfig)
+# Keys of [run] and [sweep]; those of [protocol] and [adversary] are fields.
+_SECTIONS = {"protocol": None, "adversary": None,
+             "run": {"horizon", "seed", "out"}, "sweep": {"n_values", "seeds"}}
 
 
 def _parse(where: str, key: str, raw: str, hint):
@@ -77,24 +77,24 @@ def parse_int_list(raw: str) -> list[int]:
 
 
 def _build(cls, items: dict[str, str], where: str, **fixed):
-    """An instance of config dataclass ``cls`` from a section's raw values,
+    """An instance of config value type ``cls`` from a section's raw values,
     which it consumes: each field not ``fixed`` is parsed by its annotation,
     an absent key keeps the field's default, and a key left over is
     unknown.  A delay table is spelled delay_<variant> = lo..hi."""
     hints, kw = get_type_hints(cls), dict(fixed)
-    for f in fields(cls):
-        hint = hints[f.name]
-        if f.name in fixed:
+    for name in cls._fields:
+        hint = hints[name]
+        if name in fixed:
             continue
         if hint == DelayTable:
-            kw[f.name] = tuple(
+            kw[name] = tuple(
                 (v, _parse(where, k, items.pop(k), tuple[int, int]))
                 for v in sorted(MESSAGE_VARIANTS)
                 if (k := f"delay_{v}") in items)
-        elif f.name in items:
-            kw[f.name] = _parse(where, f.name, items.pop(f.name), hint)
-        elif f.default is MISSING:
-            raise ConfigError(f"{where} missing {f.name}")
+        elif name in items:
+            kw[name] = _parse(where, name, items.pop(name), hint)
+        elif name not in cls._field_defaults:
+            raise ConfigError(f"{where} missing {name}")
     if items:
         raise ConfigError(f"unknown key {next(iter(items))!r} in {where}")
     return cls(**kw)
@@ -106,9 +106,9 @@ def _parse_fault(entry: str):
     kind, at, value = spec.partition("@")
     cls = FAULT_KINDS.get(kind)
     # a kind takes an @value exactly when it has a field to fill
-    if not rid.isdigit() or cls is None or len(fields(cls)) != bool(at):
+    if not rid.isdigit() or cls is None or len(cls._fields) != bool(at):
         raise ConfigError(f"bad fault entry {entry!r}")
-    items = {fields(cls)[0].name: value} if at else {}
+    items = {cls._fields[0]: value} if at else {}
     return int(rid), _build(cls, items, f"[adversary] {kind} fault")
 
 
@@ -138,7 +138,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
         raise ConfigError("[run] missing horizon")
     # run_seed is [run] seed, not a [protocol] key; absent, it keeps its default
     seed = (_parse("[run]", "seed", run["seed"], int) if "seed" in run
-            else ReplicaConfig.run_seed)
+            else ReplicaConfig._field_defaults["run_seed"])
     protocol = _build(ReplicaConfig, dict(cp["protocol"]), "[protocol]",
                       run_seed=seed)
     protocol.validate()
@@ -166,7 +166,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
 
 def _spelled(spec) -> list[tuple[str, str]]:
-    """A config dataclass's fields as scenario (key, value) text pairs."""
+    """A config value's fields as scenario (key, value) text pairs."""
     pairs = []
     for name, hint in get_type_hints(type(spec)).items():
         value = getattr(spec, name)

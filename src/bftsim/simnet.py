@@ -17,17 +17,16 @@ import json
 import os
 import random
 import re
-from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import (Callable, Optional, Union, get_args, get_origin,
-                    get_type_hints)
+from typing import (Callable, NamedTuple, Optional, Union, get_args,
+                    get_origin, get_type_hints)
 
 from . import crypto
 from .core import (GENESIS_ID, MAX_HORIZON, MESSAGE_SIZE_UNITS, CommitNotice,
                    ConfigError, FBProposal, Multicast, OutputAction,
                    Proposal, ReplicaConfig, Send, SetTimer, TxnBatch,
                    WireMessage, make_block, message_variant, read_message,
-                   sha256, write_message)
+                   sha256, value_types, write_message)
 
 TRACE_FORMAT = "bftsim-trace-v2"
 
@@ -97,8 +96,7 @@ def draw(rng: random.Random, lo: int, hi: int) -> int:
     return lo + r
 
 
-@dataclass(frozen=True)
-class Synchronous:
+class Synchronous(NamedTuple):
     """Every message delayed uniformly in [1, delta]."""
 
     delta: int = 1
@@ -110,8 +108,7 @@ class Synchronous:
         return ((1, self.delta),)
 
 
-@dataclass(frozen=True)
-class PartialSynchrony:
+class PartialSynchrony(NamedTuple):
     """Arbitrary bounded delays before gst, synchronous afterwards."""
 
     gst: int
@@ -129,8 +126,7 @@ class PartialSynchrony:
         return (1, self.delta), (1, self.pre_gst_delay_bound)
 
 
-@dataclass(frozen=True)
-class Asynchronous:
+class Asynchronous(NamedTuple):
     """Per-message delays; ranges can differ per message variant, which lets
     the adversary e.g. starve proposals while timeouts flow freely."""
 
@@ -157,9 +153,8 @@ AdversaryModel = Union[Synchronous, PartialSynchrony, Asynchronous]
 # replica's commits to safety.  ``byzantine`` is a class attribute, no field.
 
 
-@dataclass(frozen=True)
-class Honest:
-    """Follows the protocol; the defaults every fault starts from."""
+class Honest(NamedTuple):
+    """Follows the protocol; the methods other faults take unchanged."""
 
     byzantine = False
 
@@ -170,19 +165,18 @@ class Honest:
         return actions
 
 
-@dataclass(frozen=True)
-class Crash(Honest):
+class Crash(NamedTuple):
     at: int  # silent from this tick on
+    byzantine, rewrite = False, Honest.rewrite
 
     def down(self, now: int) -> bool:
         return now >= self.at
 
 
-@dataclass(frozen=True)
-class MuteLeader(Honest):
+class MuteLeader(NamedTuple):
     """Never sends proposals (regular or fallback); participates otherwise."""
 
-    byzantine = True
+    byzantine, down = True, Honest.down
 
     def rewrite(self, actions: list[OutputAction], n: int) -> list[OutputAction]:
         return [a for a in actions  # a Send or Multicast carries a msg
@@ -190,12 +184,11 @@ class MuteLeader(Honest):
                                   (Proposal, FBProposal))]
 
 
-@dataclass(frozen=True)
-class Equivocate(Honest):
+class Equivocate(NamedTuple):
     """As leader, sends conflicting proposals to the two halves of the
     network instead of one block to everyone."""
 
-    byzantine = True
+    byzantine, down = True, Honest.down
 
     def rewrite(self, actions: list[OutputAction], n: int) -> list[OutputAction]:
         out: list[OutputAction] = []
@@ -215,16 +208,12 @@ class Equivocate(Honest):
 FaultSpec = Union[Honest, Crash, MuteLeader, Equivocate]
 
 
-@dataclass(frozen=True)
-class AdversarySpec:
+class AdversarySpec(NamedTuple):
     model: AdversaryModel
     faults: tuple[tuple[int, FaultSpec], ...] = ()
 
     def fault_of(self, rid: int) -> FaultSpec:
-        for r, spec in self.faults:
-            if r == rid:
-                return spec
-        return Honest()
+        return next((spec for r, spec in self.faults if r == rid), Honest())
 
     def validate(self, config: ReplicaConfig) -> None:
         rids = [r for r, _ in self.faults]
@@ -250,6 +239,7 @@ MODEL_KINDS = {"synchronous": Synchronous,
                "asynchronous": Asynchronous}
 FAULT_KINDS = {"honest": Honest, "crash": Crash, "mute_leader": MuteLeader,
                "equivocate": Equivocate}
+value_types(AdversarySpec, *MODEL_KINDS.values(), *FAULT_KINDS.values())
 
 
 def kind_name(spec, kinds: dict) -> str:
@@ -258,7 +248,7 @@ def kind_name(spec, kinds: dict) -> str:
 
 def _encode_spec(spec, kinds: dict, tag: str) -> dict:
     """A delay model or fault as its kind name under ``tag``, plus fields."""
-    return {tag: kind_name(spec, kinds), **asdict(spec)}
+    return {tag: kind_name(spec, kinds), **spec._asdict()}
 
 
 def _decode_spec(d: dict, kinds: dict, tag: str):
@@ -332,7 +322,6 @@ def _formatter():
     return line
 
 
-@dataclass
 class Trace:
     """Run log: config snapshot plus one record per send/deliver/timer/commit.
 
@@ -341,9 +330,10 @@ class Trace:
     A trace whose records went to another sink holds none.
     """
 
-    meta: dict
-    records: list[dict] = field(default_factory=list)
-    stored_digest: Optional[str] = None  # from a trace file header, if loaded
+    def __init__(self, meta: dict, records: Optional[list[dict]] = None,
+                 stored_digest: Optional[str] = None):
+        self.meta, self.records = meta, [] if records is None else records
+        self.stored_digest = stored_digest  # from a trace file's header
 
     def lines(self):
         """One canonical line per record, formatted from its shape."""
@@ -572,7 +562,7 @@ class Simulation:
         ]
         meta = {
             "format": TRACE_FORMAT,
-            "protocol": asdict(config),
+            "protocol": config._asdict(),
             "adversary": _encode_spec(adversary.model, MODEL_KINDS, "model"),
             "faults": {str(r): _encode_spec(s, FAULT_KINDS, "fault")
                        for r, s in adversary.faults},
@@ -669,15 +659,16 @@ def run(config: ReplicaConfig, adversary: AdversarySpec, horizon: int,
     return Simulation(config, adversary, horizon).run(sink)
 
 
-def replay(path: str) -> tuple[Trace, str, str, Optional[int]]:
+def replay(path: str) -> tuple[Trace, str, str, Optional[tuple]]:
     """Re-run a trace file's scenario beside the file, in one pass: the
     record-less trace from its header, the digests of the file as stored
-    and of the re-run, and the first line where the two differ, or None.
-    The run's hash is the file's up to that line, then a copy.  Both start
-    from the stored header, since the run's own holds ``undelivered``,
-    known only at the end; if the run's header differs, line 1 does, and
-    the run is made again, holding its records, for its true digest.  A
-    wrong header digest alone names line 1."""
+    and of the re-run, and where the two first differ, or None: the line
+    number and that line in the file and in the run, None on a side that
+    has ended.  The run's hash is the file's up to that line, then a copy.
+    Both start from the stored header, since the run's own holds
+    ``undelivered``, known only at the end; if the run's header differs,
+    line 1 does, and the run is made again, holding its records, for its
+    true digest.  A wrong header digest alone names line 1."""
     with open(path, "rb") as fh:
         stored = Trace.read_header(fh, path)
         if not fh.seekable():  # a pipe: held, so its end is checked first
@@ -699,7 +690,7 @@ def replay(path: str) -> tuple[Trace, str, str, Optional[int]]:
             no += 1
             mine, theirs = line(rec), readline()
             if rerun_h is None and mine != theirs:
-                first, rerun_h = no, h.copy()
+                first, rerun_h = (no, theirs or None, mine), h.copy()
             h.update(theirs)
             if rerun_h is not None:
                 rerun_h.update(mine)
@@ -708,12 +699,15 @@ def replay(path: str) -> tuple[Trace, str, str, Optional[int]]:
         # the file's lines beyond the run's
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             if rerun_h is None:
-                first, rerun_h = no + 1, h.copy()
+                first = no + 1, chunk.partition(b"\n")[0], None
+                rerun_h = h.copy()
             h.update(chunk)
     replayed = (h if rerun_h is None else rerun_h).hexdigest()
     if _line(rerun.meta) != _line(stored.meta):
-        first, replayed = 1, run(stored.protocol, stored.adversary,
-                                 stored.horizon).digest()
-    elif replayed != stored.stored_digest:
-        first = first or 1
-    return stored, h.hexdigest(), replayed, first
+        replayed = run(stored.protocol, stored.adversary,
+                       stored.horizon).digest()
+    elif first or replayed == stored.stored_digest:
+        return stored, h.hexdigest(), replayed, first
+    header = _line(dict(stored.meta, digest=stored.stored_digest))
+    return stored, h.hexdigest(), replayed, (
+        1, header, _line(dict(rerun.meta, digest=replayed)))

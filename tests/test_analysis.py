@@ -1,7 +1,6 @@
 """Safety checker, metrics, and fallback statistics."""
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -65,6 +64,13 @@ def starved(variant="three_chain", seed=3, horizon=900):
 
 def clone(trace):
     return Trace(dict(trace.meta), [dict(r) for r in trace.records])
+
+
+def stores(idx: analysis.TraceIndex) -> dict:
+    """A fold's stores by name, each block's facts as its slots' values."""
+    return dict(vars(idx), blocks={
+        bid: [getattr(facts, name) for name in facts.__slots__]
+        for bid, facts in idx.blocks.items()})
 
 
 # --- metrics against hand counts --------------------------------------------
@@ -292,12 +298,11 @@ PLANTED = [
     ("log breaks chain",
      lambda tr: tr.records.remove(_commits_of(tr, 0)[0])),
     ("conflicting fallback certificates",
-     lambda tr: _plant(tr, FQCRelay(replace(_elected_fqc(tr),
-                                            block_id="f" * 32), 0))),
+     lambda tr: _plant(tr, FQCRelay(_elected_fqc(tr)._replace(
+         block_id="f" * 32), 0))),
     ("two endorsed fallback blocks",  # another height, so another chain slot
-     lambda tr: _plant(tr, FQCRelay(replace(
-         _elected_fqc(tr), block_id="f" * 32,
-         height=_elected_fqc(tr).height + FAR), 0))),
+     lambda tr: _plant(tr, FQCRelay(_elected_fqc(tr)._replace(
+         block_id="f" * 32, height=_elected_fqc(tr).height + FAR), 0))),
     ("below its parent's view",
      lambda tr: _plant(tr, *_certified(FAR_QC, FAR + 1, FAR - 1))),
     ("does not directly extend its parent",
@@ -392,7 +397,7 @@ def test_a_multicast_is_scanned_once(monkeypatch):
     assert len(fresh) < len(carried)
     assert scanned == fresh
     monkeypatch.setattr(analysis, "message_certs", real)
-    assert index(tr) == want
+    assert stores(index(tr)) == stores(want)
 
 
 def test_logs_share_one_string_per_block(tmp_path):

@@ -3,7 +3,6 @@ whole-trace checker in ``reference_analysis`` gives, on every pinned trace,
 every planted violation and edited commit records, and what it keeps grows
 with the horizon only by one compact entry per block, certificate or view."""
 
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -103,8 +102,7 @@ def _resigned(signers):
         qc = next(r["m"].block.parent_qc for r in tr.records
                   if isinstance(r.get("m"), Proposal)
                   and r["m"].block.round >= 2)
-        _plant(tr, Timeout(99, None, dataclasses.replace(qc, signers=signers),
-                           3))
+        _plant(tr, Timeout(99, None, qc._replace(signers=signers), 3))
     return plant
 
 
@@ -113,7 +111,7 @@ def _altered_body_first(tr):
     before the block's own body."""
     b = next(r["m"].block for r in tr.records
              if isinstance(r.get("m"), Proposal) and r["m"].block.round == 5)
-    altered = dataclasses.replace(b, parent_qc=FAR_QC)
+    altered = b._replace(parent_qc=FAR_QC)
     tr.records.insert(0, {"t": 0, "q": 10 ** 9, "kind": "deliver", "frm": 0,
                           "to": 1, "m": Proposal(altered, 0), "self": False})
 
@@ -231,8 +229,10 @@ def size_of(obj, seen: set) -> int:
         parts = [*obj.keys(), *obj.values()]
     elif isinstance(obj, (list, tuple, set, frozenset)):
         parts = obj
-    elif dataclasses.is_dataclass(obj):
-        parts = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, analysis.BlockFacts):
+        parts = [getattr(obj, name) for name in obj.__slots__]
+    elif isinstance(obj, analysis.TraceIndex):
+        parts = vars(obj).values()
     else:
         parts = ()
     return size + sum(size_of(part, seen) for part in parts)
@@ -253,12 +253,10 @@ def fold_of(name: str, horizon: int, tmp_path) -> analysis.TraceIndex:
                                           ("starved_fallback", 300)])
 def test_no_fold_store_grows_with_the_horizon(name, horizon, tmp_path):
     short, long = (fold_of(name, h, tmp_path) for h in (horizon, 2 * horizon))
-    for f in dataclasses.fields(analysis.TraceIndex):
-        size = getattr(long, f.name)
-        if f.name in KEYED or isinstance(size, int):
+    for name, size in vars(long).items():
+        if name in KEYED or isinstance(size, int):
             continue
-        assert len(size) <= max(len(getattr(short, f.name)), SMALL_STORE), \
-            f.name
+        assert len(size) <= max(len(getattr(short, name)), SMALL_STORE), name
     # a fact that waits for a certificate goes once one comes
     waiting = [sum(b.shape is not None for b in idx.blocks.values())
                for idx in (short, long)]

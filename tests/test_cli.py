@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -91,7 +90,7 @@ def test_run_reports_every_protocol_field(tmp_path, capsys):
         "timeout_duration: 50", "leader_rotation_period: 4",
         "adopt_foreign_fchains: True", "seed: 7"]
     keys = {line.partition(": ")[0] for line in lines}
-    assert {f.name for f in fields(ReplicaConfig)} - {"run_seed"} <= keys
+    assert set(ReplicaConfig._fields) - {"run_seed"} <= keys
 
 
 def test_run_quiet_silences_stdout(tmp_path, capsys):
@@ -276,11 +275,19 @@ def test_replay_match_prints_five_lines(tmp_path, capsys):
 
 
 def replay_mismatch(capsys, path) -> list[str]:
-    """What ``replay`` prints on a mismatch: the five lines, then where."""
+    """What ``replay`` prints on a mismatch: the five lines, then where,
+    the record there, and the file's and the run's line."""
     assert run_cli("replay", path) == 1
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 6 and out[4] == "replay: MISMATCH"
+    assert len(out) == 9 and out[4] == "replay: MISMATCH"
     return out
+
+
+def what_differs(out: list[str]) -> list[str]:
+    """The record, file and run lines of a mismatch, after the line number."""
+    assert [line.partition(": ")[0] for line in out[6:]] == [
+        "record", "file", "run"]
+    return [line.partition(": ")[2] for line in out[6:]]
 
 
 def test_replay_names_an_edited_record_line(tmp_path, capsys):
@@ -301,10 +308,37 @@ def test_replay_names_an_edited_record_line(tmp_path, capsys):
 def test_replay_names_where_the_shorter_side_ends(tmp_path, capsys):
     # the file lacks the run's last line, or the run lacks the file's
     lines = make_trace(tmp_path).read_text().splitlines()
+    last = json.loads(lines[-1])
+    owner = last[{"send": "frm", "deliver": "to"}.get(last["kind"], "rid")]
+    record = f"{last['kind']}, replica {owner}"
     out = replay_mismatch(capsys, rewrite(tmp_path, lines[:-1]))
     assert out[5] == f"first_difference: line {len(lines)}"
+    assert what_differs(out) == [record, "(end of file)", lines[-1][:120]]
+    # a file cut at a line's end, long before the run's
+    out = replay_mismatch(capsys, rewrite(tmp_path, lines[:3]))
+    assert out[5] == "first_difference: line 4"
+    assert what_differs(out)[1:] == ["(end of file)", lines[3][:120]]
     out = replay_mismatch(capsys, rewrite(tmp_path, lines + lines[-1:]))
     assert out[5] == f"first_difference: line {len(lines) + 1}"
+    assert what_differs(out) == [record, lines[-1][:120], "(end of run)"]
+
+
+@pytest.mark.parametrize("kind,owner,old,new", [
+    ("send", "frm", '"frm":', '"frm":1'),
+    ("commit", "rid", '"log_len":', '"log_len":1')])
+def test_replay_shows_an_edited_record(kind, owner, old, new, tmp_path,
+                                       capsys):
+    lines = make_trace(tmp_path).read_text().splitlines()
+    no, line = max((no, line) for no, line in enumerate(lines[1:], 2)
+                   if json.loads(line)["kind"] == kind)
+    edited = line.replace(old, new, 1)
+    assert edited[:120] != line[:120]
+    out = replay_mismatch(capsys, rewrite(
+        tmp_path, lines[:no - 1] + [edited] + lines[no:]))
+    assert out[5] == f"first_difference: line {no}"
+    assert what_differs(out) == [
+        f"{kind}, replica {json.loads(line)[owner]}", edited[:120],
+        line[:120]]
 
 
 def test_replay_names_the_header_line(tmp_path, capsys):
@@ -315,6 +349,12 @@ def test_replay_names_the_header_line(tmp_path, capsys):
                  lambda h: h.update(digest="0" * 64)):
         out = replay_mismatch(capsys, edit_header(tmp_path, edit))
         assert out[5] == "first_difference: line 1"
+        record, theirs, mine = what_differs(out)
+        assert record == "header"
+        assert theirs.startswith('{"adversary":') and mine.startswith(
+            '{"adversary":')
+    # the digest is within the first 120 characters of the header
+    assert '"digest":"0000' in theirs and '"digest":"0000' not in mine
 
 
 def test_replay_reads_a_pipe(tmp_path, capsys):
@@ -907,9 +947,8 @@ def test_sweep_exit_codes_hold_in_children(k, tmp_path, capsys, monkeypatch):
 
     def violated(idx):
         report = real_check(idx)
-        report.violations.append("planted")
-        report.ok = False
-        return report
+        return report._replace(ok=False,
+                               violations=[*report.violations, "planted"])
     with monkeypatch.context() as m:
         m.setattr(analysis, "check_safety", violated)
         assert run_cli("sweep", "--config", cfg) == 1
@@ -981,9 +1020,10 @@ def test_module_entry_point_runs(tmp_path):
 
 # what some commands run and others must not load: OpenSSL (through
 # hashlib, which no command loads), the replica, the checker, and the
-# arithmetic of fits
+# arithmetic of fits; and what no command loads: dataclasses, which
+# generates methods at import and loads inspect
 LAZY = ("hashlib", "_hashlib", "bftsim.replica", "bftsim.analysis",
-        "statistics", "fractions", "datetime")
+        "statistics", "fractions", "datetime", "dataclasses", "inspect")
 
 
 def loaded_after(script: str, *args: str) -> list[str]:
@@ -1036,6 +1076,7 @@ def test_sweep_loads_what_its_runs_need_before_it_forks(tmp_path):
               "assert not {'hashlib', '_hashlib'} & sys.modules.keys()")
     loaded = loaded_after(script, write(tmp_path, SWEEP))
     assert {"bftsim.replica", "bftsim.analysis"} <= set(loaded)
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_cli_import_leaves_numpy_out():

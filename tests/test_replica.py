@@ -5,7 +5,6 @@ import copy
 import inspect
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -879,7 +878,7 @@ def through_door(msg, sender):
     before = copy.deepcopy(r.state)
     acts = r.handle_message(msg, sender)
     before.dropped = r.state.dropped
-    return acts, r.state.dropped, r.state == before
+    return acts, r.state.dropped, vars(r.state) == vars(before)
 
 
 def test_door_covers_every_message_kind():
@@ -895,7 +894,7 @@ def test_door_drops_an_under_signed_certificate():
     for kind, (certs, make) in DOOR.items():
         assert len(message_certs(make(1, certs))) == len(certs), kind
         for slot, cert in certs.items():
-            short = replace(cert, signers=frozenset({0}))
+            short = cert._replace(signers=frozenset({0}))
             msg = make(1, dict(certs, **{slot: short}))
             assert through_door(msg, 1) == ([], {"bad_cert": 1}, True), \
                 (kind, slot)
@@ -905,7 +904,7 @@ def test_door_drops_a_block_that_does_not_match_its_id():
     for kind in (Proposal, FBProposal):
         certs, make = DOOR[kind]
         msg = make(1, certs)
-        msg = replace(msg, block=replace(msg.block, id="0" * 32))
+        msg = msg._replace(block=msg.block._replace(id="0" * 32))
         assert through_door(msg, 1) == ([], {"bad_block_digest": 1}, True)
 
 
@@ -913,7 +912,7 @@ def test_a_forged_block_id_is_dropped_by_every_recipient():
     # one multicast object, its block's id checked once and the verdict
     # shared by every copy
     (b1, _), = chain([1])
-    msg = Proposal(replace(b1, id="0" * 32), 0)
+    msg = Proposal(b1._replace(id="0" * 32), 0)
     for rid in (1, 2, 3):
         r, _ = boot(rid)
         assert r.handle_message(msg, 0) == []
@@ -963,8 +962,8 @@ assert COIN.elected == 1
 # dropped for the reason and nothing else is
 DROPS = [
     ("forged", {}, [(Vote(B1.id, 1, 0, 1), 2)]),
-    ("bad_block_digest", {}, [(Proposal(replace(B1, id="0" * 32), 0), 0)]),
-    ("bad_cert", {}, [(Timeout(None, 0, replace(QC1, signers=frozenset({0})),
+    ("bad_block_digest", {}, [(Proposal(B1._replace(id="0" * 32), 0), 0)]),
+    ("bad_cert", {}, [(Timeout(None, 0, QC1._replace(signers=frozenset({0})),
                                1), 1)]),
     ("malformed_proposal", {},
      [(Proposal(fb_block(0, 1, genesis_qc(4)), 0), 0)]),

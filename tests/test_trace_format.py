@@ -2,7 +2,6 @@
 shape each record line is formatted from, and deliveries that name their
 send instead of repeating the message."""
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -23,6 +22,7 @@ from bftsim.simnet import (_DELIVER_REFS, _RECORD_FIELDS, _SHAPES,
                            TRACE_FORMAT, AdversarySpec, Asynchronous, Crash,
                            Equivocate, MuteLeader, PartialSynchrony,
                            Synchronous, Trace, TraceFormatError, run)
+from test_analysis import stores
 
 STARVE = Asynchronous((1, 8), (("proposal", (60, 120)),))
 
@@ -343,9 +343,10 @@ def test_streaming_equals_holding(name, tmp_path, capsys):
     assert run(config, adversary, horizon, add).records == []
     read, add = analysis.indexer(config, adversary)
     assert Trace.from_jsonl(str(path), add).records == []
-    for f in dataclasses.fields(analysis.TraceIndex):
-        assert getattr(simulated, f.name) == getattr(want, f.name), f.name
-        assert getattr(read, f.name) == getattr(want, f.name), f.name
+    simulated, read = stores(simulated), stores(read)
+    for name, value in stores(want).items():
+        assert simulated[name] == value, name
+        assert read[name] == value, name
 
     # check reads into the fold and prints what the held trace gives
     safety = analysis.check_safety(want)
@@ -528,7 +529,7 @@ def test_canonical_line_with_a_bad_value_exits_two(kind, field, text,
 # each certificate and message kind's writer from its codec table.  The
 # records here are drawn from _SHAPES' names and types and the messages from
 # _CODEC's, which pins them to both; the text each should have is built here
-# from the dataclass fields.
+# from the value types' fields.
 
 # Tier-1 search: the same examples every run, and no example database
 CODEC_SEARCH = settings(derandomize=True, database=None, max_examples=150,
@@ -583,10 +584,9 @@ def oracle(obj):
         return None
     kind = core.CERT_KINDS.get(type(obj)) or core.MESSAGE_KINDS[type(obj)][0]
     d = {"kind": kind}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if f.name == "signers":
-            d[f.name] = sorted(value)
+    for name, value in obj._asdict().items():
+        if name == "signers":
+            d[name] = sorted(value)
         elif isinstance(value, core.Block):
             body = {"id": value.id, "parent": oracle(value.parent_qc),
                     "round": value.round, "view": value.view,
@@ -598,7 +598,7 @@ def oracle(obj):
                 d.update(inner=body, height=value.height,
                          proposer=value.proposer)
         else:
-            d[f.name] = oracle(value) if type(value) in core.CERT_KINDS \
+            d[name] = oracle(value) if type(value) in core.CERT_KINDS \
                 else value
     return d
 
@@ -615,8 +615,8 @@ def test_message_codec_matches_an_independent_oracle():
         assert core.write_message(msg) == text
         back = core.read_message(text)
         assert back == msg
-        assert [*map(type, vars(back).values())] == [
-            *map(type, vars(msg).values())]
+        assert [*map(type, back._asdict().values())] == [
+            *map(type, msg._asdict().values())]
         # what was drawn: each kind, its slots' classes, its block's form,
         # escapes
         _, _, certs, block = core._CODEC[type(msg)]
@@ -648,9 +648,9 @@ def test_message_codec_matches_an_independent_oracle():
 def strings(msg):
     """The str values of a message, its block and payload included."""
     block = getattr(msg, "block", None)
-    return [v for v in (*vars(msg).values(),
-                        *(vars(block).values() if block else ()),
-                        *(vars(block.payload).values() if block else ()))
+    return [v for v in (*msg._asdict().values(),
+                        *(block._asdict().values() if block else ()),
+                        *(block.payload._asdict().values() if block else ()))
             if type(v) is str]
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bftsim import core
+from bftsim import analysis, core, scenario, simnet
 from bftsim.core import (
     MESSAGE_SIZE_UNITS,
     MESSAGE_VARIANTS,
@@ -224,3 +224,57 @@ def test_message_size_units_table():
 def test_message_variant_rejects_non_messages():
     with pytest.raises(TypeError):
         message_variant(genesis_qc(4))
+
+
+# --- value types: each equals only its own class -----------------------------
+# Every value is a NamedTuple, so as a plain tuple it would equal any tuple
+# of the same fields: TimeoutCert(3, s) == FallbackTC(3, s), and each
+# field-less fault == ().
+
+VALUE_TYPES = sorted(
+    {*core.CERT_KINDS, *core.MESSAGE_KINDS, core.Send, core.Multicast,
+     core.SetTimer, core.CommitNotice, core.ReplicaConfig, core.TxnBatch,
+     *simnet.MODEL_KINDS.values(), *simnet.FAULT_KINDS.values(),
+     simnet.AdversarySpec, scenario.ScenarioConfig, analysis.SafetyReport,
+     analysis.MetricsReport}, key=lambda cls: cls.__name__)
+
+
+def same_fields(cls):
+    """An instance of ``cls`` whose field values any class of as many
+    fields can be built from."""
+    return cls._make(range(len(cls._fields)))
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_a_value_equals_only_its_own_class(cls):
+    v = same_fields(cls)
+    assert v == same_fields(cls) and not v != same_fields(cls)
+    twins = [tuple(v), *(other._make(v) for other in VALUE_TYPES
+                         if other is not cls and len(other._fields) == len(v))]
+    for twin in twins:
+        assert v != twin and twin != v, twin
+        assert not (v == twin or twin == v), twin
+    # the hash a frozen dataclass had: its fields' tuple's
+    assert hash(v) == hash(tuple(v))
+    for name in (*cls._fields[:1], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 0)
+
+
+def test_a_block_equals_only_blocks():
+    block = genesis_block()
+    fields = core._BlockFields(*block)
+    assert block != fields and fields != block and block != tuple(block)
+    assert block == Block(*block) and hash(block) == hash(tuple(block))
+
+
+def test_validate_counts_field_less_faults():
+    # MuteLeader() equals Honest() as a plain tuple, and would count as
+    # no fault at all
+    config = core.ReplicaConfig(4, 1)
+    two = simnet.AdversarySpec(simnet.Synchronous(1), (
+        (0, simnet.MuteLeader()), (1, simnet.MuteLeader())))
+    with pytest.raises(core.ConfigError, match="2 faulty replicas exceeds"):
+        two.validate(config)
+    simnet.AdversarySpec(simnet.Synchronous(1), (
+        (0, simnet.Honest()), (1, simnet.MuteLeader()))).validate(config)
