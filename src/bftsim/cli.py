@@ -59,44 +59,16 @@ def _run_report(scenario_path: str, cfg: ScenarioConfig, trace: Trace,
         f"trace_digest: {digest}",
         f"undelivered_at_horizon: {trace.meta['undelivered']}",
     ]
-    metric_dict = metrics.to_dict()
     lines += [f"{key}: {json.dumps(value) if isinstance(value, dict) else value}"
-              for key, value in metric_dict.items()]
-    lines += safety.lines()
-    return lines
+              for key, value in metrics.to_dict().items()]
+    return lines + safety.lines() + [_timestamp_line()]
 
 
-def cmd_run(args) -> int:
-    from . import analysis
-
-    cfg = parse_scenario(args.config)
-    if args.seed is not None:
-        cfg = cfg.with_seed(args.seed)
-    if args.horizon is not None:
-        cfg = cfg._replace(horizon=args.horizon)
-    out_dir = args.out or cfg.out_dir
-    trace = simnet.run(cfg.protocol, cfg.adversary, cfg.horizon)
-    idx = analysis.index(trace)
-    safety = analysis.check_safety(idx)
-    metrics = analysis.measure(idx)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        base = os.path.join(out_dir, f"run-seed{cfg.protocol.run_seed}")
-    digest = trace.to_jsonl(base + ".trace.jsonl" if out_dir else os.devnull)
-    lines = _run_report(args.config, cfg, trace, digest, safety, metrics)
-    lines.append(_timestamp_line())
-    if out_dir:
-        with open(base + ".report.txt", "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    _print(lines, args.quiet)
-    return 0 if safety.ok else 1
-
-
-def _sweep_run(cfg: ScenarioConfig, protocol: ReplicaConfig,
-               path: Optional[str]) -> tuple[bool, analysis.MetricsReport]:
-    """One grid point: its safety verdict and metrics.  The records go
-    straight into the index, unless they are held to be written to
-    ``path``; held ones are indexed after the run."""
+def _simulate(cfg: ScenarioConfig, protocol: ReplicaConfig,
+              path: Optional[str]) -> tuple:
+    """One run of ``protocol``: its trace, the digest of its file at
+    ``path``, its safety report and metrics.  With no path, the records go
+    straight into the index; held ones are indexed after the run."""
     from . import analysis
 
     idx, add = analysis.indexer(protocol, cfg.adversary)
@@ -104,10 +76,32 @@ def _sweep_run(cfg: ScenarioConfig, protocol: ReplicaConfig,
                        None if path else add)
     for rec in trace.records:
         add(rec)
-    safety = analysis.check_safety(idx)
-    metrics = analysis.measure(idx)
-    if path:
-        trace.to_jsonl(path)
+    safety, metrics = analysis.check_safety(idx), analysis.measure(idx)
+    return trace, path and trace.to_jsonl(path), safety, metrics
+
+
+def cmd_run(args) -> int:
+    cfg = parse_scenario(args.config)
+    if args.seed is not None:
+        cfg = cfg.with_seed(args.seed)
+    if args.horizon is not None:
+        cfg = cfg._replace(horizon=args.horizon)
+    out_dir = args.out or cfg.out_dir
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        base = os.path.join(out_dir, f"run-seed{cfg.protocol.run_seed}")
+    trace, digest, safety, metrics = _simulate(
+        cfg, cfg.protocol, base + ".trace.jsonl" if out_dir else os.devnull)
+    lines = _run_report(args.config, cfg, trace, digest, safety, metrics)
+    if out_dir:
+        with open(base + ".report.txt", "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    _print(lines, args.quiet)
+    return 0 if safety.ok else 1
+
+
+def _sweep_run(*call) -> tuple[bool, analysis.MetricsReport]:
+    _, _, safety, metrics = _simulate(*call)  # all a sweep child sends back
     return safety.ok, metrics
 
 
@@ -250,7 +244,10 @@ def _difference(no: int, theirs: Optional[bytes],
                 mine: Optional[bytes]) -> list[str]:
     """Where a replay first differs: the line, its record's kind and
     replica (a send's sender, a deliver's recipient, else ``rid``) as the
-    run has it unless ended, and both lines cut to 120 characters."""
+    run has it unless ended, and both lines cut to the same 120 characters,
+    from at most 80 before their first differing byte ("..." where cut)."""
+    start = max(0, len(os.path.commonprefix([theirs or b"", mine or b""]))
+                - 80)
     record = "header"
     if no > 1:
         try:
@@ -260,8 +257,8 @@ def _difference(no: int, theirs: Optional[bytes],
         except (ValueError, KeyError, TypeError, RecursionError):
             record = "unreadable"
     return [f"first_difference: line {no}", f"record: {record}"] + [
-        f"{side}: " + (ended if line is None else line.decode(
-            errors="replace").rstrip("\n")[:120])
+        f"{side}: " + (ended if line is None else "..." * (start > 0) + line[
+            start:start + 120].decode(errors="replace").rstrip("\n"))
         for side, line, ended in (("file", theirs, "(end of file)"),
                                   ("run", mine, "(end of run)"))]
 
@@ -304,32 +301,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic simulator for a chained BFT protocol "
                     "with an asynchronous fallback view-change.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one scenario and check safety")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--horizon", type=int)
-    p_run.add_argument("--out")
-    p_run.add_argument("--quiet", action="store_true")
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run a seed/size grid")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--seeds")
-    p_sweep.add_argument("--out")
-    p_sweep.add_argument("--quiet", action="store_true")
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_replay = sub.add_parser("replay",
-                              help="re-run a trace and compare digests")
-    p_replay.add_argument("trace")
-    p_replay.add_argument("--quiet", action="store_true")
-    p_replay.set_defaults(func=cmd_replay)
-
-    p_check = sub.add_parser("check", help="run the safety checker on a trace")
-    p_check.add_argument("trace")
-    p_check.add_argument("--quiet", action="store_true")
-    p_check.set_defaults(func=cmd_check)
+    for func, help, arguments in (
+            (cmd_run, "run one scenario and check safety",
+             ("--config", "--seed", "--horizon", "--out")),
+            (cmd_sweep, "run a seed/size grid", ("--config", "--seeds", "--out")),
+            (cmd_replay, "re-run a trace and compare digests", ("trace",)),
+            (cmd_check, "run the safety checker on a trace", ("trace",))):
+        command = sub.add_parser(func.__name__[4:], help=help)
+        for name in arguments:  # a string unless said otherwise
+            command.add_argument(name, **{
+                "--config": {"required": True}, "--seed": {"type": int},
+                "--horizon": {"type": int}}.get(name, {}))
+        command.add_argument("--quiet", action="store_true")
+        command.set_defaults(func=func)
     return parser
 
 

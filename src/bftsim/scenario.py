@@ -122,7 +122,11 @@ def parse_scenario(path: str) -> ScenarioConfig:
                           + " ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"cannot read scenario file {path}")
+    return parse_sections(cp)
 
+
+def parse_sections(cp: configparser.ConfigParser) -> ScenarioConfig:
+    """A scenario from its sections, read from a file or ``respelled``."""
     for section in cp.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
@@ -177,6 +181,22 @@ def _spelled(spec) -> list[tuple[str, str]]:
         else:
             pairs.append((name, str(value)))
     return pairs
+
+
+def respelled(protocol: ReplicaConfig, adversary: AdversarySpec,
+              horizon) -> ScenarioConfig:
+    """What the scenario that spells this configuration gives, such as a
+    trace header's: a value a scenario cannot give comes back otherwise."""
+    protocol = dict(_spelled(protocol))
+    run = {"horizon": horizon, "seed": protocol.pop("run_seed")}
+    # not strict: keys that differ only in case are one key, the last
+    cp = configparser.ConfigParser(interpolation=None, strict=False)
+    cp.read_dict({
+        "protocol": protocol, "run": run,
+        "adversary": {"model": kind_name(adversary.model, MODEL_KINDS),
+                      **dict(_spelled(adversary.model)),
+                      "faults": format_faults(adversary.faults)}})
+    return parse_sections(cp)
 
 
 def format_model(model) -> str:

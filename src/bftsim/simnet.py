@@ -18,8 +18,7 @@ import os
 import random
 import re
 from json.encoder import encode_basestring_ascii
-from typing import (Callable, NamedTuple, Optional, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import crypto
 from .core import (GENESIS_ID, MAX_HORIZON, MESSAGE_SIZE_UNITS, CommitNotice,
@@ -47,7 +46,7 @@ _DELIVER_REFS = ({"m": dict}, {"sq": int})
 # A slot's placeholder in a shape's template, and the pattern of its
 # canonical text: an int or bool, or the shape's one dict or list field,
 # captured from its bracket on, since only scalars follow it.
-_SLOTS = {int: ("%d", "(-?(?:0|[1-9][0-9]*))"), bool: ("%s", "(true|false)"),
+_SLOTS = {int: ("%d", "(0|-?[1-9][0-9]*)"), bool: ("%s", "(true|false)"),
           dict: ("%s", r"(\{.*)"), list: ("%s", r"(\[.*)")}
 
 
@@ -265,17 +264,31 @@ def _line(obj) -> bytes:
     return _CANONICAL.encode(obj).encode() + b"\n"
 
 
-def _conforms(value, hint) -> bool:
-    """Whether a value read from JSON has an annotated field type: int
-    (not bool), bool, str, or fixed and variable length tuples of those."""
-    if get_origin(hint) is tuple:
-        args = get_args(hint)
-        if not isinstance(value, tuple):
-            return False
-        if args[-1] is Ellipsis:
-            return all(_conforms(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_conforms, value, args))
-    return type(value) is hint
+def header(config: ReplicaConfig, adversary: AdversarySpec,
+           horizon: int) -> dict:
+    """A run's header, but for the ``undelivered`` count known at its end
+    and the ``digest``."""
+    return {
+        "format": TRACE_FORMAT,
+        "protocol": config._asdict(),
+        "adversary": _encode_spec(adversary.model, MODEL_KINDS, "model"),
+        "faults": {str(r): _encode_spec(s, FAULT_KINDS, "fault")
+                   for r, s in adversary.faults},
+        "horizon": horizon,
+        "prf": crypto.PRF_ID,
+        "genesis_id": GENESIS_ID,
+    }
+
+
+def _first_difference(theirs: dict, ours: dict, path: str = "") -> str:
+    """Where a header from a file first differs from the one a run writes:
+    the key's path, then the run's value and the file's (None if absent)."""
+    key = next(k for k in [*theirs, *ours] if k not in theirs.keys() & ours
+               or _line(theirs[k]) != _line(ours[k]))
+    got, want = theirs.get(key), ours.get(key)
+    if type(got) is dict and type(want) is dict:
+        return _first_difference(got, want, f"{path}{key}.")
+    return f"{path}{key} is not {want!r} but {got!r}"
 
 
 def _ids(ids: list[str]) -> str:
@@ -449,31 +462,23 @@ class Trace:
 
     @classmethod
     def read_header(cls, fh, path: str) -> "Trace":
-        """The record-less trace from the header line of ``fh``."""
+        """The record-less trace from the header line of ``fh``, taken if
+        the scenario that spells it gives it back (but for the str
+        ``digest`` and the int ``undelivered``) and its run could start."""
+        from .scenario import respelled  # a run has no need of it
+
         try:
             meta = json.loads(fh.readline())
             trace = cls(meta, [], meta.pop("digest"))
-            if meta["format"] != TRACE_FORMAT:
-                raise ValueError(f"unsupported format {meta['format']!r}")
-            # a fault id as a run writes it: "01" or " 1" is not replica 1
-            if odd := [r for r in meta["faults"] if r != str(int(r))]:
-                raise ValueError(f"fault id {odd[0]!r} is not canonical")
-            adversary = trace.adversary
-            for spec in (trace.protocol, adversary.model,
-                         *(fault for _, fault in adversary.faults)):
-                for name, hint in get_type_hints(type(spec)).items():
-                    if not _conforms(getattr(spec, name), hint):
-                        raise TypeError(f"{name} is not {hint}")
-            if type(trace.horizon) is not int:
-                raise TypeError("horizon is not int")
-            # a header from another program, whose block ids or coins
-            # are not this one's
-            for key, ours in (("genesis_id", GENESIS_ID),
-                              ("prf", crypto.PRF_ID)):
-                if meta[key] != ours:
-                    raise ValueError(f"{key} {meta[key]!r} is not {ours!r}")
-            # the checks a run makes before it starts
-            validate(trace.protocol, adversary, trace.horizon)
+            if type(meta["undelivered"]) is not int or type(
+                    trace.stored_digest) is not str:
+                raise TypeError("undelivered is not int or digest not str")
+            cfg = respelled(trace.protocol, trace.adversary, meta["horizon"])
+            ours = _line(dict(header(cfg.protocol, cfg.adversary, cfg.horizon),
+                              undelivered=meta["undelivered"]))
+            if _line(meta) != ours:
+                raise ValueError(_first_difference(meta, json.loads(ours)))
+            validate(cfg.protocol, cfg.adversary, cfg.horizon)
         except (ValueError, KeyError, TypeError, AttributeError,
                 RecursionError) as exc:
             raise TraceFormatError(f"{path}: bad header: {exc!r}")
@@ -560,17 +565,7 @@ class Simulation:
             _Harness(Replica(config, i), adversary.fault_of(i))
             for i in range(config.n)
         ]
-        meta = {
-            "format": TRACE_FORMAT,
-            "protocol": config._asdict(),
-            "adversary": _encode_spec(adversary.model, MODEL_KINDS, "model"),
-            "faults": {str(r): _encode_spec(s, FAULT_KINDS, "fault")
-                       for r, s in adversary.faults},
-            "horizon": horizon,
-            "prf": crypto.PRF_ID,
-            "genesis_id": GENESIS_ID,
-        }
-        self.trace = Trace(meta)
+        self.trace = Trace(header(config, adversary, horizon))
         self.record = self.trace.records.append
 
     def run(self, sink: Optional[Sink] = None) -> Trace:
@@ -666,7 +661,7 @@ def replay(path: str) -> tuple[Trace, str, str, Optional[tuple]]:
     number and that line in the file and in the run, None on a side that
     has ended.  The run's hash is the file's up to that line, then a copy.
     Both start from the stored header, since the run's own holds
-    ``undelivered``, known only at the end; if the run's header differs,
+    ``undelivered``, known only at the end; if the run's count differs,
     line 1 does, and the run is made again, holding its records, for its
     true digest.  A wrong header digest alone names line 1."""
     with open(path, "rb") as fh:
@@ -703,11 +698,11 @@ def replay(path: str) -> tuple[Trace, str, str, Optional[tuple]]:
                 rerun_h = h.copy()
             h.update(chunk)
     replayed = (h if rerun_h is None else rerun_h).hexdigest()
-    if _line(rerun.meta) != _line(stored.meta):
+    if rerun.meta["undelivered"] != stored.meta["undelivered"]:
         replayed = run(stored.protocol, stored.adversary,
                        stored.horizon).digest()
     elif first or replayed == stored.stored_digest:
         return stored, h.hexdigest(), replayed, first
-    header = _line(dict(stored.meta, digest=stored.stored_digest))
     return stored, h.hexdigest(), replayed, (
-        1, header, _line(dict(rerun.meta, digest=replayed)))
+        1, _line(dict(stored.meta, digest=stored.stored_digest)),
+        _line(dict(rerun.meta, digest=replayed)))

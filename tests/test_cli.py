@@ -256,12 +256,15 @@ def test_replay_of_another_header_prints_the_true_digest(tmp_path, capsys):
     true = simnet.run(stored.protocol, stored.adversary,
                       stored.horizon).digest()
     count = stored.meta["undelivered"]
-    for value in (count + 1, None, float(count), str(count)):
+    path = edit_header(tmp_path, lambda h: h.update(undelivered=count + 1))
+    assert run_cli("replay", path) == 1
+    out = capsys.readouterr().out
+    assert f"replayed_digest: {true}\n" in out
+    assert "replay: MISMATCH" in out
+    # a count that is no int is no count a run writes
+    for value in (None, float(count), str(count)):
         path = edit_header(tmp_path, lambda h: h.update(undelivered=value))
-        assert run_cli("replay", path) == 1, value
-        out = capsys.readouterr().out
-        assert f"replayed_digest: {true}\n" in out
-        assert "replay: MISMATCH" in out
+        assert_trace_error(capsys, path, says="undelivered is not int")
 
 
 def test_replay_match_prints_five_lines(tmp_path, capsys):
@@ -345,16 +348,19 @@ def test_replay_names_the_header_line(tmp_path, capsys):
     path = make_trace(tmp_path)
     with open(path, "rb") as fh:
         count = simnet.Trace.read_header(fh, str(path)).meta["undelivered"]
-    for edit in (lambda h: h.update(undelivered=count + 1),
-                 lambda h: h.update(digest="0" * 64)):
+    # each side shows the same window, around the first byte that differs:
+    # undelivered ends the header, and the digest is within its first 80
+    # characters, so that window is the header's start
+    for edit, shown in ((lambda h: h.update(undelivered=count + 1),
+                         f'"undelivered":{count + 1}}}'),
+                        (lambda h: h.update(digest="0" * 64),
+                         '{"adversary":{"delta":1,"model":"synchronous"},'
+                         '"digest":"0000')):
         out = replay_mismatch(capsys, edit_header(tmp_path, edit))
         assert out[5] == "first_difference: line 1"
         record, theirs, mine = what_differs(out)
         assert record == "header"
-        assert theirs.startswith('{"adversary":') and mine.startswith(
-            '{"adversary":')
-    # the digest is within the first 120 characters of the header
-    assert '"digest":"0000' in theirs and '"digest":"0000' not in mine
+        assert shown in theirs and shown not in mine, (theirs, mine)
 
 
 def test_replay_reads_a_pipe(tmp_path, capsys):
@@ -526,11 +532,31 @@ REFUSED_HEADERS = [
                                    "base_delay": [1, 2, 3],
                                    "per_variant": []}),
      "base_delay is not"),
-    # replica 0's fault under an id that int() reads as 0, but a run
+    # a fault under an id that int() reads as a replica's, but a run
     # never writes
     *((lambda h, rid=rid: h.update(faults={rid: {"fault": "mute_leader"}}),
-       f"fault id {rid!r} is not canonical")
+       f"faults.{rid} is not None but {{'fault': 'mute_leader'}}")
       for rid in ("01", " 0", "+0", "0_0")),
+    # a key that no run writes, or one that it does not leave out
+    (lambda h: h.update(zz=1), "zz is not None but 1"),
+    (lambda h: h.pop("undelivered"), "KeyError('undelivered')"),
+    (lambda h: h["protocol"].pop("leader_rotation_period"),
+     "protocol.leader_rotation_period is not 4 but None"),
+    # a count that is no int, or a digest that is no string
+    (lambda h: h.update(undelivered="0"), "undelivered is not int"),
+    (lambda h: h.update(undelivered=0.0), "undelivered is not int"),
+    (lambda h: h.update(digest=5), "digest not str"),
+    # a delay for an unknown message variant, and delays out of order
+    (lambda h: h.update(adversary={"model": "asynchronous",
+                                   "base_delay": [1, 8],
+                                   "per_variant": [["zz", [1, 2]]]}),
+     "unknown key 'delay_zz' in [adversary] asynchronous"),
+    (lambda h: h.update(adversary={"model": "asynchronous",
+                                   "base_delay": [1, 8],
+                                   "per_variant": [["vote", [1, 2]],
+                                                   ["proposal", [3, 4]]]}),
+     "adversary.per_variant is not [['proposal', [3, 4]], ['vote', [1, 2]]]"
+     " but [['vote', [1, 2]], ['proposal', [3, 4]]]"),
 ]
 
 
@@ -538,6 +564,100 @@ REFUSED_HEADERS = [
 def test_check_and_replay_refuse_the_same_headers(tmp_path, capsys, edit,
                                                   says):
     assert_trace_error(capsys, edit_header(tmp_path, edit), says=says)
+
+
+WORKLOAD_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
+
+
+@pytest.fixture(scope="module")
+def workload_traces(tmp_path_factory):
+    """The trace that ``run`` writes for each benchmark workload."""
+    out = tmp_path_factory.mktemp("workloads")
+    for name in ("steady_long", "starved_fallback", "byzantine_sweep"):
+        assert cli.main(["run", "--config",
+                         str(WORKLOAD_DIR / f"{name}.scenario"),
+                         "--out", str(out / name), "--quiet"]) == 0
+    return {name.name: name / "run-seed1.trace.jsonl"
+            for name in out.iterdir()}
+
+
+def header_edits(value, path=()):
+    """("delete", path) for each key of a header, at the top level or in
+    ``protocol``, ``adversary`` or a fault, and ("string", path) for each
+    of its scalars that is no string."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if path != ("faults",):  # a fault id names a whole fault
+                yield "delete", path + (key,)
+            yield from header_edits(item, path + (key,))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from header_edits(item, path + (k,))
+    elif not isinstance(value, str):
+        yield "string", path
+
+
+@pytest.mark.parametrize("name", ["steady_long", "starved_fallback",
+                                  "byzantine_sweep"])
+def test_check_and_replay_refuse_a_workload_header_one_key_off(
+        name, workload_traces, tmp_path, capsys):
+    path = str(workload_traces[name])
+    assert run_cli("check", path, "--quiet") == 0
+    assert run_cli("replay", path, "--quiet") == 0
+    # the header is refused before any record is read
+    text, *records = workload_traces[name].read_text().splitlines()[:20]
+    edits = list(header_edits(json.loads(text)))
+    assert {path[0] for how, path in edits if how == "delete"} == set(
+        json.loads(text))
+    for how, path in edits:
+        header = json.loads(text)
+        *outer, last = path
+        inner = header
+        for key in outer:
+            inner = inner[key]
+        if how == "delete":
+            del inner[last]
+        else:  # 4 as "4", false as "false"
+            inner[last] = json.dumps(inner[last])
+        assert_trace_error(capsys, rewrite(tmp_path, [canonical(header),
+                                                      *records]),
+                           says="bad header")
+
+
+def test_replay_shows_the_bytes_that_differ(workload_traces, tmp_path,
+                                            capsys):
+    # steady_long: undelivered ends the header, and a send's size u ends
+    # its line, both far past the first 120 characters
+    lines = workload_traces["steady_long"].read_text().splitlines()
+    header = json.loads(lines[0])
+    count = header["undelivered"]
+    header["undelivered"] = count + 1
+    send = lines[1]
+    u = json.loads(send)["u"]
+    assert len(send) > 200 and send.endswith(f'"u":{u}}}')
+    for edited, no, theirs, mine in (
+            ([canonical(header), *lines[1:]], 1,
+             f'"undelivered":{count + 1}}}', f'"undelivered":{count}}}'),
+            ([lines[0], send.removesuffix(f"{u}}}") + f"{u + 1}}}",
+              *lines[2:]], 2,
+             f'"u":{u + 1}}}', f'"u":{u}}}')):
+        out = replay_mismatch(capsys, rewrite(tmp_path, edited))
+        assert out[5] == f"first_difference: line {no}"
+        _, file_side, run_side = what_differs(out)
+        assert file_side.startswith("...") and file_side.endswith(theirs)
+        assert run_side.startswith("...") and run_side.endswith(mine)
+
+
+def test_a_record_integer_of_minus_zero_is_refused(workload_traces, tmp_path,
+                                                   capsys):
+    # steady_long's line 2 is at tick 0; replay compares the bytes, so it
+    # names that line as it does any other spelling
+    lines = workload_traces["steady_long"].read_text().splitlines()
+    assert '"t":0,' in lines[1]
+    path = rewrite(tmp_path, [lines[0], lines[1].replace('"t":0,', '"t":-0,'),
+                              *lines[2:]])
+    assert_trace_error(capsys, path, ("check",), " line 2: ")
+    assert replay_mismatch(capsys, path)[5] == "first_difference: line 2"
 
 
 def test_run_refuses_n_past_the_cap(tmp_path, capsys):
