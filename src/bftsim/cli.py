@@ -249,13 +249,10 @@ def _difference(no: int, theirs: Optional[bytes],
     start = max(0, len(os.path.commonprefix([theirs or b"", mine or b""]))
                 - 80)
     record = "header"
-    if no > 1:
-        try:
-            rec = json.loads(mine or theirs)
-            owner = {"send": "frm", "deliver": "to"}.get(rec["kind"], "rid")
-            record = f"{rec['kind']}, replica {rec[owner]}"
-        except (ValueError, KeyError, TypeError, RecursionError):
-            record = "unreadable"
+    if no > 1:  # a record line of the run, or of a file read clean
+        rec = json.loads(mine or theirs)
+        owner = {"send": "frm", "deliver": "to"}.get(rec["kind"], "rid")
+        record = f"{rec['kind']}, replica {rec[owner]}"
     return [f"first_difference: line {no}", f"record: {record}"] + [
         f"{side}: " + (ended if line is None else "..." * (start > 0) + line[
             start:start + 120].decode(errors="replace").rstrip("\n"))
@@ -265,9 +262,7 @@ def _difference(no: int, theirs: Optional[bytes],
 
 def cmd_replay(args) -> int:
     trace, recomputed, got, first = simnet.replay(args.trace)
-    # All three must agree: header digest, digest over the bytes as stored,
-    # and the digest of a fresh deterministic re-run.
-    match = got == trace.stored_digest == recomputed
+    match = first is None  # no line differs, the header's digest included
     lines = [f"trace: {args.trace}",
              f"embedded_digest: {trace.stored_digest}",
              f"recomputed_digest: {recomputed}",

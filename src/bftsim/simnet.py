@@ -372,12 +372,18 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, path: str, sink: Optional[Sink] = None) -> "Trace":
-        """Load a trace file, handing each record to ``sink`` as it is read;
-        with no sink, the returned trace holds them.  Every record line must
-        be its shape's canonical line: its kind picks the shape's pattern,
-        and the shape's reader converts each captured value and checks the
-        record; a message and a commit's ids must be canonical too.  Only
-        sends not yet delivered are kept, to resolve an ``sq``."""
+        """Load the trace file at ``path``; see ``read``."""
+        with open(path, "rb") as fh:
+            return cls.read(fh, path, sink)
+
+    @classmethod
+    def read(cls, fh, path: str, sink: Optional[Sink] = None) -> "Trace":
+        """Read the trace in the binary file ``fh`` (``path`` in errors),
+        handing each record to ``sink`` as it is read; with no sink, the
+        returned trace holds them.  The one judge of a trace file: a record
+        line must be the canonical line of the shape its kind picks, which
+        the shape's reader checks; a message and a commit's ids must be
+        canonical too.  Only undelivered sends are kept, for an ``sq``."""
         last_text = last_msg = None
         # send q -> its message and endpoints
         sent: dict[int, tuple[WireMessage, int, int]] = {}
@@ -439,25 +445,23 @@ class Trace:
                   (re.compile(pattern).fullmatch, readers[kind, by_sq])
                   for (kind, by_sq), (_, pattern, names, _) in _SHAPES.items()}
         no_shape = (lambda line: None, None)
-        with open(path, "rb") as fh:
-            trace = cls.read_header(fh, path)
-            sink = sink or trace.records.append
-            for no, line in enumerate(fh, 2):
-                try:
-                    # a commit's blocks come before its kind, but a list
-                    # of ids cannot hold the text "kind":"
-                    at = line.find(b'"kind":"') + 8
-                    match, read = by_tag.get(
-                        line[at:line.find(b'":', at)], no_shape)
-                    if not (found := match(line)):
-                        raise ValueError(
-                            "not a record shape's canonical line"
-                            if line.endswith(b"\n") else
-                            "last record line is truncated")
-                    rec = read(*found.groups())
-                except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                    raise TraceFormatError(f"{path} line {no}: {exc!r}")
-                sink(rec)
+        trace = cls.read_header(fh, path)
+        sink = sink or trace.records.append
+        for no, line in enumerate(fh, 2):
+            try:
+                # a commit's blocks come before its kind, but a list of
+                # ids cannot hold the text "kind":"
+                at = line.find(b'"kind":"') + 8
+                match, read = by_tag.get(line[at:line.find(b'":', at)],
+                                         no_shape)
+                if not (found := match(line)):
+                    raise ValueError("not a record shape's canonical line"
+                                     if line.endswith(b"\n") else
+                                     "last record line is truncated")
+                rec = read(*found.groups())
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                raise TraceFormatError(f"{path} line {no}: {exc!r}")
+            sink(rec)
         return trace
 
     @classmethod
@@ -655,54 +659,55 @@ def run(config: ReplicaConfig, adversary: AdversarySpec, horizon: int,
 
 
 def replay(path: str) -> tuple[Trace, str, str, Optional[tuple]]:
-    """Re-run a trace file's scenario beside the file, in one pass: the
-    record-less trace from its header, the digests of the file as stored
-    and of the re-run, and where the two first differ, or None: the line
-    number and that line in the file and in the run, None on a side that
-    has ended.  The run's hash is the file's up to that line, then a copy.
-    Both start from the stored header, since the run's own holds
-    ``undelivered``, known only at the end; if the run's count differs,
-    line 1 does, and the run is made again, holding its records, for its
-    true digest.  A wrong header digest alone names line 1."""
+    """Re-run a trace file's scenario beside the file: the record-less
+    trace from its header, the digests of the file as stored and of the
+    re-run, and where the two first differ, or None: the line number and
+    that line in the file and in the run (line 1 is the header, without
+    its digest), None on a side that has ended.  A matching file is never
+    parsed.  One that differs, or lacks its last newline, is read whole by
+    ``Trace.read``, as ``check`` reads it; one it takes is run again, and
+    hashed under the run's own header, for the run's true digest."""
     with open(path, "rb") as fh:
-        stored = Trace.read_header(fh, path)
-        if not fh.seekable():  # a pipe: held, so its end is checked first
+        if not fh.seekable():  # a pipe: held, so it can be read again
             fh = io.BytesIO(fh.read())
+        stored = Trace.read_header(fh, path)
+
+        def judge() -> None:  # raises where check refuses the file
+            fh.seek(0)
+            Trace.read(fh, path, lambda rec: None)
+
         start = fh.tell()
-        if fh.seek(0, 2) > start:
-            fh.seek(-1, 2)
-            if fh.read(1) != b"\n":
-                raise TraceFormatError(
-                    f"{path}: last record line is truncated")
+        fh.seek(max(start, fh.seek(0, 2) - 1))
+        if fh.read(1) not in (b"", b"\n"):  # a cut last line
+            judge()
         fh.seek(start)
         readline, line = fh.readline, _formatter()
-        h = sha256(_line(stored.meta))
-        rerun_h = first = None  # the run's own hash, once the two differ
-        no = 1
+        h, first, no = sha256(_line(stored.meta)), None, 1
 
         def compare(rec: dict) -> None:
-            nonlocal no, first, rerun_h
+            nonlocal no, first
             no += 1
             mine, theirs = line(rec), readline()
-            if rerun_h is None and mine != theirs:
-                first, rerun_h = (no, theirs or None, mine), h.copy()
+            if first is None and mine != theirs:
+                first = no, theirs or None, mine
             h.update(theirs)
-            if rerun_h is not None:
-                rerun_h.update(mine)
 
         rerun = run(stored.protocol, stored.adversary, stored.horizon, compare)
         # the file's lines beyond the run's
         for chunk in iter(lambda: fh.read(1 << 16), b""):
-            if rerun_h is None:
+            if first is None:
                 first = no + 1, chunk.partition(b"\n")[0], None
-                rerun_h = h.copy()
             h.update(chunk)
-    replayed = (h if rerun_h is None else rerun_h).hexdigest()
-    if rerun.meta["undelivered"] != stored.meta["undelivered"]:
-        replayed = run(stored.protocol, stored.adversary,
-                       stored.horizon).digest()
-    elif first or replayed == stored.stored_digest:
-        return stored, h.hexdigest(), replayed, first
-    return stored, h.hexdigest(), replayed, (
-        1, _line(dict(stored.meta, digest=stored.stored_digest)),
-        _line(dict(rerun.meta, digest=replayed)))
+        recomputed = h.hexdigest()
+        same_header = rerun.meta["undelivered"] == stored.meta["undelivered"]
+        if not first and same_header and recomputed == stored.stored_digest:
+            return stored, recomputed, recomputed, None
+        judge()
+    h, line = sha256(_line(rerun.meta)), _formatter()
+    run(stored.protocol, stored.adversary, stored.horizon,
+        lambda rec: h.update(line(rec)))
+    replayed = h.hexdigest()
+    if not first or not same_header:
+        first = (1, _line(dict(stored.meta, digest=stored.stored_digest)),
+                 _line(dict(rerun.meta, digest=replayed)))
+    return stored, recomputed, replayed, first

@@ -8,6 +8,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bftsim import analysis, cli, crypto, scenario, simnet
 from bftsim.core import GENESIS_ID, MAX_HORIZON, MAX_N
@@ -297,7 +299,10 @@ def test_replay_names_an_edited_record_line(tmp_path, capsys):
     lines = make_trace(tmp_path).read_text().splitlines()
     for no in (2, len(lines) // 2, len(lines)):
         edited = list(lines)
-        edited[no - 1] = edited[no - 1].replace('"t":', '"T":', 1)
+        # a well-formed edit: the record's tick, one later
+        assert lines[no - 1].count('"t":') == 1
+        t = json.loads(lines[no - 1])["t"]
+        edited[no - 1] = lines[no - 1].replace(f'"t":{t}', f'"t":{t + 1}')
         out = replay_mismatch(capsys, rewrite(tmp_path, edited))
         assert out[5] == f"first_difference: line {no}"
         # a header digest forged to fit the edit names the same line
@@ -306,6 +311,10 @@ def test_replay_names_an_edited_record_line(tmp_path, capsys):
             tmp_path, [json.dumps(header), *edited[1:]]))
         assert out[1].split(": ")[1] == out[2].split(": ")[1]
         assert out[5] == f"first_difference: line {no}"
+        # a key no record has is refused by both commands, with one text
+        edited[no - 1] = lines[no - 1].replace('"t":', '"T":', 1)
+        assert_trace_error(capsys, rewrite(tmp_path, edited),
+                           says=f" line {no}: ")
 
 
 def test_replay_names_where_the_shorter_side_ends(tmp_path, capsys):
@@ -365,21 +374,29 @@ def test_replay_names_the_header_line(tmp_path, capsys):
 
 def test_replay_reads_a_pipe(tmp_path, capsys):
     data = make_trace(tmp_path).read_bytes()
+    lines = data.splitlines(keepends=True)
+    middle = len(lines) // 2
+    malformed = b"".join([*lines[:middle],
+                          lines[middle].replace(b'"t":', b'"T":', 1),
+                          *lines[middle + 1:]])
     path = tmp_path / "t.jsonl"
-    for command in ("replay", "check"):
-        for text, code in ((data, 0), (data[:-1], 2)):
+    for text, code in ((data, 0), (data[:-1], 2), (malformed, 2)):
+        err = {}
+        for command in ("replay", "check"):
             proc = subprocess.run(
                 [sys.executable, "-m", "bftsim.cli", command, "/dev/stdin"],
                 input=text, capture_output=True, timeout=60)
             assert proc.returncode == code, (command, proc.stderr)
-            if command == "check":
-                # what the same bytes give as a file, named /dev/stdin
-                path.write_bytes(text)
-                assert run_cli("check", str(path)) == code
-                captured = capsys.readouterr()
-                assert (proc.stdout.decode(), proc.stderr.decode()) == (
-                    captured.out.replace(str(path), "/dev/stdin"),
-                    captured.err.replace(str(path), "/dev/stdin"))
+            err[command] = proc.stderr
+        # replay refuses a pipe with the text check prints
+        assert err["replay"] == err["check"]
+        # what the same bytes give as a file, named /dev/stdin
+        path.write_bytes(text)
+        assert run_cli("check", str(path)) == code
+        captured = capsys.readouterr()
+        assert (proc.stdout.decode(), proc.stderr.decode()) == (
+            captured.out.replace(str(path), "/dev/stdin"),
+            captured.err.replace(str(path), "/dev/stdin"))
 
 
 def test_replay_refuses_a_bad_file_before_simulating(tmp_path, capsys,
@@ -413,9 +430,19 @@ def test_check_and_replay_hold_no_trace(tmp_path):
             tracemalloc.stop()
     assert (peak(lambda: run_cli("check", path, "--quiet"))
             < peak(lambda: simnet.Trace.from_jsonl(path)) / 2)
-    assert (peak(lambda: run_cli("replay", path, "--quiet"))
-            < peak(lambda: simnet.run(stored.protocol, stored.adversary,
-                                      stored.horizon)) / 2)
+    held = peak(lambda: simnet.run(stored.protocol, stored.adversary,
+                                   stored.horizon))
+    assert peak(lambda: run_cli("replay", path, "--quiet")) < held / 2
+    # a header one count off: replay reads the file and runs again, for
+    # the run's true digest, and holds neither
+    lines = Path(path).read_text().splitlines()
+    header = dict(json.loads(lines[0]), undelivered=(
+        stored.meta["undelivered"] + 1))
+    other = rewrite(tmp_path, [canonical(header), *lines[1:]])
+    codes = []
+    assert peak(lambda: codes.append(run_cli("replay", other,
+                                             "--quiet"))) < held / 2
+    assert codes == [1]
 
 
 def test_replay_missing_file_exits_two(tmp_path):
@@ -439,14 +466,17 @@ def rewrite(tmp_path, lines, name="bad.jsonl"):
 
 
 def assert_trace_error(capsys, path, commands=("check", "replay"), says=""):
-    """Each command exits 2 with a trace error that says ``says``; returns
-    the last error."""
+    """Each command exits 2 with the same trace error, which says ``says``;
+    returns it."""
+    errors = set()
     for command in commands:
         assert run_cli(command, path) == 2, command
         captured = capsys.readouterr()
         assert captured.err.startswith("trace error:"), command
         assert says in captured.err, (command, captured.err)
         assert "match" not in captured.out.lower()
+        errors.add(captured.err)
+    assert len(errors) == 1, errors
     return captured.err
 
 
@@ -650,14 +680,12 @@ def test_replay_shows_the_bytes_that_differ(workload_traces, tmp_path,
 
 def test_a_record_integer_of_minus_zero_is_refused(workload_traces, tmp_path,
                                                    capsys):
-    # steady_long's line 2 is at tick 0; replay compares the bytes, so it
-    # names that line as it does any other spelling
+    # steady_long's line 2 is at tick 0; both commands refuse -0 there
     lines = workload_traces["steady_long"].read_text().splitlines()
     assert '"t":0,' in lines[1]
     path = rewrite(tmp_path, [lines[0], lines[1].replace('"t":0,', '"t":-0,'),
                               *lines[2:]])
-    assert_trace_error(capsys, path, ("check",), " line 2: ")
-    assert replay_mismatch(capsys, path)[5] == "first_difference: line 2"
+    assert_trace_error(capsys, path, says=" line 2: ")
 
 
 def test_run_refuses_n_past_the_cap(tmp_path, capsys):
@@ -786,13 +814,10 @@ def test_bad_record_lines_exit_two_on_check(tmp_path, capsys):
              "unknown message kind: 'teleport'"),
             (1, canonical(dict(json.loads(lines[1]), zz=1)), NOT_CANONICAL)):
         path = rewrite(tmp_path, lines[:k] + [line] + lines[k + 1:])
-        # check has folded the lines before it, and names the bad one
-        err = assert_trace_error(capsys, path, ("check",), says)
+        # check has folded the lines before it, and names the bad one;
+        # replay reads a file that differs from its run as check does
+        err = assert_trace_error(capsys, path, says=says)
         assert f" line {k + 1}: " in err, err
-        # replay hashes the stored bytes without decoding them: changed
-        # record bytes under an intact header are a mismatch
-        assert run_cli("replay", path) == 1
-        assert "MISMATCH" in capsys.readouterr().out
 
 
 def test_other_spellings_inside_a_message_or_commit_exit_two(tmp_path,
@@ -815,10 +840,77 @@ def test_other_spellings_inside_a_message_or_commit_exit_two(tmp_path,
         k = next(k for k, line in enumerate(lines) if old in line)
         path = rewrite(tmp_path, lines[:k] + [lines[k].replace(old, new, 1)]
                        + lines[k + 1:])
-        err = assert_trace_error(capsys, path, ("check",))
+        err = assert_trace_error(capsys, path)
         assert f" line {k + 1}: " in err, (new, err)
-        assert run_cli("replay", path) == 1, new
-        assert "MISMATCH" in capsys.readouterr().out
+
+
+# small traces, each with its kind of traffic: the happy path, every view
+# through the fallback, and an equivocating leader under partial synchrony
+SMALL = {"steady": STEADY.replace("horizon = 240", "horizon = 60"),
+         "starved": STARVED.replace("horizon = 240", "horizon = 150"),
+         "byzantine": STEADY.replace("synchronous\ndelta = 1",
+                                     "partial_synchrony\ngst = 60\n"
+                                     "delta = 2\npre_gst_delay_bound = 30\n"
+                                     "faults = 0:equivocate")
+                            .replace("horizon = 240", "horizon = 100")}
+
+
+@pytest.fixture(scope="module")
+def small_traces(tmp_path_factory):
+    """The bytes of the trace ``run`` writes for each of SMALL."""
+    out = tmp_path_factory.mktemp("small")
+    traces = {}
+    for name, text in SMALL.items():
+        (out / f"{name}.ini").write_text(text)
+        assert cli.main(["run", "--config", str(out / f"{name}.ini"),
+                         "--out", str(out / name), "--quiet"]) == 0
+        traces[name] = (out / name / "run-seed7.trace.jsonl").read_bytes()
+    return traces
+
+
+# one edit: a byte changed, a line deleted, duplicated or swapped with the
+# next, or the file cut; each position is taken modulo the file's size
+EDITS = (st.tuples(st.just("byte"), st.integers(0), st.integers(0, 255))
+         | st.tuples(st.sampled_from(("delete", "duplicate", "swap", "cut")),
+                     st.integers(0)))
+
+
+def edited(data: bytes, how: str, at: int, byte: int = 0) -> bytes:
+    if how == "byte":
+        at %= len(data)
+        return data[:at] + bytes([byte]) + data[at + 1:]
+    if how == "cut":
+        return data[:at % len(data)]
+    lines = data.splitlines(keepends=True)
+    k = at % len(lines)
+    if how == "delete":
+        del lines[k]
+    elif how == "duplicate":
+        lines.insert(k, lines[k])
+    else:
+        lines[k:k + 2] = lines[k:k + 2][::-1]
+    return b"".join(lines)
+
+
+def test_check_and_replay_refuse_the_same_edits(small_traces, tmp_path,
+                                                capsys):
+    # one reader judges a trace file for both commands: an edit that one
+    # refuses, the other refuses with the same text
+    path = str(tmp_path / "edited.jsonl")
+
+    @settings(derandomize=True, database=None, max_examples=120,
+              deadline=None)
+    @given(st.sampled_from(sorted(small_traces)), EDITS)
+    def search(name, edit):
+        with open(path, "wb") as fh:
+            fh.write(edited(small_traces[name], *edit))
+        codes, errors = [], []
+        for command in ("check", "replay"):
+            codes.append(run_cli(command, path, "--quiet"))
+            errors.append(capsys.readouterr().err)
+        assert (codes[0] == 2) == (codes[1] == 2), (edit, codes, errors)
+        assert codes[0] != 2 or errors[0] == errors[1], (edit, errors)
+    search()
 
 
 def test_json_nested_past_the_recursion_limit_exits_two(tmp_path, capsys):

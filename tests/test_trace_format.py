@@ -5,6 +5,7 @@ send instead of repeating the message."""
 import functools
 import hashlib
 import json
+import os
 import pickle
 import re
 import subprocess
@@ -282,6 +283,26 @@ def test_golden_digest_through_the_hashlib_fallback():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == want + "\n"
+
+
+def test_golden_digest_under_two_hash_seeds(tmp_path):
+    # the first GOLDEN case as a scenario file, run by the CLI under two
+    # str hash seeds: set and dict order must not reach the trace
+    case, want = GOLDEN[0]
+    assert case == ("three_chain", "async_fallback", AdversarySpec(STARVE),
+                    300, 3)
+    cfg = tmp_path / "golden.ini"
+    cfg.write_text("[protocol]\nn = 4\nf = 1\nvariant = three_chain\n"
+                   "pacemaker = async_fallback\ntimeout_duration = 40\n"
+                   "[adversary]\nmodel = asynchronous\nbase_delay = 1..8\n"
+                   "delay_proposal = 60..120\n[run]\nhorizon = 300\nseed = 3\n")
+    for seed in ("0", "12345"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bftsim.cli", "run", "--config", str(cfg)],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert f"trace_digest: {want}\n" in proc.stdout, seed
 
 
 @pytest.mark.parametrize("case,want", GRID)
