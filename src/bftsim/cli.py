@@ -277,16 +277,15 @@ def cmd_replay(args) -> int:
 def cmd_check(args) -> int:
     from . import analysis
 
-    if os.path.isfile(args.trace):
-        with open(args.trace, "rb") as fh:
-            header = Trace.read_header(fh, args.trace)
+    def fold(header: Trace) -> simnet.Sink:
+        nonlocal idx
         idx, add = analysis.indexer(header.protocol, header.adversary)
-        Trace.from_jsonl(args.trace, add)
-    else:  # a pipe can be read only once: its records are held
-        idx = analysis.index(Trace.from_jsonl(args.trace))
+        return add
+
+    idx = None
+    Trace.from_jsonl(args.trace, fold)  # a file or a pipe, read once
     safety = analysis.check_safety(idx)
-    lines = [f"trace: {args.trace}"] + safety.lines()
-    _print(lines, args.quiet)
+    _print([f"trace: {args.trace}"] + safety.lines(), args.quiet)
     return 0 if safety.ok else 1
 
 

@@ -377,7 +377,7 @@ class Replica:
                 acts += self._buffer(sender, msg)
                 return False
             if not is_endorsed(parent, st.coin_history):
-                self._drop("unendorsed_parent")
+                acts += self._drop("unendorsed_parent")
                 return False
         self._store_body(msg.block)
         acts += self.lock_update(parent)

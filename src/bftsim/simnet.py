@@ -31,6 +31,7 @@ TRACE_FORMAT = "bftsim-trace-v2"
 
 # Where a producer hands each record: the trace's own list, or a fold.
 Sink = Callable[[dict], None]
+SinkFor = Callable[["Trace"], Sink]  # a trace file's sink, from its header
 
 # The fields each record kind must carry and their JSON types.  A deliver
 # also carries its message as "m" or names the send that does as "sq".
@@ -371,18 +372,18 @@ class Trace:
         return digest
 
     @classmethod
-    def from_jsonl(cls, path: str, sink: Optional[Sink] = None) -> "Trace":
+    def from_jsonl(cls, path: str, sink: Optional[SinkFor] = None) -> "Trace":
         """Load the trace file at ``path``; see ``read``."""
         with open(path, "rb") as fh:
             return cls.read(fh, path, sink)
 
     @classmethod
-    def read(cls, fh, path: str, sink: Optional[Sink] = None) -> "Trace":
-        """Read the trace in the binary file ``fh`` (``path`` in errors),
-        handing each record to ``sink`` as it is read; with no sink, the
-        returned trace holds them.  The one judge of a trace file: a record
-        line must be the canonical line of the shape its kind picks, which
-        the shape's reader checks; a message and a commit's ids must be
+    def read(cls, fh, path: str, sink: Optional[SinkFor] = None) -> "Trace":
+        """Read the trace in the binary file ``fh`` (``path`` in errors): the
+        one its header gives, which holds each record, or hands it to
+        ``sink(trace)`` as it is read.  The one judge of a trace file: a
+        record line must be the canonical line of the shape its kind picks,
+        which the shape's reader checks; a message and a commit's ids must be
         canonical too.  Only undelivered sends are kept, for an ``sq``."""
         last_text = last_msg = None
         # send q -> its message and endpoints
@@ -446,7 +447,7 @@ class Trace:
                   for (kind, by_sq), (_, pattern, names, _) in _SHAPES.items()}
         no_shape = (lambda line: None, None)
         trace = cls.read_header(fh, path)
-        sink = sink or trace.records.append
+        add = sink(trace) if sink else trace.records.append
         for no, line in enumerate(fh, 2):
             try:
                 # a commit's blocks come before its kind, but a list of
@@ -461,7 +462,7 @@ class Trace:
                 rec = read(*found.groups())
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise TraceFormatError(f"{path} line {no}: {exc!r}")
-            sink(rec)
+            add(rec)
         return trace
 
     @classmethod
@@ -674,7 +675,7 @@ def replay(path: str) -> tuple[Trace, str, str, Optional[tuple]]:
 
         def judge() -> None:  # raises where check refuses the file
             fh.seek(0)
-            Trace.read(fh, path, lambda rec: None)
+            Trace.read(fh, path, lambda header: lambda rec: None)
 
         start = fh.tell()
         fh.seek(max(start, fh.seek(0, 2) - 1))

@@ -245,7 +245,7 @@ def fold_of(name: str, horizon: int, tmp_path) -> analysis.TraceIndex:
     path = str(tmp_path / f"{name}-{horizon}.jsonl")
     run(cfg.protocol, cfg.adversary, horizon).to_jsonl(path)
     idx, add = analysis.indexer(cfg.protocol, cfg.adversary)
-    Trace.from_jsonl(path, add)
+    Trace.from_jsonl(path, lambda header: add)
     return idx
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -413,6 +414,23 @@ def test_replay_refuses_a_bad_file_before_simulating(tmp_path, capsys,
         assert_trace_error(capsys, path, ("replay",))
 
 
+def check_a_pipe(data: bytes, *argv) -> int:
+    """``check /dev/fd/N`` in this process, N a real pipe that a thread
+    fills with ``data``."""
+    r, w = os.pipe()
+
+    def feed():
+        with open(w, "wb") as fh:
+            fh.write(data)
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return run_cli("check", f"/dev/fd/{r}", *argv)
+    finally:
+        os.close(r)
+        writer.join()
+
+
 def test_check_and_replay_hold_no_trace(tmp_path):
     cfg = write(tmp_path, STEADY.replace("horizon = 240", "horizon = 1000"))
     out = tmp_path / "out"
@@ -428,8 +446,13 @@ def test_check_and_replay_hold_no_trace(tmp_path):
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert (peak(lambda: run_cli("check", path, "--quiet"))
-            < peak(lambda: simnet.Trace.from_jsonl(path)) / 2)
+    held_file = peak(lambda: simnet.Trace.from_jsonl(path))
+    assert peak(lambda: run_cli("check", path, "--quiet")) < held_file / 2
+    # a pipe is folded as it is read, as a file is
+    data, codes = Path(path).read_bytes(), []
+    assert peak(lambda: codes.append(check_a_pipe(data, "--quiet"))) < (
+        held_file / 2)
+    assert codes == [0]
     held = peak(lambda: simnet.run(stored.protocol, stored.adversary,
                                    stored.horizon))
     assert peak(lambda: run_cli("replay", path, "--quiet")) < held / 2
@@ -937,6 +960,24 @@ def test_check_clean_trace_exits_zero(tmp_path, capsys):
     trace = make_trace(tmp_path)
     assert run_cli("check", str(trace)) == 0
     assert "safety: ok" in capsys.readouterr().out
+
+
+def test_check_reads_the_header_once(tmp_path, monkeypatch, capsys):
+    trace = make_trace(tmp_path)
+    spell, calls = scenario.respelled, []
+
+    def respelled(*args):
+        calls.append(args)
+        return spell(*args)
+    monkeypatch.setattr(scenario, "respelled", respelled)
+    reports = []
+    for check in (lambda: run_cli("check", str(trace)),
+                  lambda: check_a_pipe(trace.read_bytes())):
+        calls.clear()
+        assert check() == 0
+        assert len(calls) == 1
+        reports.append(capsys.readouterr().out.split("\n", 1)[1])
+    assert reports[0] == reports[1]  # all but the trace: line
 
 
 def test_check_flags_forged_commit(tmp_path, capsys):

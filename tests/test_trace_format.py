@@ -363,7 +363,7 @@ def test_streaming_equals_holding(name, tmp_path, capsys):
     simulated, add = analysis.indexer(config, adversary)
     assert run(config, adversary, horizon, add).records == []
     read, add = analysis.indexer(config, adversary)
-    assert Trace.from_jsonl(str(path), add).records == []
+    assert Trace.from_jsonl(str(path), lambda header: add).records == []
     simulated, read = stores(simulated), stores(read)
     for name, value in stores(want).items():
         assert simulated[name] == value, name
@@ -749,13 +749,13 @@ def test_codec_matches_an_independent_oracle(tmp_path):
         no = write_lines(path, meta, rec, line)
         read = []
         if is_consistent(rec):
-            Trace.from_jsonl(str(path), read.append)
+            Trace.from_jsonl(str(path), lambda header: read.append)
             assert read[-1] == rec
             assert ({k: type(v) for k, v in read[-1].items()}
                     == {k: type(v) for k, v in rec.items()})
         else:
             with pytest.raises(TraceFormatError, match=f" line {no}: "):
-                Trace.from_jsonl(str(path), read.append)
+                Trace.from_jsonl(str(path), lambda header: read.append)
 
     check()
 
@@ -844,6 +844,6 @@ def test_one_edit_off_canonical_form_names_its_line(tmp_path):
         for line in lines:
             no = write_lines(path, meta, rec, line)
             with pytest.raises(TraceFormatError, match=f" line {no}: "):
-                Trace.from_jsonl(str(path), lambda rec: None)
+                Trace.from_jsonl(str(path), lambda header: lambda rec: None)
 
     check()
