@@ -317,28 +317,25 @@ def indexer(config: ReplicaConfig,
         tallies[key] = FULL
         return frozenset(signers)
 
-    # certificates implied by a quorum of votes at one recipient; a
-    # tally's key holds the id's shared copy once the id is known, and its
-    # certificate the key's own values
-    def vote(to: int, m: Vote) -> None:
-        known = blocks.get(m.block_id)
-        key = ("v", to, known.id if known else m.block_id, m.round, m.view)
-        if signers := tally(key, m.voter, quorum):
-            certified(QC(*key[2:], signers))
-
-    def fb_vote(to: int, m: FBVote) -> None:
-        known = blocks.get(m.block_id)
-        key = ("f", to, known.id if known else m.block_id, m.round, m.view,
-               m.height, m.proposer)
-        if signers := tally(key, m.voter, quorum):
-            certified(FallbackQC(*key[2:], signers))
+    def implied(cert: type):
+        """The step for votes whose quorum at one recipient implies a
+        ``cert``: a vote's fields but its voter are the certificate's but
+        its signers.  A tally's key holds the id's shared copy once the id
+        is known, and the certificate the key's own values."""
+        def vote(to: int, m: Union[Vote, FBVote]) -> None:
+            known = blocks.get(m.block_id)
+            key = (cert, to, known.id if known else m.block_id, *m[1:-1])
+            if signers := tally(key, m.voter, quorum):
+                certified(cert(*key[2:], signers))
+        return vote
 
     def coin_share(to: int, m: CoinShare) -> None:
         if tally(("c", to, m.view), m.signer, coin_quorum):
             idx.completed_views.add(m.view)
 
     # message type -> its variant, and what a delivery of it implies
-    implies = {Vote: vote, FBVote: fb_vote, CoinShare: coin_share}
+    implies = {Vote: implied(QC), FBVote: implied(FallbackQC),
+               CoinShare: coin_share}
     on_deliver = {cls: (variant, implies.get(cls))
                   for cls, (variant, _) in MESSAGE_KINDS.items()}
     # the sender and message last scanned: a multicast's sends share one

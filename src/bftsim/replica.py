@@ -213,38 +213,27 @@ class Replica:
         return (self._settled(block.id, block.view, block.round,
                               block.proposer)
                 and self._below_lock(parent.view, parent.round,
-                                     getattr(parent, "proposer", None)))
+                                     parent.proposer))
 
     def _prune(self) -> None:
-        """Drop each settled body, with its certificates and vote buckets,
-        then what names a dead block whose body never came.  Genesis stays,
-        as a constant."""
+        """Drop each settled body, then each certificate and vote bucket
+        that names a dead block: such a body, at its view and round, or one
+        whose body never came.  Genesis stays, as a constant."""
         st = self.state
         for b in [b for b in st.blocks.values()
                   if b is not self.genesis and self._settled_body(b)]:
             del st.blocks[b.id]
             st.commit_frontier.discard(b.id)
-            st.qc_by_block.pop(b.id, None)
-            if fqc := st.fqc_by_block.pop(b.id, None):
-                st.fqc_by_key.pop((fqc.view, fqc.proposer, fqc.height), None)
-            st.vote_shares.pop((b.id, b.round, b.view), None)
-            st.fvote_shares.pop((b.id, b.round, b.view, b.height, b.proposer),
-                                None)
         dead = self._dead
-        for store in (st.qc_by_block, st.fqc_by_block):
-            for bid in [bid for bid, c in store.items()
-                        if dead(bid, c.view, c.round,
-                                getattr(c, "proposer", None))]:
-                del store[bid]
-        for key in [key for key, c in st.fqc_by_key.items()
-                    if dead(c.block_id, c.view, c.round, c.proposer)]:
-            del st.fqc_by_key[key]
-        for key in [key for key in st.vote_shares
-                    if dead(key[0], key[2], key[1])]:
-            del st.vote_shares[key]
-        for key in [key for key in st.fvote_shares
-                    if dead(key[0], key[2], key[1], key[4])]:
-            del st.fvote_shares[key]
+        for store in (st.qc_by_block, st.fqc_by_block, st.fqc_by_key):
+            for key in [key for key, c in store.items()
+                        if dead(c.block_id, c.view, c.round, c.proposer)]:
+                del store[key]
+        # a key is (block id, round, view[, height, proposer])
+        for store in (st.vote_shares, st.fvote_shares):
+            for key in [key for key in store
+                        if dead(key[0], key[2], key[1], *key[4:])]:
+                del store[key]
         st.prune_at = max(PRUNE_FLOOR, 2 * len(st.blocks))
 
     def _store_body(self, block: Block) -> None:
@@ -403,7 +392,7 @@ class Replica:
             # 3-chain lock: the certificate inside the certified block
             self._raise_lock(st.blocks[cert.block_id].parent_qc)
         elif not self._settled(cert.block_id, cert.view, cert.round,
-                               getattr(cert, "proposer", None)):
+                               cert.proposer):
             st.pending_rank_locks.add(cert.block_id)
         st.high_qc = max_cert(st.high_qc, cert, st.coin_history)
         acts += self.advance_round(cert)
@@ -471,8 +460,7 @@ class Replica:
                 # a dropped parent is committed, so the base is too, or a
                 # fork, which never commits: the chain is settled
                 if pq.block_id in st.committed or self._dead(
-                        pq.block_id, pq.view, pq.round,
-                        getattr(pq, "proposer", None)):
+                        pq.block_id, pq.view, pq.round, pq.proposer):
                     return BROKEN
                 return None
             if blk.round != parent.round + 1 or blk.view != parent.view:

@@ -384,7 +384,8 @@ class Trace:
         ``sink(trace)`` as it is read.  The one judge of a trace file: a
         record line must be the canonical line of the shape its kind picks,
         which the shape's reader checks; a message and a commit's ids must be
-        canonical too.  Only undelivered sends are kept, for an ``sq``."""
+        canonical too, and a send's ``u`` its message's size.  Only
+        undelivered sends are kept, for an ``sq``."""
         last_text = last_msg = None
         # send q -> its message and endpoints
         sent: dict[int, tuple[WireMessage, int, int]] = {}
@@ -398,9 +399,12 @@ class Trace:
 
         def send(frm, m, q, t, to, u) -> dict:
             frm, m, q, to = int(frm), message(m), int(q), int(to)
+            units = MESSAGE_SIZE_UNITS[message_variant(m)]
+            if int(u) != units:
+                raise ValueError(f"send u is not its message's size {units}")
             sent[q] = m, frm, to
             return {"frm": frm, "kind": "send", "m": m, "q": q, "t": int(t),
-                    "to": to, "u": int(u)}
+                    "to": to, "u": units}
 
         def by_sq(frm, q, self, sq, t, to) -> dict:
             frm, sq, to = int(frm), int(sq), int(to)

@@ -1,12 +1,48 @@
 """Named replica mutants: each is one rule broken by one patch, applied as a
 context manager, so a test can ask whether an oracle notices.  A mutant
-changes how the real replica code runs; it copies none of it."""
+changes how the real replica code runs; it copies none of it.  Beside them,
+faults that only tests register, for attacks no run may make yet."""
 
 from contextlib import contextmanager
+from typing import NamedTuple
 from unittest import mock
 
-from bftsim.core import ReplicaConfig
+from bftsim.core import (QC, Multicast, Proposal, ReplicaConfig, Send,
+                         TxnBatch, make_block, value_types)
 from bftsim.replica import Replica
+from bftsim.simnet import Honest
+
+
+class Forge(NamedTuple):
+    """As leader, certifies its own blocks: for each proposal it multicasts
+    at round r, each half of the network gets its own chain of four
+    proposals, at rounds r to r+3, each block after the first on a QC
+    signed by 2f+1 replicas that never voted for it.  Mock crypto takes
+    the signer set on trust (ROADMAP item 1)."""
+
+    byzantine, down = True, Honest.down
+
+    def rewrite(self, actions, n: int):
+        signers = frozenset(range(2 * ((n - 1) // 3) + 1))
+        out = []
+        for a in actions:
+            if not (isinstance(a, Multicast) and isinstance(a.msg, Proposal)):
+                out.append(a)
+                continue
+            p, b = a.msg, a.msg.block
+            for half, tos in enumerate((range(n // 2), range(n // 2, n))):
+                parent, coin = b.parent_qc, p.coin_qc
+                for k in range(4):
+                    blk = make_block(parent, b.round + k, b.view, TxnBatch(
+                        f"{b.payload.payload_id}~forged{half}.{k}"))
+                    out += [Send(j, Proposal(blk, p.sender, coin))
+                            for j in tos]
+                    parent, coin = QC(blk.id, blk.round, blk.view,
+                                      signers), None
+        return out
+
+
+value_types(Forge)
 
 
 class _OneLinkShort(ReplicaConfig):

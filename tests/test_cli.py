@@ -679,21 +679,23 @@ def test_check_and_replay_refuse_a_workload_header_one_key_off(
 
 def test_replay_shows_the_bytes_that_differ(workload_traces, tmp_path,
                                             capsys):
-    # steady_long: undelivered ends the header, and a send's size u ends
-    # its line, both far past the first 120 characters
+    # steady_long: undelivered ends the header, and a send's tick t comes
+    # just before its line's last two fields, both far past the first 120
+    # characters
     lines = workload_traces["steady_long"].read_text().splitlines()
     header = json.loads(lines[0])
     count = header["undelivered"]
     header["undelivered"] = count + 1
     send = lines[1]
-    u = json.loads(send)["u"]
-    assert len(send) > 200 and send.endswith(f'"u":{u}}}')
+    rec = json.loads(send)
+    t, tail = rec["t"], f',"to":{rec["to"]},"u":{rec["u"]}}}'
+    assert len(send) > 200 and send.endswith(f'"t":{t}{tail}')
     for edited, no, theirs, mine in (
             ([canonical(header), *lines[1:]], 1,
              f'"undelivered":{count + 1}}}', f'"undelivered":{count}}}'),
-            ([lines[0], send.removesuffix(f"{u}}}") + f"{u + 1}}}",
+            ([lines[0], send.removesuffix(f"{t}{tail}") + f"{t + 1}{tail}",
               *lines[2:]], 2,
-             f'"u":{u + 1}}}', f'"u":{u}}}')):
+             f'"t":{t + 1}{tail}', f'"t":{t}{tail}')):
         out = replay_mismatch(capsys, rewrite(tmp_path, edited))
         assert out[5] == f"first_difference: line {no}"
         _, file_side, run_side = what_differs(out)
@@ -708,6 +710,17 @@ def test_a_record_integer_of_minus_zero_is_refused(workload_traces, tmp_path,
     assert '"t":0,' in lines[1]
     path = rewrite(tmp_path, [lines[0], lines[1].replace('"t":0,', '"t":-0,'),
                               *lines[2:]])
+    assert_trace_error(capsys, path, says=" line 2: ")
+
+
+def test_a_send_whose_u_is_not_its_size_is_refused(workload_traces, tmp_path,
+                                                  capsys):
+    # steady_long's line 2 is a send; a run writes no other u, so both
+    # commands refuse one more
+    lines = workload_traces["steady_long"].read_text().splitlines()
+    u = json.loads(lines[1])["u"]
+    path = rewrite(tmp_path, [lines[0], lines[1].removesuffix(f"{u}}}")
+                              + f"{u + 1}}}", *lines[2:]])
     assert_trace_error(capsys, path, says=" line 2: ")
 
 

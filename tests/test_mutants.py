@@ -3,12 +3,15 @@ runs that show it is not the real rule, and the oracle that must flag it.
 A row whose oracle does not exist yet is a strict xfail naming the ROADMAP
 item that will add it, so that the test flips when the oracle lands."""
 
+import itertools
+
 import pytest
 
-from bftsim import analysis
+from bftsim import analysis, simnet
+from bftsim.core import PACEMAKERS, VARIANTS, ReplicaConfig
 from bftsim.scenario import parse_scenario
-from bftsim.simnet import run
-from mutants import commit_chain_one_short
+from bftsim.simnet import AdversarySpec, Synchronous, run
+from mutants import Forge, commit_chain_one_short
 from test_check_fold import WORKLOAD_DIR
 
 HORIZON = 300
@@ -40,3 +43,17 @@ def test_commit_chain_one_short_commits_otherwise(one_short_runs):
 def test_check_safety_flags_commit_chain_one_short(one_short_runs):
     for _, mutant in one_short_runs.values():
         assert not analysis.check_safety(analysis.index(mutant)).ok
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1")
+def test_a_forging_leader_breaks_no_run(monkeypatch):
+    # registered for this test only, so that a header can spell it
+    monkeypatch.setitem(simnet.FAULT_KINDS, "forge", Forge)
+    adversary = AdversarySpec(Synchronous(1), ((0, Forge()),))
+    for n, variant, pacemaker, seed in itertools.product(
+            (4, 7), VARIANTS, PACEMAKERS, (1, 2)):
+        cfg = ReplicaConfig(n=n, f=(n - 1) // 3, variant=variant,
+                            pacemaker=pacemaker, run_seed=seed)
+        trace = run(cfg, adversary, HORIZON)
+        assert analysis.check_safety(analysis.index(trace)).ok, cfg

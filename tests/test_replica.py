@@ -52,6 +52,7 @@ from bftsim.replica import (
     Send,
     SetTimer,
 )
+from test_trace_format import GRID, scenario_of
 
 QUORUM = frozenset({0, 1, 2})
 
@@ -1424,6 +1425,29 @@ def test_no_store_grows_with_the_horizon(name, horizon):
     short, long = peak_sizes(name, horizon), peak_sizes(name, 2 * horizon)
     for s in STORES:
         assert long[s] <= max(short[s], SMALL), (s, short[s], long[s])
+
+
+@pytest.mark.parametrize("case", [c for c, _ in GRID])
+def test_a_prune_leaves_nothing_dead(case):
+    # every certificate and vote bucket of a dropped body goes with it, as
+    # it shares the body's view and round, and a second pass finds nothing
+    sim = Simulation(*scenario_of(case))
+    sim.run(lambda rec: None)
+    for r in (h.replica for h in sim.harnesses):
+        st = r.state
+        held = st.blocks.keys() - {r.genesis.id}
+        r._prune()
+        gone = held - st.blocks.keys()
+        certs = [c for s in (st.qc_by_block, st.fqc_by_block, st.fqc_by_key)
+                 for c in s.values()]
+        assert not any(r._dead(c.block_id, c.view, c.round, c.proposer)
+                       or c.block_id in gone for c in certs)
+        buckets = [*st.vote_shares, *st.fvote_shares]
+        assert not any(r._dead(k[0], k[2], k[1], *k[4:]) or k[0] in gone
+                       for k in buckets)
+        before = copy.deepcopy(vars(st))
+        r._prune()
+        assert vars(st) == before
 
 
 def random_run(k: int):

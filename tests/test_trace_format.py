@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bftsim import analysis, cli, core, replica
-from bftsim.core import decode_message, encode_message, message_variant
+from bftsim.core import (MESSAGE_SIZE_UNITS, decode_message, encode_message,
+                         message_variant)
 from bftsim.replica import ReplicaConfig
 from bftsim.simnet import (_DELIVER_REFS, _RECORD_FIELDS, _SHAPES,
                            TRACE_FORMAT, AdversarySpec, Asynchronous, Crash,
@@ -689,7 +690,9 @@ def workload_messages():
 def codec_records():
     """Records of every shape, each field drawn by its type in _SHAPES, and
     a message from a workload or of any kind.  A deliver naming its send
-    also holds the send's message, as a simulated one does."""
+    also holds the send's message, as a simulated one does, and about half
+    the sends have their message's size as ``u``, as every simulated one
+    does."""
     values = {int: INTS, bool: st.booleans(),
               dict: st.sampled_from(workload_messages()) | MESSAGES,
               list: st.lists(st.text(max_size=40), max_size=4)}
@@ -701,7 +704,11 @@ def codec_records():
                   for name, t in zip(names, types)}
         if by_sq:
             fields["m"] = values[dict]
-        return st.fixed_dictionaries(fields)
+        records = st.fixed_dictionaries(fields)
+        if kind != "send":
+            return records
+        return records | records.map(lambda rec: {
+            **rec, "u": MESSAGE_SIZE_UNITS[message_variant(rec["m"])]})
 
     return st.sampled_from(sorted(_SHAPES)).flatmap(of_shape)
 
@@ -722,15 +729,19 @@ def write_lines(path, meta, rec, line):
     head = [json.dumps(dict(meta, digest="0" * 64)).encode() + b"\n"]
     if "sq" in rec:
         send = {"frm": rec["frm"], "kind": "send", "m": rec["m"],
-                "q": rec["sq"], "t": 0, "to": rec["to"], "u": 1}
+                "q": rec["sq"], "t": 0, "to": rec["to"],
+                "u": MESSAGE_SIZE_UNITS[message_variant(rec["m"])]}
         head += Trace(meta, [send]).lines()
     path.write_bytes(b"".join(head) + line)
     return len(head) + 1
 
 
 def is_consistent(rec):
-    """Whether the reader takes the record: only a self-delivery carries
-    m, and a deliver by sq is never one."""
+    """Whether the reader takes the record: a send's u is its message's
+    size, only a self-delivery carries m, and a deliver by sq is never
+    one."""
+    if rec["kind"] == "send":
+        return rec["u"] == MESSAGE_SIZE_UNITS[message_variant(rec["m"])]
     if rec["kind"] != "deliver":
         return True
     return not rec["self"] if "sq" in rec else (

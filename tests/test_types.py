@@ -221,6 +221,16 @@ def test_message_size_units_table():
     }
 
 
+def test_a_vote_has_its_certificates_fields_but_the_signers():
+    # the checker builds the certificate a quorum of votes implies from a
+    # vote's fields but its voter, and the replica reads any certificate's
+    # proposer, a regular one's None
+    for vote, cert in ((Vote, QC), (FBVote, FallbackQC)):
+        assert vote._fields[:-1] == cert._fields[:-1]
+        assert (vote._fields[-1], cert._fields[-1]) == ("voter", "signers")
+    assert QC.proposer is None and genesis_qc(4).proposer is None
+
+
 def test_message_variant_rejects_non_messages():
     with pytest.raises(TypeError):
         message_variant(genesis_qc(4))
