@@ -40,6 +40,7 @@ class Rank(NamedTuple):
 
 
 ZERO_RANK = Rank(0, False, 0)
+_new_tuple = tuple.__new__
 
 
 def _eq(self, other) -> bool:
@@ -221,10 +222,15 @@ def is_endorsed(obj: Union[QC, FallbackQC, Block],
 
 
 def rank_of(obj, coin_history: Optional[Mapping[int, CoinQC]] = None) -> Rank:
-    """Rank of a certificate or block (genesis parent None ranks lowest)."""
+    """Rank of a certificate or block (genesis parent None ranks lowest).
+    The hot path of every lock and high-certificate comparison: it reads
+    the coin as ``is_endorsed`` does and builds the tuple directly, past
+    the NamedTuple's Python-level ``__new__``."""
     if obj is None:
         return ZERO_RANK
-    return Rank(obj.view, is_endorsed(obj, coin_history or {}), obj.round)
+    coin = coin_history.get(obj.view) if coin_history else None
+    return _new_tuple(Rank, (obj.view, coin is not None
+                             and coin.elected == obj.proposer, obj.round))
 
 
 def max_cert(a: ParentCert, b: ParentCert,
@@ -367,17 +373,24 @@ def message_variant(msg: WireMessage) -> str:
     return _codec(msg, MESSAGE_KINDS, "wire message")[0]
 
 
-def message_certs(msg: WireMessage) -> list[Certificate]:
+def message_certs(msg: WireMessage) -> tuple[Certificate, ...]:
     """The certificates a message carries, its block's parent first."""
-    _, _, names, block = _codec(msg, MESSAGE_KINDS, "wire message")
-    certs = []
-    if block and msg.block.parent_qc is not None:  # None only for genesis
-        certs.append(msg.block.parent_qc)
-    for n, _ in names:
-        cert = getattr(msg, n)
-        if cert is not None:  # optional slots may be empty
-            certs.append(cert)
-    return certs
+    _codec(msg, MESSAGE_KINDS, "wire message")
+    return carried(type(msg))(msg)
+
+
+@cache  # made on first use, so that an import makes none
+def carried(cls) -> Callable[[WireMessage], tuple[Certificate, ...]]:
+    """The function from a message of ``cls`` to the certificates it
+    carries, one expression generated from the codec table: each slot in
+    order, an empty optional one (a genesis parent among them) left out."""
+    _, _, certs, block = _CODEC[cls]
+    slots = [("o.block.parent_qc", _PARENT_KINDS)] * block + [
+        (f"o.{name}", kinds) for name, kinds in certs]
+    parts = [f"*(() if (c{i} := {slot}) is None else (c{i},))"
+             if type(None) in kinds else slot
+             for i, (slot, kinds) in enumerate(slots)]
+    return eval("lambda o: (%s)" % "".join(f"{part}," for part in parts))
 
 
 def _slot(cert: Optional[Certificate]) -> str:

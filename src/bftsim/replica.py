@@ -19,8 +19,8 @@ from .core import (Block, CoinQC, CoinQCRelay, CoinShare, FallbackQC,
                    FallbackTC, FBProposal, FBVote, FQCRelay, FTCRelay,
                    ParentCert, Proposal, QC, Rank, TCRelay, Timeout,
                    TimeoutCert, TxnBatch, Vote, WireMessage, ZERO_RANK,
-                   genesis_block, genesis_qc, is_endorsed,
-                   make_block, max_cert, message_certs, rank_of)
+                   carried, genesis_block, genesis_qc, is_endorsed,
+                   make_block, max_cert, rank_of)
 # the config vocabulary and the output actions live in core, so that
 # reading a scenario or checking a trace does not load this module; they
 # are re-exported here for the replica's callers
@@ -107,6 +107,11 @@ class Replica:
         config.validate()
         self.config = config
         self.rid = rid
+        # the run's constants that leader_of, the door and the vote
+        # handlers read per input
+        self._n, self._f, self._seed = config.n, config.f, config.run_seed
+        self._period = config.leader_rotation_period
+        self._top, self._quorum = config.fallback_top_height, config.quorum
         self.genesis = genesis_block()
         self.genesis_qc = genesis_qc(config.n)
         self.state = ReplicaState(config.n, self.genesis, self.genesis_qc)
@@ -114,8 +119,7 @@ class Replica:
     # --- helpers -----------------------------------------------------------
 
     def leader_of(self, round: int) -> int:
-        period = self.config.leader_rotation_period
-        return ((round - 1) // period) % self.config.n
+        return ((round - 1) // self._period) % self._n
 
     def _drop(self, reason: str) -> list[OutputAction]:
         self.state.dropped[reason] = self.state.dropped.get(reason, 0) + 1
@@ -278,19 +282,18 @@ class Replica:
         sender, a carried block matches its id, and every certificate it
         carries verifies, a fallback one at a height in 1..top.  Handlers act
         on what passes."""
-        cfg = self.config
-        handler, author = self._HANDLERS[type(msg)]
+        handler, author, certs = self._HANDLERS[type(msg)]
         if author(msg) != sender:
             return self._drop("forged")
         b = getattr(msg, "block", None)
         if b is not None and not b.id_matches:
             return self._drop("bad_block_digest")
-        for cert in message_certs(msg):
-            if not crypto.verify_certificate(cert, cfg.n, cfg.f,
-                                             run_seed=cfg.run_seed):
+        for cert in certs(msg):
+            # crypto's one rule, looked up at each check
+            if not crypto.verify_certificate(cert, self._n, self._f,
+                                             run_seed=self._seed):
                 return self._drop("bad_cert")
-            if (isinstance(cert, FallbackQC)
-                    and not 1 <= cert.height <= cfg.fallback_top_height):
+            if type(cert) is FallbackQC and not 1 <= cert.height <= self._top:
                 return self._drop("bad_fqc")
         return handler(self, msg, sender)
 
@@ -349,7 +352,7 @@ class Replica:
                 v.block_id, v.view, v.round):
             return []
         signers = self._collect(self.state.vote_shares, key, sender,
-                                self.config.quorum)
+                                self._quorum)
         return self.lock_update(QC(*key, signers)) if signers else []
 
     def _accept_block(self, msg: Union[Proposal, FBProposal], sender: int,
@@ -430,7 +433,8 @@ class Replica:
         broken for good, since its walk can commit nothing more."""
         st = self.state
         acts: list[OutputAction] = []
-        for top_id in sorted(st.commit_frontier):
+        frontier = st.commit_frontier  # walked in id order, on a copy
+        for top_id in sorted(frontier) if len(frontier) > 1 else [*frontier]:
             base = self._commit_target(top_id)
             if base is None:
                 continue
@@ -649,7 +653,7 @@ class Replica:
                 v.block_id, v.view, v.round, v.proposer):
             return []
         signers = self._collect(self.state.fvote_shares, key, sender,
-                                self.config.quorum)
+                                self._quorum)
         return self._register_fqc(FallbackQC(*key, signers)) if signers else []
 
     def handle_fqc_relay(self, m: FQCRelay, sender: int) -> list[OutputAction]:
@@ -717,18 +721,20 @@ class Replica:
             acts += self.try_commit()
         return acts + self._redispatch()
 
-    # each message kind's handler and the field naming its author
-    _HANDLERS = {
-        Proposal: (handle_proposal, attrgetter("sender")),
-        Vote: (handle_vote, attrgetter("voter")),
-        Timeout: (handle_timeout_msg, attrgetter("sender")),
-        TCRelay: (handle_tc_relay, attrgetter("sender")),
+    # each message kind's handler, the field naming its author and the
+    # function from it to the certificates it carries
+    _HANDLERS = {cls: (handler, attrgetter(author), carried(cls))
+                 for cls, handler, author in (
+        (Proposal, handle_proposal, "sender"),
+        (Vote, handle_vote, "voter"),
+        (Timeout, handle_timeout_msg, "sender"),
+        (TCRelay, handle_tc_relay, "sender"),
         # entry is share-driven, and a height-1 vote checks the ticket its
         # proposal carries, so a relayed ticket needs nothing past the door
-        FTCRelay: (lambda self, m, sender: [], attrgetter("sender")),
-        FBProposal: (handle_fblock, attrgetter("block.proposer")),
-        FBVote: (handle_fvote, attrgetter("voter")),
-        FQCRelay: (handle_fqc_relay, attrgetter("sender")),
-        CoinShare: (handle_coin, attrgetter("signer")),
-        CoinQCRelay: (handle_coin, attrgetter("sender")),
-    }
+        (FTCRelay, lambda self, m, sender: [], "sender"),
+        (FBProposal, handle_fblock, "block.proposer"),
+        (FBVote, handle_fvote, "voter"),
+        (FQCRelay, handle_fqc_relay, "sender"),
+        (CoinShare, handle_coin, "signer"),
+        (CoinQCRelay, handle_coin, "sender"),
+    )}

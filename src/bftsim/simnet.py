@@ -21,11 +21,12 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import crypto
-from .core import (GENESIS_ID, MAX_HORIZON, MESSAGE_SIZE_UNITS, CommitNotice,
-                   ConfigError, FBProposal, Multicast, OutputAction,
-                   Proposal, ReplicaConfig, Send, SetTimer, TxnBatch,
-                   WireMessage, make_block, message_variant, read_message,
-                   sha256, value_types, write_message)
+from .core import (GENESIS_ID, MAX_HORIZON, MESSAGE_KINDS,
+                   MESSAGE_SIZE_UNITS, CommitNotice, ConfigError, FBProposal,
+                   Multicast, OutputAction, Proposal, ReplicaConfig, Send,
+                   SetTimer, TxnBatch, WireMessage, make_block,
+                   message_variant, read_message, sha256, value_types,
+                   write_message)
 
 TRACE_FORMAT = "bftsim-trace-v2"
 
@@ -515,11 +516,18 @@ class Trace:
 
 
 class _Harness:
-    """Wraps one replica, applying its assigned fault to inputs/outputs."""
+    """Wraps one replica, applying its assigned fault to inputs/outputs.
+    An ``Honest`` replica, never down and never rewritten, has its inputs
+    go straight to its handlers; any other fault's go through ``_step``."""
 
     def __init__(self, replica: Replica, fault: FaultSpec):
         self.replica = replica
         self.fault = fault
+        if type(fault) is Honest:
+            handle = replica.handle_message
+            expire = replica.handle_timer_expiry
+            self.on_message = lambda msg, frm, now: handle(msg, frm)
+            self.on_timer = lambda round, now: expire(round)
 
     def init(self, now: int) -> list[OutputAction]:
         return self._step(now, self.replica.init)
@@ -581,8 +589,16 @@ class Simulation:
         """Simulate to the horizon.  With no sink, the returned trace holds
         the records.  A sink is handed them in order, a batch at a time,
         and the trace keeps none: calling a sink between two simulation
-        steps measured 5-15% slower (steady_long, 2-core VM, CPython
-        3.11)."""
+        steps made steady_long's in-process replay 10% slower (2-core VM,
+        CPython 3.11).  Each step reads the run's constants from locals
+        bound here, once."""
+        heap, horizon, record = self.heap, self.horizon, self.record
+        heappop, heappush = heapq.heappop, heapq.heappush
+        tick, delay, rng = self.seq.__next__, self.delay, self.rng
+        alive_timer, multicast_to = self.alive_timer, self.multicast_to
+        replicas = [h.replica for h in self.harnesses]
+        on_message = [h.on_message for h in self.harnesses]
+        on_timer = [h.on_timer for h in self.harnesses]
         held = self.trace.records
 
         def hand_over() -> None:
@@ -590,71 +606,73 @@ class Simulation:
                 sink(rec)
             held.clear()
 
-        for i in range(self.config.n):
-            self._emit(i, self.harnesses[i].init(0), 0)
-        while self.heap and self.heap[0][0] <= self.horizon:
+        def send(frm: int, tos: tuple[int, ...], msg: WireMessage,
+                 now: int) -> None:
+            """One message to each of ``tos`` in order; its variant and
+            size are worked out once for all the copies."""
+            variant, units = MESSAGE_KINDS[type(msg)]
+            for to in tos:
+                if to == frm:
+                    # immediate and free: same tick, next sequence number
+                    heappush(heap, (now, tick(), "deliver",
+                                    (frm, to, msg, None)))
+                    continue
+                sq = tick()
+                record({"t": now, "q": sq, "kind": "send", "frm": frm,
+                        "to": to, "m": msg, "u": units})
+                heappush(heap, (now + delay(variant, now, rng), tick(),
+                                "deliver", (frm, to, msg, sq)))
+
+        def emit(rid: int, actions: list[OutputAction], now: int) -> None:
+            for act in actions:
+                kind = type(act)
+                if kind is Send:
+                    send(rid, (act.to,), act.msg, now)
+                elif kind is Multicast:
+                    send(rid, multicast_to[rid], act.msg, now)
+                elif kind is SetTimer:
+                    token = tick()
+                    alive_timer[rid] = token
+                    heappush(heap, (now + act.duration, tick(), "timer",
+                                    (rid, act.round, token)))
+                elif kind is CommitNotice:
+                    record({"t": now, "q": tick(), "kind": "commit",
+                            "rid": rid, "blocks": list(act.block_ids),
+                            "log_len": len(replicas[rid].state.committed)})
+                else:
+                    raise TypeError(f"unknown action: {act!r}")
+
+        for i, harness in enumerate(self.harnesses):
+            emit(i, harness.init(0), 0)
+        while heap and heap[0][0] <= horizon:
             if sink and len(held) >= 1024:
                 hand_over()
-            t, q, kind, data = heapq.heappop(self.heap)
+            t, q, kind, data = heappop(heap)
             if kind == "deliver":
                 frm, to, msg, sq = data
-                rec = {"t": t, "q": q, "kind": "deliver", "frm": frm,
-                       "to": to, "m": msg, "self": frm == to}
-                if sq is not None:
-                    rec["sq"] = sq  # sequence number of the matching send
-                self.record(rec)
-                self._emit(to, self.harnesses[to].on_message(msg, frm, t), t)
+                if sq is None:  # a self-delivery names no send
+                    record({"t": t, "q": q, "kind": "deliver", "frm": frm,
+                            "to": to, "m": msg, "self": True})
+                else:  # sq: the sequence number of the matching send
+                    record({"t": t, "q": q, "kind": "deliver", "frm": frm,
+                            "to": to, "m": msg, "self": False, "sq": sq})
+                actions = on_message[to](msg, frm, t)
+                if actions:
+                    emit(to, actions, t)
             else:
                 rid, round, token = data
-                if self.alive_timer[rid] != token:
+                if alive_timer[rid] != token:
                     continue  # superseded by a later SetTimer
-                self.record({"t": t, "q": q, "kind": "timer_fire", "rid": rid,
-                             "round": round})
-                self._emit(rid, self.harnesses[rid].on_timer(round, t), t)
+                record({"t": t, "q": q, "kind": "timer_fire", "rid": rid,
+                        "round": round})
+                actions = on_timer[rid](round, t)
+                if actions:
+                    emit(rid, actions, t)
         if sink:
             hand_over()
         self.trace.meta["undelivered"] = sum(
-            1 for ev in self.heap if ev[2] == "deliver")
+            1 for ev in heap if ev[2] == "deliver")
         return self.trace
-
-    def _emit(self, rid: int, actions: list[OutputAction], now: int) -> None:
-        for act in actions:
-            kind = type(act)
-            if kind is Send:
-                self._send(rid, (act.to,), act.msg, now)
-            elif kind is Multicast:
-                self._send(rid, self.multicast_to[rid], act.msg, now)
-            elif kind is SetTimer:
-                token = next(self.seq)
-                self.alive_timer[rid] = token
-                heapq.heappush(self.heap, (now + act.duration, next(self.seq),
-                                           "timer", (rid, act.round, token)))
-            elif kind is CommitNotice:
-                self.record(
-                    {"t": now, "q": next(self.seq), "kind": "commit",
-                     "rid": rid, "blocks": list(act.block_ids),
-                     "log_len": len(self.harnesses[rid].replica.state.committed)})
-            else:
-                raise TypeError(f"unknown action: {act!r}")
-
-    def _send(self, frm: int, tos: tuple[int, ...], msg: WireMessage,
-              now: int) -> None:
-        """One message to each of ``tos`` in order; its variant and size
-        are worked out once for all the copies."""
-        variant = message_variant(msg)
-        units = MESSAGE_SIZE_UNITS[variant]
-        for to in tos:
-            if to == frm:
-                # immediate and free: same tick, next sequence number
-                heapq.heappush(self.heap, (now, next(self.seq), "deliver",
-                                           (frm, to, msg, None)))
-                continue
-            delay = self.delay(variant, now, self.rng)
-            sq = next(self.seq)
-            self.record({"t": now, "q": sq, "kind": "send", "frm": frm,
-                         "to": to, "m": msg, "u": units})
-            heapq.heappush(self.heap, (now + delay, next(self.seq), "deliver",
-                                       (frm, to, msg, sq)))
 
 
 def run(config: ReplicaConfig, adversary: AdversarySpec, horizon: int,

@@ -1398,24 +1398,30 @@ SMALL = 8
 
 def peak_sizes(name: str, horizon: int) -> dict[str, int]:
     """The most each store held at any replica, after any input, in a run
-    of workload ``name``'s scenario to ``horizon``."""
+    of workload ``name``'s scenario to ``horizon``.  The hook wraps the
+    callables the event loop calls per input, and must see every input."""
     cfg = parse_scenario(str(WORKLOADS / f"{name}.scenario"))
     sim = Simulation(cfg.protocol, cfg.adversary, horizon)
     peak = dict.fromkeys(STORES, 0)
+    seen = []
 
-    def watch(harness):
-        step = harness._step
-
+    def watched(harness, step):
         def stepped(*args):
+            seen.append(args)
             acts = step(*args)
             st = harness.replica.state
             for s in STORES:
                 peak[s] = max(peak[s], len(getattr(st, s)))
             return acts
-        harness._step = stepped
+        return stepped
+
     for harness in sim.harnesses:
-        watch(harness)
-    sim.run(lambda rec: None)
+        harness.on_message = watched(harness, harness.on_message)
+        harness.on_timer = watched(harness, harness.on_timer)
+    inputs = []
+    sim.run(lambda rec: inputs.append(rec["kind"] in ("deliver",
+                                                      "timer_fire")))
+    assert len(seen) == sum(inputs) > 0
     return peak
 
 

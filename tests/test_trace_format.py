@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bftsim import analysis, cli, core, replica
-from bftsim.core import (MESSAGE_SIZE_UNITS, decode_message, encode_message,
+from bftsim import analysis, cli, core, crypto, replica, simnet
+from bftsim.core import (MESSAGE_SIZE_UNITS, CommitNotice, Multicast, Send,
+                         decode_message, encode_message, message_certs,
                          message_variant)
-from bftsim.replica import ReplicaConfig
+from bftsim.replica import Replica, ReplicaConfig
 from bftsim.simnet import (_DELIVER_REFS, _RECORD_FIELDS, _SHAPES,
                            TRACE_FORMAT, AdversarySpec, Asynchronous, Crash,
                            Equivocate, MuteLeader, PartialSynchrony,
@@ -343,11 +344,91 @@ def test_a_held_high_qc_is_not_ranked_again(monkeypatch):
     assert len(calls) == 12_254
 
 
+@pytest.mark.parametrize("name,checks", [("steady_long", 6_001),
+                                         ("starved_fallback", 12_322),
+                                         ("byzantine_sweep", 5_613)])
+def test_the_door_checks_every_carried_certificate(name, checks, monkeypatch):
+    # crypto's rule is looked up at each check, once per certificate a
+    # message carries, and a buffered message passes the door again when
+    # it is handled again: no speed-up may skip a check
+    calls = []
+    verify = crypto.verify_certificate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(crypto, "verify_certificate", counted)
+    trace = run(*scenario_of(name))
+    assert trace.digest() == WORKLOADS[name][1]
+    carried = sum(len(message_certs(rec["m"])) for rec in trace.records
+                  if rec["kind"] == "deliver")
+    assert len(calls) == checks >= carried
+
+
+def segments(records):
+    """The records before the first input, then each input (a deliver or
+    a timer_fire) with the records that follow it, each without its q."""
+    segs = [[]]
+    for rec in records:
+        if rec["kind"] in ("deliver", "timer_fire"):
+            segs.append([])
+        segs[-1].append({k: v for k, v in rec.items() if k != "q"})
+    return segs
+
+
+def harness_outputs(harness, rid, n, now, actions):
+    """The send and commit records, but for q, that the simulator writes
+    for one replica's output actions at tick ``now``."""
+    out = []
+    for act in actions:
+        if type(act) in (Send, Multicast):
+            units = MESSAGE_SIZE_UNITS[message_variant(act.msg)]
+            out += [{"t": now, "kind": "send", "frm": rid, "to": to,
+                     "m": act.msg, "u": units}
+                    for to in ((act.to,) if type(act) is Send else range(n))
+                    if to != rid]  # a self-delivery is sent by no record
+        elif type(act) is CommitNotice:
+            out.append({"t": now, "kind": "commit", "rid": rid,
+                        "blocks": list(act.block_ids),
+                        "log_len": len(harness.replica.state.committed)})
+    return out
+
+
 # GRID cases covering each adversary, pacemaker and variant
 STREAMED_GRID = [(4, "three_chain", "baseline_tc", False, "psync+equivocate"),
                  (4, "three_chain", "async_fallback", False, "sync"),
                  (7, "two_chain", "baseline_tc", False, "starve+mute"),
                  (7, "two_chain", "async_fallback", True, "psync+crash")]
+
+
+@pytest.mark.parametrize("name", [*WORKLOADS, *(case for case in STREAMED_GRID
+                                                 if case[-1] != "sync")],
+                         ids=lambda name: name if name in WORKLOADS
+                         else name[-1])
+def test_the_harness_route_agrees_with_the_simulator(name):
+    # fresh replicas, each in the simulator's fault harness, fed a trace's
+    # inputs in order, give the send and commit records that follow each
+    # input in the trace: what the benchmark's replica drive times is
+    # what the simulator runs, fault-free or faulty
+    config, adversary, horizon = scenario_of(name)
+    trace = run(config, adversary, min(horizon, 500))
+    harnesses = [simnet._Harness(Replica(config, i), adversary.fault_of(i))
+                 for i in range(config.n)]
+    want = segments(trace.records)
+    got = [[out for i, h in enumerate(harnesses)
+            for out in harness_outputs(h, i, config.n, 0, h.init(0))]]
+    for rec, *_ in want[1:]:
+        if rec["kind"] == "deliver":
+            rid = rec["to"]
+            acts = harnesses[rid].on_message(rec["m"], rec["frm"], rec["t"])
+        else:
+            rid = rec["rid"]
+            acts = harnesses[rid].on_timer(rec["round"], rec["t"])
+        got.append([rec, *harness_outputs(harnesses[rid], rid, config.n,
+                                          rec["t"], acts)])
+    assert len(want) > 100
+    assert sum(w != g for w, g in zip(want, got, strict=True)) == 0
 
 
 @pytest.mark.parametrize("name", [*WORKLOADS, *STREAMED_GRID])
