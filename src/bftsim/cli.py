@@ -101,17 +101,20 @@ def cmd_run(args) -> int:
 
 
 def _sweep_run(*call) -> tuple[bool, analysis.MetricsReport]:
-    _, _, safety, metrics = _simulate(*call)  # all a sweep child sends back
+    _, _, safety, metrics = _simulate(*call)  # all a sweep worker sends back
     return safety.ok, metrics
 
 
 def _in_children(func, calls: list[tuple]) -> list:
-    """``func(*args)`` for each of ``calls``, in order.  Each call runs in
-    its own forked child, at most one per usable CPU at a time, and pickles
-    its result or exception back through a pipe.  A child's exception is
-    raised here, with its type, once every child is reaped.  With room for
-    one child, or no sched_getaffinity, the calls run in this process.
-    The CLI starts no threads, so a forked child holds no lock mid-use."""
+    """``func(*args)`` for each of ``calls``, in order.  One worker per
+    usable CPU is forked once and inherits the calls.  The parent writes
+    the index of a call to the first free worker's pipe, and the worker
+    pickles that call's result or exception back through its own.  Once a
+    call fails, no worker gets another; the exception of the earliest
+    failed call in ``calls`` is raised here, with its type, once every
+    worker is reaped.  With room for one worker, or no sched_getaffinity, the calls
+    run in this process.  The CLI starts no threads, so a forked worker
+    holds no lock mid-use."""
     try:
         width = min(len(calls), len(os.sched_getaffinity(0)))
     except AttributeError:  # only platforms with fork have sched_getaffinity
@@ -123,58 +126,69 @@ def _in_children(func, calls: list[tuple]) -> list:
 
     results: list = [None] * len(calls)
     failed: dict[int, BaseException] = {}
-    running: dict[int, tuple[int, int, list[bytes]]] = {}  # fd -> i, pid, data
-    todo = iter(enumerate(calls))
+    # a worker's result pipe -> its pid, its index pipe, its call or None;
+    # its index pipe is closed, which ends the worker, once it has no call
+    workers: dict = {}
+    todo = iter(range(len(calls)))
+
+    def hand_out(worker: list) -> None:
+        worker[2] = None if failed else next(todo, None)
+        if worker[2] is None:
+            os.close(worker[1])
+        else:
+            os.write(worker[1], b"%d\n" % worker[2])
     try:
-        while True:
-            while not failed and len(running) < width and (
-                    (nxt := next(todo, None)) is not None):
-                i, args = nxt
-                r, w = os.pipe()
-                pid = os.fork()
-                if pid == 0:  # the child: never return, never flush stdio
-                    status = 1
-                    try:
-                        os.close(r)
-                        for fd in running:
-                            os.close(fd)
-                        try:
-                            data = pickle.dumps((True, func(*args)))
-                        except Exception as exc:
-                            data = pickle.dumps((False, exc))
-                        with os.fdopen(w, "wb") as fh:
-                            fh.write(data)
-                        status = 0
-                    finally:
-                        os._exit(status)
-                os.close(w)
-                running[r] = (i, pid, [])
-            if not running:
-                break
-            for fd in select.select(list(running), [], [])[0]:
-                chunk = os.read(fd, 1 << 16)
-                if chunk:
-                    running[fd][2].append(chunk)
+        for _ in range(width):
+            (up, up_w), (down_r, down) = os.pipe(), os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker: never return, never flush stdio
+                status = 1
+                try:
+                    for fd in (up, down, *[w[1] for w in workers.values()],
+                               *[fh.fileno() for fh in workers]):
+                        os.close(fd)
+                    with os.fdopen(down_r, "rb") as indices, \
+                            os.fdopen(up_w, "wb") as out:
+                        for line in indices:
+                            try:
+                                data = pickle.dumps(
+                                    (True, func(*calls[int(line)])))
+                            except Exception as exc:
+                                data = pickle.dumps((False, exc))
+                            out.write(data)
+                            out.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(up_w)
+            os.close(down_r)
+            workers[os.fdopen(up, "rb")] = worker = [pid, down, None]
+            hand_out(worker)
+        while workers:
+            for fh in select.select(list(workers), [], [])[0]:
+                worker = workers[fh]
+                try:
+                    ok, value = pickle.load(fh)
+                except (EOFError, pickle.UnpicklingError):
+                    # the pipe is at EOF: the worker has ended
+                    fh.close()
+                    pid, down, i = workers.pop(fh)
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    if i is not None:
+                        os.close(down)
+                        failed[i] = ChildProcessError(
+                            f"sweep run {i + 1} ended without a result "
+                            f"(exit status {code})")
                     continue
-                # the pipe is at EOF: the child is done writing
-                os.close(fd)
-                i, pid, data = running.pop(fd)
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                if code != 0 or not data:
-                    failed[i] = ChildProcessError(
-                        f"sweep run {i + 1} ended without a result "
-                        f"(exit status {code})")
-                    continue
-                ok, value = pickle.loads(b"".join(data))
-                if ok:
-                    results[i] = value
-                else:
-                    failed[i] = value
+                (results if ok else failed)[worker[2]] = value
+                hand_out(worker)
     finally:
-        # only reached with children running if this process was
-        # interrupted; each ends at its next write or when its run ends
-        for fd, (_, pid, _) in running.items():
-            os.close(fd)
+        # only reached with workers left if this process was interrupted;
+        # each ends at its next write or when its call ends
+        for fh, (pid, down, i) in workers.items():
+            fh.close()
+            if i is not None:
+                os.close(down)
             os.waitpid(pid, 0)
     if failed:
         raise failed[min(failed)]
@@ -195,7 +209,7 @@ def cmd_sweep(args) -> int:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     # the code every run needs, loaded once here, not once in each forked
-    # child: the replica, the checker, and the sha256 for the block ids
+    # worker: the replica, the checker, and the sha256 for the block ids
     from . import analysis, replica  # noqa: F401
     sha256()
     # a point the grid lists twice runs once, and counts twice

@@ -71,3 +71,12 @@ def commit_chain_one_short():
 
     with mock.patch.object(Replica, "_commit_target", one_short):
         yield
+
+
+@contextmanager
+def no_lock_raise():
+    """``Replica._raise_lock`` does nothing: the lock stays at genesis, so
+    a replica votes for a block however far below its highest certificate
+    the block's parent ranks."""
+    with mock.patch.object(Replica, "_raise_lock", lambda self, cert: None):
+        yield

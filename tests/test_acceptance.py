@@ -84,8 +84,8 @@ def test_criterion_1_safety_across_byzantine_matrix(capsys):
                                         seed, rep.violations[:3])
         return runs, violations
 
-    # one forked child per cell, as many at a time as there are CPUs; a
-    # failed assertion is raised here
+    # the cells run in forked workers, one per CPU; a failed assertion is
+    # raised here
     counts = _in_children(cell, [
         (n, variant, pacemaker) for n in (4, 7)
         for variant in ("three_chain", "two_chain")

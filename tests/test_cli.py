@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -1256,6 +1257,78 @@ def test_sweep_child_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
     assert err.startswith("file error: sweep run 1 ended without a result")
 
 
+def test_sweep_forks_one_worker_per_cpu_not_one_per_point(tmp_path, capsys,
+                                                         monkeypatch):
+    cfg = write(tmp_path, SWEEP.replace("horizon = 240", "horizon = 60")
+                .replace("seeds = 1..2", "seeds = 1..8"))
+    cpus(monkeypatch, 1)
+    assert run_cli("sweep", "--config", cfg) == 0
+    serial = capsys.readouterr().out.splitlines()[:-1]
+    assert serial[4].startswith("n=4 runs=8 ")  # 16 points, in 2 sizes
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        forks.append(pid)  # a worker's append stays in the worker
+        return pid
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork)
+    assert run_cli("sweep", "--config", cfg) == 0
+    assert_no_child_left()
+    assert len(forks) == 2 and all(forks)
+    assert capsys.readouterr().out.splitlines()[:-1] == serial
+
+
+def test_workers_return_results_in_call_order(monkeypatch):
+    cpus(monkeypatch, 2)
+
+    def result(i, size):
+        time.sleep(0.3 * (i == 0))  # the other worker ends every later call
+        return i, b"%d" % i * size
+    # two results are larger than a pipe's buffer
+    calls = [(0, 1), (1, 1 << 17), (2, 3), (3, 1 << 18)]
+    assert cli._in_children(result, calls) == [
+        (i, b"%d" % i * size) for i, size in calls]
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_names_the_call_it_died_in(monkeypatch):
+    cpus(monkeypatch, 2)
+    ran = []  # each worker appends to its own copy
+
+    def second_call_dies(i):
+        ran.append(i)
+        if len(ran) == 2:
+            os._exit(0)
+        return i
+    # runs 1 and 2 are the two workers' first calls, so run 3 is the
+    # second call of the worker that is free first
+    with pytest.raises(ChildProcessError, match=r"^sweep run 3 ended without "
+                       r"a result \(exit status 0\)$"):
+        cli._in_children(second_call_dies, [(i,) for i in range(4)])
+    assert_no_child_left()
+    assert ran == []
+
+
+def test_an_interrupted_sweep_leaves_no_worker(tmp_path, capsys, monkeypatch):
+    import select
+    cpus(monkeypatch, 2)
+    real_select, waits = select.select, []
+
+    def interrupted(*args):
+        # the first wait ends with a result, the second is interrupted
+        if waits:
+            raise KeyboardInterrupt
+        waits.append(real_select(*args))
+        return waits[-1]
+    monkeypatch.setattr(select, "select", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("sweep", "--config", write(tmp_path, SWEEP))
+    assert_no_child_left()
+    assert len(waits) == 1 and waits[0][0]
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_children_leave_stdio_to_the_parent(tmp_path):
     # text buffered before the fork is written once, by the parent
     cfg = write(tmp_path, SWEEP)
@@ -1325,7 +1398,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
 
 
 def test_sweep_loads_what_its_runs_need_before_it_forks(tmp_path):
-    # loaded once in the parent, not once in each forked child
+    # loaded once in the parent, not once in each forked worker
     script = ("import os\n"
               "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "real_fork = os.fork\n"

@@ -10,8 +10,9 @@ import pytest
 from bftsim import analysis, simnet
 from bftsim.core import PACEMAKERS, VARIANTS, ReplicaConfig
 from bftsim.scenario import parse_scenario
-from bftsim.simnet import AdversarySpec, Synchronous, run
-from mutants import Forge, commit_chain_one_short
+from bftsim.simnet import (AdversarySpec, Equivocate, PartialSynchrony,
+                           Synchronous, run)
+from mutants import Forge, commit_chain_one_short, no_lock_raise
 from test_check_fold import WORKLOAD_DIR
 
 HORIZON = 300
@@ -43,6 +44,33 @@ def test_commit_chain_one_short_commits_otherwise(one_short_runs):
 def test_check_safety_flags_commit_chain_one_short(one_short_runs):
     for _, mutant in one_short_runs.values():
         assert not analysis.check_safety(analysis.index(mutant)).ok
+
+
+@pytest.fixture(scope="module")
+def no_lock_runs():
+    """The real rule's trace and the mutant's of one run.  Of the 24 runs
+    of n 4 and 7, both variants, both pacemakers and seeds 1-3, with an
+    equivocating replica 0 under this partial synchrony at HORIZON, the
+    mutant changes two: this one, and the same one at n=4."""
+    cfg = ReplicaConfig(n=7, f=2, variant="two_chain",
+                        pacemaker="async_fallback", run_seed=2)
+    adversary = AdversarySpec(
+        PartialSynchrony(gst=120, delta=2, pre_gst_delay_bound=30),
+        ((0, Equivocate()),))
+    real = run(cfg, adversary, HORIZON)
+    with no_lock_raise():
+        return real, run(cfg, adversary, HORIZON)
+
+
+def test_no_lock_raise_runs_otherwise(no_lock_runs):
+    real, mutant = no_lock_runs
+    assert (len(real.records), len(mutant.records)) == (3401, 3472)
+    assert (commits(real), commits(mutant)) == (35, 39)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3 (lock discipline)")
+def test_check_safety_flags_no_lock_raise(no_lock_runs):
+    assert not analysis.check_safety(analysis.index(no_lock_runs[1])).ok
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
