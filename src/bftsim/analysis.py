@@ -5,13 +5,13 @@ exists in a trace (explicit ones carried in messages, plus certificates
 implied by a quorum of votes delivered to one recipient) and checks the
 protocol's safety claims against honest replicas' commit records.
 
-It is one fold over the records in trace order (``indexer``), which checks
-each commit as it is read, and two finalizers (``check_safety`` and
-``measure``), which read only the fold's index: they settle what waited for
-a later record and put the findings in report order.  The fold holds no
-block body and no log: per block id it keeps the few facts a rule can still
-read, per certificate a compact key, and per view its coins (README, "What
-check keeps").
+It is one fold over the records in trace order (``indexer``), which keeps
+facts and runs only the rules that need that order (commits against logs,
+chain links, a certified block's shape, vote and coin tallies, certificate
+provenance), and two finalizers (``check_safety`` and ``measure``), which
+read only the fold's index and run every other rule once.  The fold holds
+no body or log: per block id it keeps the facts a rule can still read, per
+certificate a compact key, per view its coins (README, "What check keeps").
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from typing import NamedTuple, Optional, Union
 
 from . import crypto
 from .core import (ASYNC_FALLBACK, GENESIS_ID, CoinQC, CoinShare, FallbackQC,
-                   FBProposal, FBVote, MESSAGE_KINDS, MESSAGE_SIZE_UNITS,
-                   Proposal, QC, ReplicaConfig, Vote, coin_threshold,
+                   FallbackTC, FBProposal, FBVote, MESSAGE_KINDS,
+                   MESSAGE_SIZE_UNITS, Proposal, QC, ReplicaConfig, Timeout,
+                   TimeoutCert, Vote, coin_threshold, genesis_qc,
                    message_certs, quorum_threshold, value_types)
 from .simnet import AdversarySpec, Sink, Trace
 
@@ -67,11 +68,12 @@ value_types(SafetyReport, MetricsReport)
 
 class BlockFacts:
     """What a rule can still read of one block id, named by a body, a
-    commit or a certificate.  ``parent`` stays None until a body is read;
-    ``tick``, ``fallback_view`` and ``shape`` go once their rule has run."""
+    commit, a certificate or an honest vote.  ``parent`` stays None until
+    a body is read; ``tick``, ``fallback_view`` and ``shape`` go once their
+    rule has run."""
 
     __slots__ = ("id", "parent", "committers", "tick", "fallback_view",
-                 "shape", "certified")
+                 "shape", "certified", "voters")
 
     def __init__(self, id: str):
         self.id = id  # the one copy of the id that the fold's stores share
@@ -85,6 +87,7 @@ class BlockFacts:
         # fallback certificate) of a body with a parent, until it is certified
         self.shape: Optional[tuple] = None
         self.certified = False
+        self.voters = 0  # one bit per honest replica that voted for it
 
 
 class TraceIndex:
@@ -99,11 +102,12 @@ class TraceIndex:
         self.log_last: dict[int, str] = {}
         self.off_canon: dict[int, dict[int, str]] = {}
         # each distinct certificate as (block id, round, view[, height,
-        # proposer], signers), signers as a bit mask, in the order found, and
-        # per view and round the block a regular certificate named first
+        # proposer], signers), signers as a bit mask, in the order found
         self.qcs: dict[tuple, None] = {}
         self.fqcs: dict[tuple, None] = {}
-        self.qc_slots: dict[int, dict[int, str]] = {}
+        # the honest replicas that sent a timeout or coin share, as a bit
+        # mask, per (certificate kind, the round or view it names)
+        self.shares: dict[tuple, int] = {}
         # signers of the shares a recipient was delivered, per what they sign;
         # a tally that reached its threshold is the shared empty set FULL
         self.tallies: dict[tuple, set[int]] = {}
@@ -118,20 +122,18 @@ class TraceIndex:
         # deliveries over the network, by message variant
         self.delivered: dict[str, int] = {}
         # findings as the records show them, which check_safety puts in report
-        # order: each replica pair's first disagreement, the replicas that
-        # committed a block twice, chain breaks as (replica, log index, text),
-        # clashing regular certificates and structure claims broken by a
-        # certified block, as (block id, text)
+        # order: each forged certificate's first sending, each replica pair's
+        # first disagreement, the replicas that committed a block twice, chain
+        # breaks as (replica, log index, text) and structure claims broken by
+        # a certified block, as (block id, text)
+        self.forged: dict[tuple, str] = {}
         self.conflicts: dict[tuple[int, int], str] = {}
         self.twice: set[int] = set()
         self.breaks: list[tuple[int, int, str]] = []
-        self.slot_clashes: list[str] = []
         self.structural: list[tuple[str, str]] = []
-        # what waits for a later record: commits of an id no body has named yet
-        # as (replica, log index, expected parent), and committed ids that no
-        # certificate has named yet
+        # commits of an id no body has named yet, which wait for a later
+        # record, as (replica, log index, expected parent)
         self.awaiting_body: dict[str, list[tuple[int, int, str]]] = {}
-        self.uncertified: set[str] = set()
 
 
 def indexer(config: ReplicaConfig,
@@ -144,6 +146,7 @@ def indexer(config: ReplicaConfig,
     # a crash is fail-stop, not byzantine: its commits count
     honest = idx.honest = {i for i in range(config.n)
                            if not adversary.fault_of(i).byzantine}
+    genesis = genesis_qc(config.n)
     replica_ids = crypto.replica_ids(config.n)
     fallback_pm = config.pacemaker == ASYNC_FALLBACK
     blocks = idx.blocks
@@ -212,8 +215,6 @@ def indexer(config: ReplicaConfig,
 
     def first_commit(block: BlockFacts, t: int) -> None:
         idx.commits += 1
-        if not block.certified:
-            idx.uncertified.add(block.id)
         if block.parent is None:
             block.tick = t
         else:
@@ -284,19 +285,9 @@ def indexer(config: ReplicaConfig,
         if key in store:
             return
         block = facts(cert.block_id)
-        bid = block.id
-        store[(bid, *key[1:])] = None
-        if store is idx.qcs:
-            # certified-round uniqueness, for regular certificates
-            first = idx.qc_slots.setdefault(cert.view, {}).setdefault(
-                cert.round, bid)
-            if first != bid:
-                idx.slot_clashes.append(
-                    f"two certified blocks in view {cert.view} round "
-                    f"{cert.round}: {first} vs {bid}")
+        store[(block.id, *key[1:])] = None
         if not block.certified:
             block.certified = True
-            idx.uncertified.discard(block.id)
             if block.shape is not None:
                 check_shape(block.id, block.shape)
                 block.shape = None
@@ -333,6 +324,37 @@ def indexer(config: ReplicaConfig,
         if tally(("c", to, m.view), m.signer, coin_quorum):
             idx.completed_views.add(m.view)
 
+    # --- provenance: what a replica sends, in a send or a self-delivery
+
+    def share(m, bit: int) -> None:
+        """An honest replica's share.  A vote counts for its block id, as
+        an honest voter checked that the id fixes the rest of the vote."""
+        cls = type(m)
+        if cls is Vote or cls is FBVote:
+            facts(m.block_id).voters |= bit
+        elif cls is Timeout or cls is CoinShare:
+            key = ((CoinQC, m.view) if cls is CoinShare else
+                   (TimeoutCert, m.round) if m.view is None else
+                   (FallbackTC, m.view))
+            idx.shares[key] = idx.shares.get(key, 0) | bit
+
+    def vouch(cert, frm: int, t: int) -> None:
+        """Each honest signer of a certificate that a replica sends must
+        have sent the matching share before; a forgery is named at the
+        first record that sends it, as shares only accumulate."""
+        if type(cert) is QC or type(cert) is FallbackQC:
+            block = blocks.get(cert.block_id)
+            shared = block.voters if block else 0
+        else:  # a timeout or coin certificate names its round or view first
+            shared = idx.shares.get((type(cert), cert[0]), 0)
+        missing = signed(cert.signers & honest) & ~shared
+        if missing and cert != genesis and cert not in idx.forged:
+            fields = ", ".join(map("{}={}".format, cert._fields, cert[:-1]))
+            idx.forged[cert] = (
+                f"forged certificate {type(cert).__name__}({fields}): honest "
+                f"signers {[i for i in sorted(honest) if missing >> i & 1]} "
+                f"sent no share before replica {frm} carried it at tick {t}")
+
     # message type -> its variant, and what a delivery of it implies
     implies = {Vote: implied(QC), FBVote: implied(FallbackQC),
                CoinShare: coin_share}
@@ -363,11 +385,15 @@ def indexer(config: ReplicaConfig,
         # a deliver by sq repeats its send's message
         if "sq" not in rec and not (msg is last_msg
                                     and rec["frm"] == last_frm):
-            last_frm, last_msg = rec["frm"], msg
+            frm = last_frm = rec["frm"]
+            last_msg = msg
+            # a replica sends its message in a send or a self-delivery; a
+            # file holds no other record with a message, a held trace may
+            sent = kind == "send" or rec["self"]
             if isinstance(msg, (Proposal, FBProposal)):
                 b = msg.block
                 body(b, rec["t"])
-                if b.height == 1 and rec["frm"] in honest:
+                if b.height == 1 and frm in honest:
                     idx.entered_views.add(b.view)
             for cert in message_certs(msg):
                 if isinstance(cert, CoinQC):
@@ -375,6 +401,10 @@ def indexer(config: ReplicaConfig,
                     idx.completed_views.add(cert.view)
                 elif isinstance(cert, (QC, FallbackQC)):
                     certified(cert)
+                if sent:
+                    vouch(cert, frm, rec["t"])
+            if sent and frm in honest:
+                share(msg, 1 << frm)
         if implied:
             implied(rec["to"], msg)
 
@@ -396,11 +426,14 @@ def index(trace: Trace) -> TraceIndex:
 
 
 def check_safety(idx: TraceIndex) -> SafetyReport:
-    """The fold's findings in report order, with what waited for a later
-    record settled: a commit whose body never came, a committed id that no
-    certificate named, and the rules that need every coin of a view."""
+    """The fold's findings in report order, and the rules that need no
+    trace order, run once: a commit whose body never came, both kinds of
+    certificate slot, and a committed block that no certificate named."""
+    # certificates whose honest signers sent no share, as they were found
+    violations = list(idx.forged.values())
+
     # conflicting commits: each honest replica pair's first disagreement
-    violations = [idx.conflicts[pair] for pair in sorted(idx.conflicts)]
+    violations += [idx.conflicts[pair] for pair in sorted(idx.conflicts)]
 
     # each honest log is one chain: per replica, a repeated block first,
     # then each entry that names no body or breaks the chain, by index
@@ -421,8 +454,14 @@ def check_safety(idx: TraceIndex) -> SafetyReport:
                 f"view {view} has conflicting election outputs {sorted(winners)}")
         elected[view] = min(winners)
 
-    # certified-round uniqueness (regular certificates), as they were found
-    violations += idx.slot_clashes
+    # certified-round uniqueness (regular certificates), as they were found;
+    # per view a dict by round, whose keys are the ones qcs already holds
+    qc_slot: dict[int, dict[int, str]] = {}
+    for bid, rnd, view, _ in idx.qcs:
+        first = qc_slot.setdefault(view, {}).setdefault(rnd, bid)
+        if first != bid:
+            violations.append(f"two certified blocks in view {view} round "
+                              f"{rnd}: {first} vs {bid}")
 
     # fallback certificates: unique per chain slot; endorsed ones unique per round
     fqc_slot: dict[tuple, str] = {}
@@ -443,7 +482,9 @@ def check_safety(idx: TraceIndex) -> SafetyReport:
 
     # committed blocks must be certified or endorsed somewhere in the trace
     violations += [f"committed block {bid} has no certificate evidence in "
-                   f"the trace" for bid in sorted(idx.uncertified)]
+                   f"the trace" for bid in sorted(
+                       b.id for b in idx.blocks.values()
+                       if b.committers and not b.certified)]
 
     return SafetyReport(ok=not violations, violations=violations,
                         commits_checked=idx.commit_records,

@@ -5,8 +5,10 @@
     bftsim replay TRACE.jsonl
     bftsim check  TRACE.jsonl
 
-Exit codes: 0 success, 1 safety violation or replay mismatch, 2 usage or
-configuration error.
+Exit codes: 0 success, 1 safety violation or replay mismatch, 2 usage,
+configuration or input error, 3 internal error (an unexpected exception,
+also one raised in a sweep worker: one ``internal error:`` line and the
+traceback on stderr).
 """
 
 from __future__ import annotations
@@ -109,11 +111,12 @@ def _in_children(func, calls: list[tuple]) -> list:
     """``func(*args)`` for each of ``calls``, in order.  One worker per
     usable CPU is forked once and inherits the calls.  The parent writes
     the index of a call to the first free worker's pipe, and the worker
-    pickles that call's result or exception back through its own.  Once a
-    call fails, no worker gets another; the exception of the earliest
-    failed call in ``calls`` is raised here, with its type, once every
-    worker is reaped.  With room for one worker, or no sched_getaffinity, the calls
-    run in this process.  The CLI starts no threads, so a forked worker
+    pickles that call's result back through its own, or its exception with
+    the worker's traceback as a note.  Once a call fails, no worker gets
+    another; the exception of the earliest failed call in ``calls`` is
+    raised here, with its type, once every worker is reaped.  With room
+    for one worker, or no sched_getaffinity, the calls run in this
+    process.  The CLI starts no threads, so a forked worker
     holds no lock mid-use."""
     try:
         width = min(len(calls), len(os.sched_getaffinity(0)))
@@ -154,6 +157,8 @@ def _in_children(func, calls: list[tuple]) -> list:
                                 data = pickle.dumps(
                                     (True, func(*calls[int(line)])))
                             except Exception as exc:
+                                import traceback  # the parent prints it
+                                exc.add_note(traceback.format_exc().rstrip())
                                 data = pickle.dumps((False, exc))
                             out.write(data)
                             out.flush()
@@ -205,7 +210,9 @@ def cmd_sweep(args) -> int:
     protocols = {}
     for n in n_values:
         protocols[n] = cfg.protocol._replace(n=n, f=(n - 1) // 3)
-        simnet.validate(protocols[n], cfg.adversary, cfg.horizon)
+        for seed in seeds:
+            simnet.validate(protocols[n]._replace(run_seed=seed),
+                            cfg.adversary, cfg.horizon)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     # the code every run needs, loaded once here, not once in each forked
@@ -335,6 +342,12 @@ def main(argv: Optional[list[str]] = None) -> int:
                 "file" if isinstance(exc, OSError) else "trace")
         sys.stderr.write(f"{what} error: {exc}\n")
         return 2
+    except Exception as exc:  # a fault of bftsim's own, not a verdict
+        import traceback
+
+        sys.stderr.write(f"internal error: {exc!r}\n")
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -587,6 +587,8 @@ class ReplicaConfig(NamedTuple):
             raise ConfigError("timeout_duration must be >= 1")
         if self.leader_rotation_period < 1:
             raise ConfigError("leader_rotation_period must be >= 1")
+        if self.run_seed < 0:  # random.Random(-s) would draw seed s's delays
+            raise ConfigError(f"seed must be >= 0, got {self.run_seed}")
 
     @property
     def quorum(self) -> int:

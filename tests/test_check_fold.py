@@ -206,10 +206,11 @@ WORKLOAD_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "workloads
 # the stores that grow by design, by one compact entry per block id,
 # certificate, spent tally, view or distinct latency: a later commit,
 # certificate or share may name any block, and the checker must answer for
-# it exactly
-KEYED = ("blocks", "canon", "qcs", "fqcs", "qc_slots", "tallies", "coins",
+# it exactly; and by one share mask per round or view of timeouts and coin
+# shares, since a later certificate may name any round or view
+KEYED = ("blocks", "canon", "qcs", "fqcs", "tallies", "coins",
          "committed_fallback_views", "entered_views", "completed_views",
-         "latency")
+         "latency", "shares")
 # a store outside KEYED that never holds more than this has not grown
 SMALL_STORE = 8
 # bytes per block that a longer run adds to the fold, at most: the id, its

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from bftsim import analysis, cli, crypto, scenario, simnet
 from bftsim.core import GENESIS_ID, MAX_HORIZON, MAX_N
-from bftsim.replica import ReplicaConfig
+from bftsim.replica import Replica, ReplicaConfig
 
 STEADY = """
 [protocol]
@@ -1139,6 +1139,33 @@ def test_sweep_checks_the_whole_grid_before_any_run(tmp_path, capsys,
     assert err.startswith("config error:") and "unknown replica 5" in err
 
 
+def test_a_negative_seed_is_refused_in_every_spelling(tmp_path, capsys,
+                                                     monkeypatch):
+    # random.Random(-3) draws seed 3's delays, so seed -3 is no new run
+    def no_run(self, sink=None):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(simnet.Simulation, "run", no_run)
+    cfg = write(tmp_path, SWEEP)
+    negative = write(tmp_path, SWEEP.replace("seed = 7", "seed = -3"),
+                     "negative.ini")
+    # --seeds -3..1 reads as an option to argparse, a usage error (exit 2)
+    for argv in (("run", "--config", cfg, "--seed", "-3"),
+                 ("run", "--config", negative),
+                 ("sweep", "--config", cfg, "--seeds=-3..1"),
+                 ("sweep", "--config", cfg, "--seeds=1,-3")):
+        assert run_cli(*argv) == 2, argv
+        assert capsys.readouterr().err == (
+            "config error: seed must be >= 0, got -3\n"), argv
+    monkeypatch.undo()
+    trace = make_trace(tmp_path)
+    lines = trace.read_text().splitlines(keepends=True)
+    lines[0] = lines[0].replace('"run_seed":7', '"run_seed":-3')
+    trace.write_text("".join(lines))
+    assert run_cli("check", str(trace)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error:") and "seed must be >= 0" in err
+
+
 def cpus(monkeypatch, k):
     """Make sweep see ``k`` usable CPUs, whatever the machine has."""
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(k)))
@@ -1255,6 +1282,27 @@ def test_sweep_child_that_dies_is_an_error(tmp_path, capsys, monkeypatch):
     assert_no_child_left()
     err = capsys.readouterr().err
     assert err.startswith("file error: sweep run 1 ended without a result")
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_an_internal_fault_exits_three(k, tmp_path, capsys, monkeypatch):
+    # exit 1 is a verdict on the protocol, so a crash of bftsim is not one
+    cpus(monkeypatch, k)
+
+    def broken(self, msg, frm):
+        raise RuntimeError("planted")
+    monkeypatch.setattr(Replica, "handle_message", broken)
+    for argv in (("run", "--config", write(tmp_path, STEADY)),
+                 ("sweep", "--config", write(tmp_path, SWEEP))):
+        assert run_cli(*argv) == 3, argv
+        assert_no_child_left()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err[0] == "internal error: RuntimeError('planted')", argv
+        # the traceback reaches the handler, also from a worker
+        assert err[1] == "Traceback (most recent call last):", argv
+        assert any("in broken" in line for line in err), argv
 
 
 def test_sweep_forks_one_worker_per_cpu_not_one_per_point(tmp_path, capsys,

@@ -4,11 +4,13 @@ A row whose oracle does not exist yet is a strict xfail naming the ROADMAP
 item that will add it, so that the test flips when the oracle lands."""
 
 import itertools
+import re
 
 import pytest
 
 from bftsim import analysis, simnet
-from bftsim.core import PACEMAKERS, VARIANTS, ReplicaConfig
+from bftsim.core import (PACEMAKERS, QC, VARIANTS, ReplicaConfig, Vote,
+                         message_certs)
 from bftsim.scenario import parse_scenario
 from bftsim.simnet import (AdversarySpec, Equivocate, PartialSynchrony,
                            Synchronous, run)
@@ -85,3 +87,36 @@ def test_a_forging_leader_breaks_no_run(monkeypatch):
                             pacemaker=pacemaker, run_seed=seed)
         trace = run(cfg, adversary, HORIZON)
         assert analysis.check_safety(analysis.index(trace)).ok, cfg
+
+
+# the first violation of a forge run: the first forged certificate, as
+# replica 0 first carried it
+FORGED = re.compile(r"forged certificate QC\(block_id=(\w{32}), round=(\d+), "
+                    r"view=(\d+)\): honest signers \[([\d, ]+)\] sent no "
+                    r"share before replica 0 carried it at tick (\d+)")
+
+
+def test_check_safety_names_a_forging_leaders_certificate(monkeypatch):
+    monkeypatch.setitem(simnet.FAULT_KINDS, "forge", Forge)
+    adversary = AdversarySpec(Synchronous(1), ((0, Forge()),))
+    for n, variant, pacemaker, seed in itertools.product(
+            (4, 7), VARIANTS, PACEMAKERS, (1, 2)):
+        cfg = ReplicaConfig(n=n, f=(n - 1) // 3, variant=variant,
+                            pacemaker=pacemaker, run_seed=seed)
+        trace = run(cfg, adversary, HORIZON)
+        first = analysis.check_safety(analysis.index(trace)).violations[0]
+        found = FORGED.fullmatch(first)
+        assert found, (cfg, first)
+        bid, rnd, view, named, tick = found.groups()
+        qc = QC(bid, int(rnd), int(view), frozenset(range(2 * cfg.f + 1)))
+        # the first record that carries it is replica 0's, at that tick,
+        # and no signer it names sent a vote for the block before it
+        k = next(k for k, rec in enumerate(trace.records)
+                 if "m" in rec and qc in message_certs(rec["m"]))
+        rec = trace.records[k]
+        assert (rec["frm"], rec["t"]) == (0, int(tick)), cfg
+        voters = {rec["frm"] for rec in trace.records[:k]
+                  if isinstance(rec.get("m"), Vote)
+                  and rec["m"].block_id == bid}
+        named = {int(i) for i in named.split(", ")}
+        assert named == set(qc.signers) - voters - {0}, cfg
